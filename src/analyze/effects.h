@@ -105,7 +105,7 @@ struct Access {
   bool Write = false;
   bool Read = false;
   /// The write combines with the previous value through a commutative
-  /// accumulation (+=); these are the §6 lossy-gradient candidates.
+  /// accumulation (+=).
   bool Accumulating = false;
   Footprint Fp;
   /// For inexact footprints that overhang their true region (padded window

@@ -320,8 +320,7 @@ std::string dimsString(const std::vector<ParallelDim> &Dims) {
 
 } // namespace
 
-void analyze::detectRaces(const UnitEffects &UE, bool IsBackward,
-                          const std::string &TaskLabel,
+void analyze::detectRaces(const UnitEffects &UE, const std::string &TaskLabel,
                           DiagnosticReport &Diags,
                           const std::set<std::string> *RotatedRoots) {
   if (UE.Dims.empty())
@@ -374,21 +373,13 @@ void analyze::detectRaces(const UnitEffects &UE, bool IsBackward,
         }
         if (!C.Conflict)
           continue;
-        bool BothAccum = (!A.Write || A.Accumulating) &&
-                         (!B.Write || B.Accumulating) &&
-                         (A.Write && B.Write); // read-vs-accum is not lossy
         std::ostringstream Msg;
         Msg << "iterations of " << dimsString(UE.Dims)
             << " may touch the same element: " << A.Detail << " ["
             << A.Fp.str() << "] vs " << B.Detail << " [" << B.Fp.str()
             << "]";
         Diagnostic *D;
-        if (IsBackward && BothAccum) {
-          D = &Diags.note("race.lossy-accumulation",
-                          "declared lossy '+=' accumulation race (§6, "
-                          "LossyGradients): " +
-                              Msg.str());
-        } else if (C.Approx) {
+        if (C.Approx) {
           D = &Diags.warning("race.possible",
                              "possible race (conservative footprint): " +
                                  Msg.str());

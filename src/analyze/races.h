@@ -12,15 +12,18 @@
 ///   - `race.possible` (Warning): the conflict involves a conservative
 ///     (inexact) footprint or the feasibility search exceeded its budget,
 ///     so the analysis cannot prove the unit race-free.
-///   - `race.lossy-accumulation` (Note): every conflicting access is a
-///     commutative `+=` accumulation in a backward program — the declared
-///     §6 lossy-gradient path. Flagged, not silenced: the engine only runs
-///     these loops in parallel when `LossyGradients` is set.
 ///   - `race.rotated-slice` (Note): the buffer is a slice-rotated root
 ///     (compiler/rotate.h). Distinct batch iterations that map to the same
 ///     pool slice do alias, but the executor's slice-grouped schedule
 ///     serializes them; the verifier's plan.subunit.* checks validate the
 ///     rotated footprints, so pairwise intersection is skipped here.
+///
+/// A cross-iteration `+=` is a race like any other write: the engine, the
+/// JIT and the emitter all run Parallel loops in parallel, backward
+/// included. Synchronized parameter-gradient accumulation stays race-free
+/// because compiler/gradpart.h partitions it by output row (or leaves the
+/// loop serial); lossy summation exists only across data-parallel workers
+/// (runtime/data_parallel.h), outside any one program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,14 +39,14 @@
 namespace latte {
 namespace analyze {
 
-/// Checks one parallel task unit's effects for cross-iteration conflicts and
-/// appends race.* diagnostics to \p Diags. \p IsBackward selects the lossy
-/// accumulation whitelist; \p TaskLabel tags the diagnostics. A unit with no
-/// parallel dimensions never conflicts with itself. \p RotatedRoots (may be
-/// null) names the unit's slice-rotated buffers, whose cross-iteration
-/// aliasing is intentional and scheduled around (see race.rotated-slice).
-void detectRaces(const UnitEffects &UE, bool IsBackward,
-                 const std::string &TaskLabel, DiagnosticReport &Diags,
+/// Checks one parallel loop's effects for cross-iteration conflicts and
+/// appends race.* diagnostics to \p Diags; \p TaskLabel tags them. A loop
+/// with no parallel dimensions never conflicts with itself. \p RotatedRoots
+/// (may be null) names the unit's slice-rotated buffers, whose
+/// cross-iteration aliasing is intentional and scheduled around (see
+/// race.rotated-slice).
+void detectRaces(const UnitEffects &UE, const std::string &TaskLabel,
+                 DiagnosticReport &Diags,
                  const std::set<std::string> *RotatedRoots = nullptr);
 
 } // namespace analyze

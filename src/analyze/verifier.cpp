@@ -520,7 +520,14 @@ void verifyProgramIR(const Stmt *Root, const std::vector<TaskLabel> &Labels,
       if (auto It = RotatedByUnit.find(UnitBase + static_cast<int>(I));
           It != RotatedByUnit.end())
         Rotated = &It->second;
-      detectRaces(UE, IsBackward, Label, R, Rotated);
+      // A unit the gradient partition split (compiler/gradpart.h) is a
+      // block of sibling loops, each parallel on its own.
+      if (const auto *Loops = dyn_cast<BlockStmt>(Unit))
+        for (const StmtPtr &Loop : Loops->stmts())
+          detectRaces(collectUnitEffects(Loop.get(), Bufs, nullptr), Label,
+                      R, Rotated);
+      else
+        detectRaces(UE, Label, R, Rotated);
     }
   }
 }

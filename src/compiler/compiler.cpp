@@ -4,6 +4,7 @@
 
 #include "analyze/effects.h"
 #include "analyze/verifier.h"
+#include "compiler/gradpart.h"
 #include "compiler/memplan.h"
 #include "compiler/passes.h"
 #include "compiler/recompute.h"
@@ -124,6 +125,12 @@ Program compiler::compile(const core::Net &Net, const CompileOptions &Opts) {
     // planMemory (which sizes arena lifetimes from the shrunk Dims).
     prof::ScopedTimer T("slice-rotation");
     rotateSlices(Prog, Opts);
+  }
+  if (Opts.Parallelize && !Opts.Inference) {
+    // After rotation (rotated units keep their slice-grouped schedule and
+    // are left serial) and before planMemory; the unit count is unchanged.
+    prof::ScopedTimer T("grad-partition");
+    partitionParamGrads(Prog);
   }
   {
     prof::ScopedTimer T("memplan");

@@ -262,22 +262,24 @@ void Assembler::flushGroup(std::vector<StmtPtr> &Units, BatchGroup &Group,
     // with the tile loop when the body is a single tiled loop.
     auto BatchLoop = std::make_unique<ForStmt>(
         "n", intConst(0), Prog.BatchSize, block(std::move(Body)));
-    if (Opts.Parallelize) {
-      BatchLoop->annotations().Parallel = true;
-      auto *BodyBlock = cast<BlockStmt>(BatchLoop->body());
-      if (BodyBlock->stmts().size() == 1)
-        if (auto *TL =
-                dyn_cast<TiledLoopStmt>(BodyBlock->stmts()[0].get())) {
-          BatchLoop->annotations().Collapse = 2;
-          TL->annotations().Parallel = true;
-        }
-    }
+    if (Opts.Parallelize)
+      annotateBatchLoop(*BatchLoop);
     pushUnit(Units, std::move(BatchLoop), std::move(ChainName),
              std::move(ChainEnsembles));
   }
 }
 
 } // namespace
+
+void compiler::annotateBatchLoop(ForStmt &Loop) {
+  Loop.annotations().Parallel = true;
+  auto *Body = cast<BlockStmt>(Loop.body());
+  if (Body->stmts().size() == 1)
+    if (auto *TL = dyn_cast<TiledLoopStmt>(Body->stmts()[0].get())) {
+      Loop.annotations().Collapse = 2;
+      TL->annotations().Parallel = true;
+    }
+}
 
 void compiler::assemblePrograms(SynthesisResult Tasks,
                                 const CompileOptions &Opts, Program &Prog) {

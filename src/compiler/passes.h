@@ -18,6 +18,10 @@
 namespace latte {
 namespace compiler {
 
+/// Marks a batch loop data-parallel across items (§5.4.3), collapsed with
+/// its tile loop when the body is a single tiled loop.
+void annotateBatchLoop(ir::ForStmt &Loop);
+
 /// Runs the optimization pipeline over the synthesized tasks and fills
 /// Prog.Forward / Prog.Backward (and the fusion/tiling report fields).
 void assemblePrograms(SynthesisResult Tasks, const CompileOptions &Opts,

@@ -30,6 +30,19 @@ struct EnvImpl {
   std::vector<std::pair<std::string, float>> FloatVars;
 };
 
+/// Whether parallel loops fork. With one OpenMP thread a fork only adds a
+/// team setup per loop and runs the body as an outlined function (2-5%
+/// slower on the one-thread LSTM step, measured on a 4-vCPU Xeon VM); the
+/// serial path computes the same bytes, since parallel loops are race-free
+/// in both passes.
+bool forkParallelLoops(const ExecOptions &Opts) {
+#ifdef LATTE_HAVE_OPENMP
+  return Opts.Parallel && omp_get_max_threads() > 1;
+#else
+  return Opts.Parallel;
+#endif
+}
+
 } // namespace
 
 struct Executor::Env : EnvImpl {
@@ -358,7 +371,7 @@ void Executor::forward() {
         kernels::zero(buffer(B.Name).Data, buffer(B.Name).Count);
   }
   Env E;
-  E.AllowParallel = Opts.Parallel;
+  E.AllowParallel = forkParallelLoops(Opts);
   const std::vector<jit::TaskFn> *Fns = JitActive ? &JitFwd : nullptr;
   if (JitActive)
     refreshJitCtx();
@@ -397,11 +410,10 @@ void Executor::backward() {
   // Seed the loss gradient path: SoftmaxLossBwd reads probabilities
   // directly, so nothing to do here beyond zeroing.
   Env E;
-  // Parallel backward races on parameter gradients; only the lossy mode
-  // (§3.1) permits that. Synchronized mode executes the batch loop
-  // serially, and deterministic mode always does.
-  E.AllowParallel =
-      Opts.Parallel && Opts.LossyGradients && !Opts.Deterministic;
+  // Parallel backward loops are race-free: the compiler partitions
+  // parameter-gradient accumulation by output row (compiler/gradpart.h),
+  // so synchronized summation is parallel and bitwise deterministic.
+  E.AllowParallel = forkParallelLoops(Opts);
   const int Base = Prog.Plan.NumForwardUnits;
   const std::vector<jit::TaskFn> *Fns = JitActive ? &JitBwd : nullptr;
   if (JitActive)

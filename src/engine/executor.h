@@ -33,19 +33,15 @@ struct ExecOptions {
   /// Use the vectorized kernel variants (GEMM blocking, vector gathers).
   /// Off = the scalar reference kernels, for the Figure 13 ablation.
   bool VectorKernels = true;
-  /// Honor parallel loop annotations with OpenMP.
+  /// Honor parallel loop annotations with OpenMP (when it can run more
+  /// than one thread; results are the same either way).
   bool Parallel = true;
-  /// Allow racing (lossy) parameter-gradient accumulation in parallel
-  /// backward loops (§3.1 / Project Adam-style). When false the engine
-  /// serializes the backward batch loop instead — the "synchronized
-  /// reduction" mode, trading performance for determinism.
-  bool LossyGradients = false;
-  /// Fully reproducible execution, used by the verification tooling
-  /// (verify::runLattice / verify::gradCheck): the dropout RNG is re-seeded
-  /// at the top of every forward pass (so repeated forwards with identical
-  /// inputs produce bitwise-identical outputs, a precondition for finite
-  /// differencing), and LossyGradients is ignored in backward (no racing
-  /// accumulation). Race-free parallel forward loops are unaffected.
+  /// Re-seed the dropout RNG at the top of every forward pass, so repeated
+  /// forwards over identical inputs produce bitwise-identical outputs (a
+  /// precondition for finite differencing); used by the verification
+  /// tooling (verify::runLattice / verify::gradCheck). Everything else is
+  /// deterministic regardless: parallel loops, backward included, are
+  /// race-free and independent of the thread count.
   bool Deterministic = false;
   /// Record per-task execution spans and kernel counters into the global
   /// profiler (support/profile.h). Off by default; when off (or when the

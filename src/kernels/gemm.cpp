@@ -23,7 +23,18 @@ constexpr int64_t MC = 64;
 constexpr int64_t KC = 256;
 constexpr int64_t NC = 512;
 
+// Transposed-B packing walks B in PackTile x PackTile tiles once its rows
+// are at least a page apart (LdB >= PackTileMinLd floats): each B row is then
+// read PackTile elements at a time instead of one element per page touched.
+// Below that the whole source panel stays cache- and TLB-resident and the
+// plain loop was measured faster. On a 4-vCPU Xeon VM: fc7's 8 x 4096 x
+// 4096 forward GEMM packs in 105 ms plain vs 27 ms tiled; the conv dW packs
+// with LdB 25..676 run ~2x slower tiled.
+constexpr int64_t PackTile = 16;
+constexpr int64_t PackTileMinLd = 1024;
+
 /// Packs op(B)[K0..K0+KB) x [J0..J0+JB) into a contiguous KB x JB panel.
+/// Every path copies the same values to the same panel slots.
 void packB(bool TransB, const float *B, int64_t LdB, int64_t K0, int64_t J0,
            int64_t KB, int64_t JB, float *Panel) {
   if (!TransB) {
@@ -32,9 +43,23 @@ void packB(bool TransB, const float *B, int64_t LdB, int64_t K0, int64_t J0,
                   static_cast<size_t>(JB) * sizeof(float));
     return;
   }
-  for (int64_t K = 0; K < KB; ++K)
-    for (int64_t J = 0; J < JB; ++J)
-      Panel[K * JB + J] = B[(J0 + J) * LdB + (K0 + K)];
+  if (LdB < PackTileMinLd) {
+    for (int64_t K = 0; K < KB; ++K)
+      for (int64_t J = 0; J < JB; ++J)
+        Panel[K * JB + J] = B[(J0 + J) * LdB + (K0 + K)];
+    return;
+  }
+  for (int64_t J1 = 0; J1 < JB; J1 += PackTile) {
+    int64_t JE = std::min(J1 + PackTile, JB);
+    for (int64_t K1 = 0; K1 < KB; K1 += PackTile) {
+      int64_t KE = std::min(K1 + PackTile, KB);
+      for (int64_t J = J1; J < JE; ++J) {
+        const float *Row = B + (J0 + J) * LdB + K0;
+        for (int64_t K = K1; K < KE; ++K)
+          Panel[K * JB + J] = Row[K];
+      }
+    }
+  }
 }
 
 } // namespace

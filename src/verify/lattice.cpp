@@ -41,7 +41,6 @@ ExecOptions execOptionsFor(const CompileOptions &Opts, uint64_t EngineSeed) {
   ExecOptions E;
   E.VectorKernels = Opts.VectorKernels;
   E.Parallel = Opts.Parallelize;
-  E.LossyGradients = false;
   E.Deterministic = true;
   // The oracle inspects every Value/Grad/ParamGrad buffer after the run;
   // interval-allocated gradients' bytes are legitimately reused under the

@@ -1,8 +1,8 @@
 //===- tests/analyze/races_test.cpp ---------------------------*- C++ -*-===//
 ///
 /// Unit tests for the static race detector: write-write and read-write
-/// conflicts across iterations of the parallel batch/tile space, the §6
-/// lossy-accumulation whitelist (Note, not Error, in backward programs),
+/// conflicts across iterations of the parallel batch/tile space (a
+/// cross-iteration `+=` included, in backward as in forward),
 /// conservative-footprint downgrades to Warning, and the bound-region
 /// refinement that keeps clipped padded windows from reporting false
 /// cross-item conflicts.
@@ -12,6 +12,7 @@
 #include "analyze/races.h"
 
 #include "analyze/effects.h"
+#include "analyze/verifier.h"
 #include "ir/builder.h"
 #include "support/casting.h"
 
@@ -43,14 +44,14 @@ Program makeProg() {
 
 /// Collects effects of \p Body under `parallel for n in 0:4` and runs the
 /// race detector over them.
-DiagnosticReport racesOf(StmtPtr Body, bool IsBackward = false) {
+DiagnosticReport racesOf(StmtPtr Body) {
   Program P = makeProg();
   BufferTable Bufs(P);
   StmtPtr Loop = forLoop("n", 4, std::move(Body));
   cast<ForStmt>(Loop.get())->annotations().Parallel = true;
   UnitEffects UE = collectUnitEffects(Loop.get(), Bufs, nullptr);
   DiagnosticReport R;
-  detectRaces(UE, IsBackward, "batch[test]", R);
+  detectRaces(UE, "batch[test]", R);
   return R;
 }
 
@@ -85,18 +86,36 @@ TEST(RaceTest, StridedWritesWithDisjointFootprintsAreClean) {
   EXPECT_TRUE(R.empty()) << R.render();
 }
 
-TEST(RaceTest, AccumulationInBackwardIsWhitelistedAsNote) {
-  // The §6 lossy-gradients pattern: every iteration does `a[0] +=`.
-  StmtPtr Body = storeAdd("a", indexList(intConst(0)), floatConst(1.0));
-  DiagnosticReport R = racesOf(std::move(Body), /*IsBackward=*/true);
-  EXPECT_TRUE(R.hasCode("race.lossy-accumulation")) << R.render();
-  EXPECT_EQ(R.errors(), 0) << R.render();
-  EXPECT_EQ(R.notes(), 1);
+TEST(RaceTest, AccumulationInBackwardIsWriteWriteError) {
+  // Every iteration does `a[0] +=` in a parallel backward loop. The engine
+  // runs backward loops in parallel, so this is a race like any other —
+  // whether the loop is the whole unit or one of the sibling loops of a
+  // gradient-partitioned unit (compiler/gradpart.h).
+  auto RacyLoop = [] {
+    StmtPtr Loop = forLoop(
+        "n", 4, storeAdd("a", indexList(intConst(0)), floatConst(1.0)));
+    cast<ForStmt>(Loop.get())->annotations().Parallel = true;
+    return Loop;
+  };
+  Program P = makeProg();
+  std::vector<StmtPtr> Units;
+  Units.push_back(RacyLoop());
+  std::vector<StmtPtr> Siblings;
+  StmtPtr Clean = forLoop(
+      "n", 4, storeAssign("a", indexList(var("n")), floatConst(1.0)));
+  cast<ForStmt>(Clean.get())->annotations().Parallel = true;
+  Siblings.push_back(std::move(Clean));
+  Siblings.push_back(RacyLoop());
+  Units.push_back(block(std::move(Siblings)));
+  P.Backward = block(std::move(Units));
+  DiagnosticReport R = verifyProgram(P);
+  EXPECT_TRUE(R.hasCode("race.write-write")) << R.render();
+  EXPECT_EQ(R.errors(), 2) << R.render();
 }
 
 TEST(RaceTest, AccumulationInForwardIsStillAnError) {
   StmtPtr Body = storeAdd("a", indexList(intConst(0)), floatConst(1.0));
-  DiagnosticReport R = racesOf(std::move(Body), /*IsBackward=*/false);
+  DiagnosticReport R = racesOf(std::move(Body));
   EXPECT_TRUE(R.hasCode("race.write-write")) << R.render();
 }
 
@@ -109,7 +128,7 @@ TEST(RaceTest, SequentialUnitNeverRaces) {
   UnitEffects UE = collectUnitEffects(Loop.get(), Bufs, nullptr);
   EXPECT_TRUE(UE.Dims.empty());
   DiagnosticReport R;
-  detectRaces(UE, false, "seq", R);
+  detectRaces(UE, "seq", R);
   EXPECT_TRUE(R.empty()) << R.render();
 }
 
@@ -127,7 +146,7 @@ TEST(RaceTest, InexactOverlapDowngradesToWarning) {
   W.Detail = "writer";
   UE.Effects.add("a", W);
   DiagnosticReport R;
-  detectRaces(UE, false, "approx", R);
+  detectRaces(UE, "approx", R);
   EXPECT_TRUE(R.hasCode("race.possible")) << R.render();
   EXPECT_EQ(R.errors(), 0);
 }
@@ -157,13 +176,13 @@ TEST(RaceTest, BoundRegionSuppressesFalseWindowConflict) {
   Rd.Detail = "padded reader";
   UE.Effects.add("a", Rd);
   DiagnosticReport R;
-  detectRaces(UE, false, "bounded", R);
+  detectRaces(UE, "bounded", R);
   EXPECT_TRUE(R.empty()) << R.render();
 
   // Same effects minus the bound: reported as a possible race.
   UE.Effects.Buffers["a"][1].HasBound = false;
   DiagnosticReport R2;
-  detectRaces(UE, false, "unbounded", R2);
+  detectRaces(UE, "unbounded", R2);
   EXPECT_TRUE(R2.hasCode("race.possible")) << R2.render();
 }
 
@@ -198,12 +217,12 @@ TEST(RaceTest, CollapsedTileDimensionParticipates) {
   EXPECT_TRUE(UE.Collapsed);
   ASSERT_EQ(UE.Dims.size(), 2u);
   DiagnosticReport R;
-  detectRaces(UE, false, "collapsed", R);
+  detectRaces(UE, "collapsed", R);
   EXPECT_TRUE(R.empty()) << R.render();
 
   StmtPtr Racy = MakeUnit(/*UseTileVar=*/false);
   UnitEffects UE2 = collectUnitEffects(Racy.get(), Bufs, nullptr);
   DiagnosticReport R2;
-  detectRaces(UE2, false, "collapsed-racy", R2);
+  detectRaces(UE2, "collapsed-racy", R2);
   EXPECT_TRUE(R2.hasCode("race.write-write")) << R2.render();
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -109,4 +111,60 @@ TEST(GemmTest, LargeBlockedCaseCrossesAllPanels) {
              false);
   for (int64_t I = 0; I < M * N; I += 997)
     ASSERT_NEAR(C0[I], C1[I], 1e-2f);
+}
+
+TEST(GemmTest, TransposedBMatchesExplicitTransposeBitwise) {
+  // op(B) = B^T packs through a tiled transpose once B's rows are a page
+  // apart and through the plain loop below that; either way the panel must
+  // hold exactly the values an untransposed copy of B^T would. Ragged
+  // shapes: N and K cross the NC/KC panel edges off the tile grid, and LdB
+  // exceeds K.
+  struct Case {
+    int64_t M, N, K, LdB;
+  };
+  for (const Case &C : {Case{5, 530, 1030, 1030}, Case{3, 37, 1500, 1507},
+                        Case{4, 50, 100, 100}, Case{2, 513, 300, 301}}) {
+    Rng R(7 + C.N + C.K);
+    std::vector<float> A = randomMatrix(R, C.M * C.K);
+    std::vector<float> B = randomMatrix(R, C.N * C.LdB); // N x K, stride LdB
+    std::vector<float> BT(C.K * C.N);                    // K x N
+    for (int64_t J = 0; J < C.N; ++J)
+      for (int64_t K = 0; K < C.K; ++K)
+        BT[K * C.N + J] = B[J * C.LdB + K];
+    std::vector<float> C0 = randomMatrix(R, C.M * C.N);
+    std::vector<float> C1 = C0;
+    sgemm(false, true, C.M, C.N, C.K, A.data(), C.K, B.data(), C.LdB,
+          C0.data(), C.N, true);
+    sgemm(false, false, C.M, C.N, C.K, A.data(), C.K, BT.data(), C.N,
+          C1.data(), C.N, true);
+    EXPECT_EQ(std::memcmp(C0.data(), C1.data(), C0.size() * sizeof(float)),
+              0)
+        << "M=" << C.M << " N=" << C.N << " K=" << C.K << " LdB=" << C.LdB;
+  }
+}
+
+TEST(GemmTest, RowBlocksAreBitwiseIndependent) {
+  // The gradient partition (compiler/gradpart.h) runs a GEMM as separate
+  // calls over blocks of output rows; each row must come out bitwise as in
+  // the whole call, for both A layouts and a ragged last block.
+  const int64_t M = 70, N = 600, K = 300, Block = 32;
+  for (bool TransA : {false, true}) {
+    Rng R(31 + TransA);
+    int64_t LdA = TransA ? M : K;
+    std::vector<float> A = randomMatrix(R, M * K);
+    std::vector<float> B = randomMatrix(R, K * N);
+    std::vector<float> Whole = randomMatrix(R, M * N);
+    std::vector<float> Blocked = Whole;
+    sgemm(TransA, false, M, N, K, A.data(), LdA, B.data(), N, Whole.data(), N,
+          true);
+    for (int64_t Row0 = 0; Row0 < M; Row0 += Block) {
+      int64_t Rows = std::min(Block, M - Row0);
+      sgemm(TransA, false, Rows, N, K, A.data() + (TransA ? Row0 : Row0 * LdA),
+            LdA, B.data(), N, Blocked.data() + Row0 * N, N, true);
+    }
+    EXPECT_EQ(std::memcmp(Whole.data(), Blocked.data(),
+                          Whole.size() * sizeof(float)),
+              0)
+        << "TransA=" << TransA;
+  }
 }

@@ -10,8 +10,7 @@
 /// compileForward() program instead of the training compile — the
 /// stripped buffer table and forward-only memory plan go through the same
 /// verifier. Exit code 1 when any Error diagnostic was produced, 0
-/// otherwise (warnings and the declared §6 lossy accumulation notes do
-/// not fail the run).
+/// otherwise (warnings and rotated-slice notes do not fail the run).
 ///
 /// The --corrupt mode injects one of the hand-corruption fixtures the
 /// verifier tests key on (shape-mismatch, use-before-def, dropped-barrier,
