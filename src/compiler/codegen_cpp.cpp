@@ -20,939 +20,15 @@ using namespace latte::ir;
 
 namespace {
 
-/// Emits C++ source for one Program.
-class CppEmitter {
-public:
-  explicit CppEmitter(const Program &Prog) : Prog(Prog) {}
-
-  std::string run();
-
-private:
-  void header();
-  void buffers();
-  void kernels();
-  void initFunction();
-  void passFunction(const char *Name, const Stmt *Root,
-                    bool ZeroOnForward);
-  void driver();
-
-  void emitStmt(const Stmt *S, int Indent);
-  std::string exprToC(const Expr *E) const;
-  std::string loadToC(const LoadExpr *L) const;
-  std::string flatIndex(const std::string &Buffer,
-                        const std::vector<ExprPtr> &Indices) const;
-  std::string bufPtr(const KernelBufArg &Arg) const;
-
-  void line(int Indent, const std::string &Text) {
-    for (int I = 0; I < Indent; ++I)
-      OS << "  ";
-    OS << Text << "\n";
-  }
-
-  const Program &Prog;
-  std::ostringstream OS;
-};
-
-std::string floatLit(double V) {
-  if (std::isinf(V))
-    return V < 0 ? "(-INFINITY)" : "INFINITY";
-  std::string Text = formatString("%.9g", V);
-  // Integral-looking output ("0", "42") needs a decimal point before the
-  // float suffix is legal C++.
-  if (Text.find('.') == std::string::npos &&
-      Text.find('e') == std::string::npos &&
-      Text.find('E') == std::string::npos)
-    Text += ".0";
-  return Text + "f";
-}
-
-std::string CppEmitter::flatIndex(const std::string &Buffer,
-                                  const std::vector<ExprPtr> &Indices) const {
-  const BufferInfo *B = Prog.findBuffer(Buffer);
-  assert(B && "load/store of unknown buffer");
-  assert(static_cast<int>(Indices.size()) == B->Dims.rank() &&
-         "index rank mismatch in codegen");
-  std::string Out = "0";
-  for (size_t I = 0; I < Indices.size(); ++I)
-    Out = "(" + Out + ") * " + std::to_string(B->Dims[static_cast<int>(I)]) +
-          " + (" + exprToC(Indices[I].get()) + ")";
-  return Out;
-}
-
-std::string CppEmitter::loadToC(const LoadExpr *L) const {
-  return L->buffer() + "[" + flatIndex(L->buffer(), L->indices()) + "]";
-}
-
-std::string CppEmitter::exprToC(const Expr *E) const {
-  switch (E->kind()) {
-  case Expr::Kind::IntConst:
-    return std::to_string(cast<IntConstExpr>(E)->value());
-  case Expr::Kind::FloatConst:
-    return floatLit(cast<FloatConstExpr>(E)->value());
-  case Expr::Kind::Var:
-    return cast<VarExpr>(E)->name();
-  case Expr::Kind::Load:
-    return loadToC(cast<LoadExpr>(E));
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    std::string L = exprToC(B->lhs()), R = exprToC(B->rhs());
-    switch (B->op()) {
-    case BinaryOpKind::Add:
-      return "(" + L + " + " + R + ")";
-    case BinaryOpKind::Sub:
-      return "(" + L + " - " + R + ")";
-    case BinaryOpKind::Mul:
-      return "(" + L + " * " + R + ")";
-    case BinaryOpKind::Div:
-      return "(" + L + " / " + R + ")";
-    case BinaryOpKind::Min:
-      return "latte_min(" + L + ", " + R + ")";
-    case BinaryOpKind::Max:
-      return "latte_max(" + L + ", " + R + ")";
-    }
-    latteUnreachable("unknown binary op");
-  }
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    std::string V = exprToC(U->operand());
-    switch (U->op()) {
-    case UnaryOpKind::Neg:
-      return "(-" + V + ")";
-    case UnaryOpKind::Exp:
-      return "std::exp(" + V + ")";
-    case UnaryOpKind::Log:
-      return "std::log(" + V + ")";
-    case UnaryOpKind::Tanh:
-      return "std::tanh(" + V + ")";
-    case UnaryOpKind::Sigmoid:
-      return "(1.0f / (1.0f + std::exp(-(" + V + "))))";
-    case UnaryOpKind::Sqrt:
-      return "std::sqrt(" + V + ")";
-    case UnaryOpKind::Abs:
-      return "std::fabs(" + V + ")";
-    }
-    latteUnreachable("unknown unary op");
-  }
-  case Expr::Kind::Compare: {
-    const auto *C = cast<CompareExpr>(E);
-    static const char *Ops[] = {"<", "<=", ">", ">=", "==", "!="};
-    std::string Raw = "(" + exprToC(C->lhs()) + " " +
-                      Ops[static_cast<int>(C->op())] + " " +
-                      exprToC(C->rhs()) + ")";
-    return "(" + Raw + " ? 1.0f : 0.0f)";
-  }
-  case Expr::Kind::Select: {
-    const auto *S = cast<SelectExpr>(E);
-    std::string Cond;
-    if (const auto *C = dyn_cast<CompareExpr>(S->cond())) {
-      static const char *Ops[] = {"<", "<=", ">", ">=", "==", "!="};
-      Cond = "(" + exprToC(C->lhs()) + " " + Ops[static_cast<int>(C->op())] +
-             " " + exprToC(C->rhs()) + ")";
-    } else {
-      Cond = "((" + exprToC(S->cond()) + ") != 0.0f)";
-    }
-    return "(" + Cond + " ? " + exprToC(S->trueValue()) + " : " +
-           exprToC(S->falseValue()) + ")";
-  }
-  }
-  latteUnreachable("unknown expression kind");
-}
-
-std::string CppEmitter::bufPtr(const KernelBufArg &Arg) const {
-  std::string Off =
-      Arg.Offset ? " + (" + exprToC(Arg.Offset.get()) + ")" : "";
-  return Arg.Buffer + Off;
-}
-
-void CppEmitter::emitStmt(const Stmt *S, int Indent) {
-  switch (S->kind()) {
-  case Stmt::Kind::Block: {
-    const auto *B = cast<BlockStmt>(S);
-    if (!B->label().empty())
-      line(Indent, "// " + B->label());
-    for (const StmtPtr &Child : B->stmts())
-      emitStmt(Child.get(), Indent);
-    return;
-  }
-  case Stmt::Kind::For: {
-    const auto *F = cast<ForStmt>(S);
-    // Slice-rotated batch loop (compiler/rotate.h): iterations sharing a
-    // rotated slice (equal n mod SliceModulus) must not run concurrently,
-    // so the parallel dimension is the slice index and items within a
-    // slice run serially in batch order.
-    if (int64_t SliceMod = F->annotations().SliceModulus;
-        F->annotations().Parallel && SliceMod > 0) {
-      std::string SLo = exprToC(F->lo());
-      std::string Sl = F->var() + "_slice";
-      line(Indent, "#pragma omp parallel for schedule(static, 1)");
-      line(Indent, "for (int64_t " + Sl + " = 0; " + Sl + " < " +
-                       std::to_string(SliceMod) + "; ++" + Sl + ") {");
-      line(Indent + 1, "for (int64_t " + F->var() + " = " + SLo + " + " + Sl +
-                           "; " + F->var() + " < " + SLo + " + " +
-                           std::to_string(F->extent()) + "; " + F->var() +
-                           " += " + std::to_string(SliceMod) + ") {");
-      emitStmt(F->body(), Indent + 2);
-      line(Indent + 1, "}");
-      line(Indent, "}");
-      return;
-    }
-    // The paper's parallelization construct (§5.4.3).
-    const TiledLoopStmt *Collapsed = nullptr;
-    if (F->annotations().Parallel && F->annotations().Collapse == 2)
-      if (const auto *Body = dyn_cast<BlockStmt>(F->body()))
-        if (Body->stmts().size() == 1)
-          Collapsed = dyn_cast<TiledLoopStmt>(Body->stmts()[0].get());
-    if (F->annotations().Parallel) {
-      if (Collapsed)
-        line(Indent,
-             "#pragma omp parallel for collapse(2) schedule(static, 1)");
-      else
-        line(Indent, "#pragma omp parallel for schedule(static, 1)");
-    }
-    std::string Lo = exprToC(F->lo());
-    line(Indent, "for (int64_t " + F->var() + " = " + Lo + "; " + F->var() +
-                     " < " + Lo + " + " + std::to_string(F->extent()) +
-                     "; ++" + F->var() + ") {");
-    if (Collapsed) {
-      line(Indent + 1, "for (int64_t " + Collapsed->tileVar() +
-                           " = 0; " + Collapsed->tileVar() + " < " +
-                           std::to_string(Collapsed->numTiles()) + "; ++" +
-                           Collapsed->tileVar() + ") {");
-      emitStmt(Collapsed->body(), Indent + 2);
-      line(Indent + 1, "}");
-    } else {
-      emitStmt(F->body(), Indent + 1);
-    }
-    line(Indent, "}");
-    return;
-  }
-  case Stmt::Kind::TiledLoop: {
-    const auto *T = cast<TiledLoopStmt>(S);
-    line(Indent, "// tiled loop over " + T->origVar() + " (tile " +
-                     std::to_string(T->tileSize()) + ", dist " +
-                     std::to_string(T->dependenceDistance()) + ")");
-    line(Indent, "for (int64_t " + T->tileVar() + " = 0; " + T->tileVar() +
-                     " < " + std::to_string(T->numTiles()) + "; ++" +
-                     T->tileVar() + ") {");
-    emitStmt(T->body(), Indent + 1);
-    line(Indent, "}");
-    return;
-  }
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    line(Indent, "if ((" + exprToC(If->cond()) + ") != 0.0f) {");
-    emitStmt(If->thenStmt(), Indent + 1);
-    if (If->elseStmt()) {
-      line(Indent, "} else {");
-      emitStmt(If->elseStmt(), Indent + 1);
-    }
-    line(Indent, "}");
-    return;
-  }
-  case Stmt::Kind::Store: {
-    const auto *St = cast<StoreStmt>(S);
-    std::string Target =
-        St->buffer() + "[" + flatIndex(St->buffer(), St->indices()) + "]";
-    std::string Value = exprToC(St->value());
-    switch (St->op()) {
-    case AccumKind::Assign:
-      line(Indent, Target + " = " + Value + ";");
-      return;
-    case AccumKind::AddAssign:
-      line(Indent, Target + " += " + Value + ";");
-      return;
-    case AccumKind::MulAssign:
-      line(Indent, Target + " *= " + Value + ";");
-      return;
-    case AccumKind::MaxAssign:
-      line(Indent, Target + " = latte_max(" + Target + ", " + Value + ");");
-      return;
-    case AccumKind::MinAssign:
-      line(Indent, Target + " = latte_min(" + Target + ", " + Value + ");");
-      return;
-    }
-    latteUnreachable("unknown accumulation kind");
-  }
-  case Stmt::Kind::Decl: {
-    const auto *D = cast<DeclStmt>(S);
-    line(Indent, "float " + D->name() + " = " + exprToC(D->init()) + ";");
-    return;
-  }
-  case Stmt::Kind::AssignVar: {
-    const auto *A = cast<AssignVarStmt>(S);
-    std::string Value = exprToC(A->value());
-    switch (A->op()) {
-    case AccumKind::Assign:
-      line(Indent, A->name() + " = " + Value + ";");
-      return;
-    case AccumKind::AddAssign:
-      line(Indent, A->name() + " += " + Value + ";");
-      return;
-    case AccumKind::MulAssign:
-      line(Indent, A->name() + " *= " + Value + ";");
-      return;
-    case AccumKind::MaxAssign:
-      line(Indent,
-           A->name() + " = latte_max(" + A->name() + ", " + Value + ");");
-      return;
-    case AccumKind::MinAssign:
-      line(Indent,
-           A->name() + " = latte_min(" + A->name() + ", " + Value + ");");
-      return;
-    }
-    latteUnreachable("unknown accumulation kind");
-  }
-  case Stmt::Kind::KernelCall: {
-    const auto *K = cast<KernelCallStmt>(S);
-    const auto &IA = K->intArgs();
-    auto Ints = [&](size_t From) {
-      std::vector<std::string> Parts;
-      for (size_t I = From; I < IA.size(); ++I)
-        Parts.push_back(std::to_string(IA[I]));
-      return join(Parts, ", ");
-    };
-    auto EArg = [&](size_t I) { return exprToC(K->exprArgs()[I].get()); };
-    switch (K->kernel()) {
-    case KernelKind::Zero:
-      line(Indent, "k_zero(" + bufPtr(K->bufs()[0]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::Copy:
-      line(Indent, "k_copy(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::AddTo:
-      line(Indent, "k_add_to(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::MulInto:
-      line(Indent, "k_mul_into(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + Ints(0) + ");");
-      return;
-    case KernelKind::MulAddTo:
-      line(Indent, "k_mul_add_to(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + Ints(0) + ");");
-      return;
-    case KernelKind::Scale:
-      line(Indent, "k_scale(" + bufPtr(K->bufs()[0]) + ", " +
-                       floatLit(K->floatArgs()[0]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::Sgemm:
-      line(Indent, "k_gemm(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + Ints(0) + ");");
-      return;
-    case KernelKind::Gather2D:
-      line(Indent, "k_gather2d(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + K->bufs()[2].Buffer +
-                       ", " + Ints(0) + ", " + EArg(0) + ");");
-      return;
-    case KernelKind::ScatterAdd2D:
-      line(Indent, "k_scatter2d(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + K->bufs()[2].Buffer +
-                       ", " + Ints(0) + ", " + EArg(0) + ");");
-      return;
-    case KernelKind::ActFwdCols:
-      line(Indent, "k_act_fwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ", " +
-                       EArg(0) + ");");
-      return;
-    case KernelKind::ActBwdCols:
-      line(Indent, "k_act_bwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + Ints(0) + ", " + EArg(0) + ");");
-      return;
-    case KernelKind::BiasAddCols:
-      line(Indent, "k_bias_cols(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ", " +
-                       EArg(0) + ");");
-      return;
-    case KernelKind::BiasAddPerRow:
-      line(Indent, "k_bias_rows(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::RowSumAdd:
-      line(Indent, "k_row_sum(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::ColSumAdd:
-      line(Indent, "k_col_sum(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::Im2ColRows:
-      line(Indent, "k_im2col(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ", " +
-                       EArg(0) + ");");
-      return;
-    case KernelKind::Col2ImRows:
-      line(Indent, "k_col2im(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ", " +
-                       EArg(0) + ");");
-      return;
-    case KernelKind::MaxPoolFwdRows:
-      line(Indent, "k_maxpool_fwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + K->bufs()[2].Buffer +
-                       ".data() + (" +
-                       (K->bufs()[2].Offset
-                            ? exprToC(K->bufs()[2].Offset.get())
-                            : std::string("0")) +
-                       "), " + Ints(0) + ", " + EArg(0) + ");");
-      return;
-    case KernelKind::MaxPoolBwdRows:
-      line(Indent, "k_maxpool_bwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + K->bufs()[2].Buffer +
-                       ".data() + (" +
-                       (K->bufs()[2].Offset
-                            ? exprToC(K->bufs()[2].Offset.get())
-                            : std::string("0")) +
-                       "), " + Ints(0) + ", " + EArg(0) + ");");
-      return;
-    case KernelKind::AvgPoolFwdRows:
-      line(Indent, "k_avgpool_fwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ", " +
-                       EArg(0) + ");");
-      return;
-    case KernelKind::AvgPoolBwdRows:
-      line(Indent, "k_avgpool_bwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ", " +
-                       EArg(0) + ");");
-      return;
-    case KernelKind::SoftmaxFwd:
-      line(Indent, "k_softmax_fwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::SoftmaxLossFwd:
-      line(Indent, "k_softmax_loss_fwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + bufPtr(K->bufs()[3]) + ", " + Ints(0) + ");");
-      return;
-    case KernelKind::SoftmaxLossBwd:
-      line(Indent, "k_softmax_loss_bwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + Ints(0) + ", " + floatLit(K->floatArgs()[0]) +
-                       ");");
-      return;
-    case KernelKind::SoftmaxBwd:
-      line(Indent, "k_softmax_bwd(" + bufPtr(K->bufs()[0]) + ", " +
-                       bufPtr(K->bufs()[1]) + ", " + bufPtr(K->bufs()[2]) +
-                       ", " + Ints(0) + ");");
-      return;
-    case KernelKind::DropoutMask:
-      line(Indent, "k_dropout_mask(" + bufPtr(K->bufs()[0]) + ", " +
-                       Ints(0) + ", " + floatLit(K->floatArgs()[0]) + ");");
-      return;
-    case KernelKind::GradSyncHook:
-      line(Indent, "/* grad sync hook: " + K->bufs()[0].Buffer + " */");
-      return;
-    }
-    latteUnreachable("unknown kernel kind");
-  }
-  case Stmt::Kind::Barrier:
-    line(Indent, "// fusion barrier: " + cast<BarrierStmt>(S)->reason());
-    return;
-  }
-  latteUnreachable("unknown statement kind");
-}
-
-void CppEmitter::header() {
-  OS << "// Generated by the Latte compiler (analysis -> synthesis ->\n"
-        "// optimization -> code generation, PLDI'16). Do not edit.\n"
-        "#include <cmath>\n#include <cstdint>\n#include <cstdio>\n"
-        "#include <cstdlib>\n#include <cstring>\n#include <string>\n"
-        "#include <vector>\n\n"
-        "template <typename T> static inline T latte_min(T A, T B) "
-        "{ return A < B ? A : B; }\n"
-        "template <typename T> static inline T latte_max(T A, T B) "
-        "{ return A > B ? A : B; }\n\n";
-  OS << "static const int64_t kBatch = " << Prog.BatchSize << ";\n\n";
-}
-
-void CppEmitter::buffers() {
-  if (Prog.Plan.Valid) {
-    // One arena, carved up by the compiler's liveness-driven memory plan;
-    // buffers whose live ranges are disjoint share bytes.
-    OS << "// --- buffer arena (liveness-planned: " << Prog.Plan.ArenaBytes
-       << " bytes vs " << Prog.Plan.EagerBytes << " eager) ---\n";
-    OS << "alignas(" << Prog.Plan.Alignment << ") static float latte_arena["
-       << std::max<int64_t>(Prog.Plan.ArenaBytes / 4, 1) << "];\n";
-  } else {
-    OS << "// --- buffers (aliases share storage per shared-variable "
-          "analysis) ---\n";
-  }
-  for (const BufferInfo &B : Prog.Buffers) {
-    if (!Prog.Plan.Valid && B.AliasOf.empty())
-      OS << "static std::vector<float> st_" << B.Name << "; ";
-    OS << "static float *" << B.Name << " = nullptr; // "
-       << B.Dims.str() << (B.AliasOf.empty() ? "" : " alias of " + B.AliasOf)
-       << "\n";
-  }
-  OS << "\n// --- index tables and masks ---\n";
-  for (const IntBufferInfo &T : Prog.IntBuffers) {
-    if (T.isStatic()) {
-      OS << "static const int32_t " << T.Name << "[] = {";
-      for (size_t I = 0; I < T.Entries.size(); ++I) {
-        if (I % 16 == 0)
-          OS << "\n  ";
-        OS << T.Entries[I] << ",";
-      }
-      OS << "\n};\n";
-    } else {
-      OS << "static std::vector<int32_t> " << T.Name << "(" << T.Count
-         << ");\n";
-    }
-  }
-  OS << "\n";
-}
-
-void CppEmitter::kernels() {
-  // Self-contained library kernels; inner loops carry omp simd so the host
-  // compiler vectorizes them (the paper's vectorization guarantee, §5.5).
-  OS << R"(// --- library kernels ---
-static void k_zero(float *D, int64_t N) { std::memset(D, 0, N * 4); }
-static void k_copy(float *D, const float *S, int64_t N) {
-  std::memcpy(D, S, N * 4);
-}
-static void k_add_to(float *D, const float *S, int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] += S[I];
-}
-static void k_mul_into(float *D, const float *A, const float *B, int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] = A[I] * B[I];
-}
-static void k_mul_add_to(float *D, const float *A, const float *B,
-                         int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] += A[I] * B[I];
-}
-static void k_scale(float *D, float F, int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] *= F;
-}
-static void k_gemm(const float *A, const float *B, float *C, int64_t M,
-                   int64_t N, int64_t K, int64_t LdA, int64_t LdB,
-                   int64_t LdC, int64_t TA, int64_t TB, int64_t Acc) {
-  for (int64_t I = 0; I < M; ++I) {
-    float *Row = C + I * LdC;
-    if (!Acc)
-      for (int64_t J = 0; J < N; ++J) Row[J] = 0.0f;
-    for (int64_t P = 0; P < K; ++P) {
-      float AV = TA ? A[P * LdA + I] : A[I * LdA + P];
-      if (TB) {
-        for (int64_t J = 0; J < N; ++J) Row[J] += AV * B[J * LdB + P];
-      } else {
-        const float *BR = B + P * LdB;
-#pragma omp simd
-        for (int64_t J = 0; J < N; ++J) Row[J] += AV * BR[J];
-      }
-    }
-  }
-}
-static void k_gather2d(float *D, const float *S, const int32_t *T,
-                       int64_t Rows, int64_t Cols, int64_t Cnt, int64_t Cb) {
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t J = 0; J < Cnt; ++J) {
-      int32_t Idx = T[R * Cols + Cb + J];
-      D[R * Cols + Cb + J] = Idx >= 0 ? S[Idx] : 0.0f;
-    }
-}
-static void k_scatter2d(float *D, const float *S, const int32_t *T,
-                        int64_t Rows, int64_t Cols, int64_t Cnt,
-                        int64_t Cb) {
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t J = 0; J < Cnt; ++J) {
-      int32_t Idx = T[R * Cols + Cb + J];
-      if (Idx >= 0) D[Idx] += S[R * Cols + Cb + J];
-    }
-}
-static void k_act_fwd(float *D, const float *S, int64_t Op, int64_t Rows,
-                      int64_t Cols, int64_t Cnt, int64_t Cb) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    float *Dr = D + R * Cols + Cb;
-    const float *Sr = S + R * Cols + Cb;
-    if (Op == 0) {
-#pragma omp simd
-      for (int64_t I = 0; I < Cnt; ++I) Dr[I] = Sr[I] > 0 ? Sr[I] : 0.0f;
-    } else if (Op == 1) {
-      for (int64_t I = 0; I < Cnt; ++I)
-        Dr[I] = 1.0f / (1.0f + std::exp(-Sr[I]));
-    } else {
-      for (int64_t I = 0; I < Cnt; ++I) Dr[I] = std::tanh(Sr[I]);
-    }
-  }
-}
-static void k_act_bwd(float *Dg, const float *Og, const float *V,
-                      int64_t Op, int64_t Rows, int64_t Cols, int64_t Cnt,
-                      int64_t InPlace, int64_t Cb) {
-  (void)InPlace;
-  for (int64_t R = 0; R < Rows; ++R) {
-    int64_t Base = R * Cols + Cb;
-    for (int64_t I = 0; I < Cnt; ++I) {
-      float D;
-      if (Op == 0)
-        D = V[Base + I] > 0 ? Og[Base + I] : 0.0f;
-      else if (Op == 1)
-        D = Og[Base + I] * V[Base + I] * (1.0f - V[Base + I]);
-      else
-        D = Og[Base + I] * (1.0f - V[Base + I] * V[Base + I]);
-      Dg[Base + I] += D;
-    }
-  }
-}
-static void k_bias_cols(float *D, const float *Bias, int64_t Rows,
-                        int64_t Cols, int64_t Cnt, int64_t Cb) {
-  for (int64_t R = 0; R < Rows; ++R) {
-#pragma omp simd
-    for (int64_t I = 0; I < Cnt; ++I) D[R * Cols + Cb + I] += Bias[R];
-  }
-}
-static void k_bias_rows(float *D, const float *Bias, int64_t Rows,
-                        int64_t Cols) {
-  for (int64_t R = 0; R < Rows; ++R)
-#pragma omp simd
-    for (int64_t I = 0; I < Cols; ++I) D[R * Cols + I] += Bias[I];
-}
-static void k_row_sum(float *D, const float *S, int64_t Rows, int64_t Cols) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    float Sum = 0;
-    for (int64_t I = 0; I < Cols; ++I) Sum += S[R * Cols + I];
-    D[R] += Sum;
-  }
-}
-static void k_col_sum(float *D, const float *S, int64_t Rows, int64_t Cols) {
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t I = 0; I < Cols; ++I) D[I] += S[R * Cols + I];
-}
-static void k_im2col(float *Col, const float *In, int64_t C, int64_t H,
-                     int64_t W, int64_t K, int64_t S, int64_t P, int64_t Rc,
-                     int64_t Rb) {
-  int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  int64_t Row = 0;
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t KY = 0; KY < K; ++KY)
-      for (int64_t KX = 0; KX < K; ++KX, ++Row) {
-        float *CR = Col + Row * OutH * OutW;
-        const float *Chan = In + Ch * H * W;
-        for (int64_t Y = Rb; Y < Rb + Rc; ++Y) {
-          int64_t IY = Y * S - P + KY;
-          for (int64_t X = 0; X < OutW; ++X) {
-            int64_t IX = X * S - P + KX;
-            CR[Y * OutW + X] = (IY >= 0 && IY < H && IX >= 0 && IX < W)
-                                   ? Chan[IY * W + IX] : 0.0f;
-          }
-        }
-      }
-}
-static void k_col2im(float *Im, const float *Col, int64_t C, int64_t H,
-                     int64_t W, int64_t K, int64_t S, int64_t P, int64_t Rc,
-                     int64_t Rb) {
-  int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  int64_t Row = 0;
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t KY = 0; KY < K; ++KY)
-      for (int64_t KX = 0; KX < K; ++KX, ++Row) {
-        const float *CR = Col + Row * OutH * OutW;
-        float *Chan = Im + Ch * H * W;
-        for (int64_t Y = Rb; Y < Rb + Rc; ++Y) {
-          int64_t IY = Y * S - P + KY;
-          if (IY < 0 || IY >= H) continue;
-          for (int64_t X = 0; X < OutW; ++X) {
-            int64_t IX = X * S - P + KX;
-            if (IX >= 0 && IX < W) Chan[IY * W + IX] += CR[Y * OutW + X];
-          }
-        }
-      }
-}
-static void k_maxpool_fwd(float *Out, const float *In, int32_t *Mask,
-                          int64_t C, int64_t H, int64_t W, int64_t K,
-                          int64_t S, int64_t P, int64_t Rc, int64_t Rb) {
-  int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t Y = Rb; Y < Rb + Rc; ++Y)
-      for (int64_t X = 0; X < OutW; ++X) {
-        float Max = -INFINITY;
-        int64_t Arg = -1;
-        for (int64_t KY = 0; KY < K; ++KY)
-          for (int64_t KX = 0; KX < K; ++KX) {
-            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
-            if (IY < 0 || IY >= H || IX < 0 || IX >= W) continue;
-            float V = In[(Ch * H + IY) * W + IX];
-            if (V > Max) { Max = V; Arg = (Ch * H + IY) * W + IX; }
-          }
-        Out[(Ch * OutH + Y) * OutW + X] = Max;
-        Mask[(Ch * OutH + Y) * OutW + X] = (int32_t)Arg;
-      }
-}
-static void k_maxpool_bwd(float *InG, const float *OutG,
-                          const int32_t *Mask, int64_t C, int64_t H,
-                          int64_t W, int64_t K, int64_t S, int64_t P,
-                          int64_t Rc, int64_t Rb) {
-  int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t Y = Rb; Y < Rb + Rc; ++Y)
-      for (int64_t X = 0; X < OutW; ++X) {
-        int64_t O = (Ch * OutH + Y) * OutW + X;
-        if (Mask[O] >= 0) InG[Mask[O]] += OutG[O];
-      }
-}
-static void k_avgpool_fwd(float *Out, const float *In, int64_t C, int64_t H,
-                          int64_t W, int64_t K, int64_t S, int64_t P,
-                          int64_t Rc, int64_t Rb) {
-  int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  float Inv = 1.0f / (K * K);
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t Y = Rb; Y < Rb + Rc; ++Y)
-      for (int64_t X = 0; X < OutW; ++X) {
-        float Sum = 0;
-        for (int64_t KY = 0; KY < K; ++KY)
-          for (int64_t KX = 0; KX < K; ++KX) {
-            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
-            if (IY >= 0 && IY < H && IX >= 0 && IX < W)
-              Sum += In[(Ch * H + IY) * W + IX];
-          }
-        Out[(Ch * OutH + Y) * OutW + X] = Sum * Inv;
-      }
-}
-static void k_avgpool_bwd(float *InG, const float *OutG, int64_t C,
-                          int64_t H, int64_t W, int64_t K, int64_t S,
-                          int64_t P, int64_t Rc, int64_t Rb) {
-  int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  float Inv = 1.0f / (K * K);
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t Y = Rb; Y < Rb + Rc; ++Y)
-      for (int64_t X = 0; X < OutW; ++X) {
-        float G = OutG[(Ch * OutH + Y) * OutW + X] * Inv;
-        for (int64_t KY = 0; KY < K; ++KY)
-          for (int64_t KX = 0; KX < K; ++KX) {
-            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
-            if (IY >= 0 && IY < H && IX >= 0 && IX < W)
-              InG[(Ch * H + IY) * W + IX] += G;
-          }
-      }
-}
-static void k_softmax_row(float *D, const float *S, int64_t C) {
-  float Max = S[0];
-  for (int64_t I = 1; I < C; ++I) Max = latte_max(Max, S[I]);
-  float Sum = 0;
-  for (int64_t I = 0; I < C; ++I) { D[I] = std::exp(S[I] - Max); Sum += D[I]; }
-  for (int64_t I = 0; I < C; ++I) D[I] /= Sum;
-}
-static void k_softmax_fwd(float *D, const float *S, int64_t Rows,
-                          int64_t C) {
-  for (int64_t R = 0; R < Rows; ++R) k_softmax_row(D + R * C, S + R * C, C);
-}
-static void k_softmax_loss_fwd(float *Prob, const float *S,
-                               const float *Lab, float *Loss, int64_t Rows,
-                               int64_t C) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    k_softmax_row(Prob + R * C, S + R * C, C);
-    float P = Prob[R * C + (int64_t)Lab[R]];
-    Loss[R] = -std::log(P < 1e-20f ? 1e-20f : P);
-  }
-}
-static void k_softmax_loss_bwd(float *G, const float *Prob,
-                               const float *Lab, int64_t Rows, int64_t C,
-                               float Scale) {
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t I = 0; I < C; ++I)
-      G[R * C + I] += (Prob[R * C + I] -
-                       (I == (int64_t)Lab[R] ? 1.0f : 0.0f)) * Scale;
-}
-static void k_softmax_bwd(float *Gin, const float *Og, const float *P,
-                          int64_t Rows, int64_t C) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    float Dot = 0;
-    for (int64_t I = 0; I < C; ++I) Dot += Og[R * C + I] * P[R * C + I];
-    for (int64_t I = 0; I < C; ++I)
-      Gin[R * C + I] += P[R * C + I] * (Og[R * C + I] - Dot);
-  }
-}
-static uint64_t g_rng_state = 0x1a77e;
-static void k_dropout_mask(float *Mask, int64_t N, float Keep) {
-  for (int64_t I = 0; I < N; ++I) {
-    g_rng_state += 0x9e3779b97f4a7c15ULL;
-    uint64_t Z = g_rng_state;
-    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-    Z ^= Z >> 31;
-    double U = (double)(Z >> 11) / 9007199254740992.0;
-    Mask[I] = U < Keep ? 1.0f / Keep : 0.0f;
-  }
-}
-
-)";
-}
-
-void CppEmitter::initFunction() {
-  OS << "static void latte_init() {\n";
-  if (Prog.Plan.Valid) {
-    OS << "  std::memset(latte_arena, 0, sizeof latte_arena);\n";
-    for (const BufferInfo &B : Prog.Buffers) {
-      const BufferInfo *Root = Prog.resolveAlias(B.Name);
-      OS << "  " << B.Name << " = latte_arena + "
-         << Prog.Plan.Offsets.at(Root->Name) / 4 << ";\n";
-    }
-    OS << "}\n\n";
-    return;
-  }
-  for (const BufferInfo &B : Prog.Buffers)
-    if (B.AliasOf.empty())
-      OS << "  st_" << B.Name << ".assign(" << B.Dims.numElements()
-         << ", 0.0f);\n";
-  // Resolve alias chains to owning storage.
-  for (const BufferInfo &B : Prog.Buffers)
-    OS << "  " << B.Name << " = st_" << Prog.resolveAlias(B.Name)->Name
-       << ".data();\n";
-  OS << "}\n\n";
-}
-
-void CppEmitter::passFunction(const char *Name, const Stmt *Root,
-                              bool ZeroOnForward) {
-  OS << "void " << Name << "() {\n";
-  if (Prog.Plan.Valid) {
-    // Pass-top clears cover only pinned/retained roots; interval buffers
-    // are cleared lazily between units (the plan's ZeroBefore schedule),
-    // mirroring engine::Executor::execProgram.
-    const MemoryPlan &Plan = Prog.Plan;
-    const std::vector<std::string> &Tops =
-        ZeroOnForward ? Plan.ZeroOnForwardPinned : Plan.ZeroOnBackwardPinned;
-    for (const std::string &RootName : Tops)
-      OS << "  k_zero(" << RootName << ", "
-         << Prog.findBuffer(RootName)->Dims.numElements() << ");\n";
-    int GlobalBase = ZeroOnForward ? 0 : Plan.NumForwardUnits;
-    const auto *B = dyn_cast_if_present<const BlockStmt>(Root);
-    if (B) {
-      if (!B->label().empty())
-        line(1, "// " + B->label());
-      const std::vector<StmtPtr> &Units = B->stmts();
-      for (size_t I = 0; I < Units.size(); ++I) {
-        auto It = Plan.ZeroBefore.find(GlobalBase + static_cast<int>(I));
-        if (It != Plan.ZeroBefore.end())
-          for (const std::string &RootName : It->second)
-            OS << "  k_zero(" << RootName << ", "
-               << Prog.findBuffer(RootName)->Dims.numElements() << ");\n";
-        emitStmt(Units[I].get(), 1);
-      }
-    } else if (Root) {
-      emitStmt(Root, 1);
-    }
-    OS << "}\n\n";
-    return;
-  }
-  for (const BufferInfo &B : Prog.Buffers) {
-    bool Zero = ZeroOnForward ? B.ZeroOnForward : B.ZeroOnBackward;
-    if (Zero)
-      OS << "  k_zero(" << B.Name << ", " << B.Dims.numElements() << ");\n";
-  }
-  if (Root)
-    emitStmt(Root, 1);
-  OS << "}\n\n";
-}
-
-void CppEmitter::driver() {
-  OS << "// --- .ltd file driver ---\n"
-        "struct NamedBuf { const char *Name; float *Data; int64_t N; };\n"
-        "static std::vector<NamedBuf> allBuffers() {\n"
-        "  return {\n";
-  for (const BufferInfo &B : Prog.Buffers)
-    OS << "    {\"" << B.Name << "\", " << B.Name << ", "
-       << B.Dims.numElements() << "},\n";
-  OS << "  };\n}\n";
-  OS << R"(
-static bool readLtd(const char *Path) {
-  FILE *F = std::fopen(Path, "rb");
-  if (!F) return false;
-  char Magic[4]; uint32_t Count = 0;
-  if (std::fread(Magic, 1, 4, F) != 4 || std::memcmp(Magic, "LTD1", 4) ||
-      std::fread(&Count, 4, 1, F) != 1) { std::fclose(F); return false; }
-  std::vector<NamedBuf> Bufs = allBuffers();
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t NameLen = 0, Rank = 0;
-    if (std::fread(&NameLen, 4, 1, F) != 1) break;
-    std::string Name(NameLen, 0);
-    if (std::fread(Name.data(), 1, NameLen, F) != NameLen ||
-        std::fread(&Rank, 4, 1, F) != 1) break;
-    int64_t N = 1;
-    for (uint32_t D = 0; D < Rank; ++D) {
-      int64_t Dim = 0;
-      if (std::fread(&Dim, 8, 1, F) != 1) { std::fclose(F); return false; }
-      N *= Dim;
-    }
-    float *Target = nullptr;
-    for (NamedBuf &B : Bufs)
-      if (Name == B.Name && B.N == N) Target = B.Data;
-    if (Target) {
-      if (std::fread(Target, 4, N, F) != (size_t)N) break;
-    } else {
-      std::fseek(F, N * 4, SEEK_CUR);
-    }
-  }
-  std::fclose(F);
-  return true;
-}
-static bool writeLtd(const char *Path) {
-  FILE *F = std::fopen(Path, "wb");
-  if (!F) return false;
-  std::vector<NamedBuf> Bufs = allBuffers();
-  uint32_t Count = (uint32_t)Bufs.size();
-  std::fwrite("LTD1", 1, 4, F);
-  std::fwrite(&Count, 4, 1, F);
-  for (NamedBuf &B : Bufs) {
-    uint32_t NameLen = (uint32_t)std::strlen(B.Name), Rank = 1;
-    std::fwrite(&NameLen, 4, 1, F);
-    std::fwrite(B.Name, 1, NameLen, F);
-    std::fwrite(&Rank, 4, 1, F);
-    int64_t N = B.N;
-    std::fwrite(&N, 8, 1, F);
-    std::fwrite(B.Data, 4, N, F);
-  }
-  std::fclose(F);
-  return true;
-}
-
-int main(int Argc, char **Argv) {
-  if (Argc < 3) {
-    std::fprintf(stderr, "usage: %s <in.ltd> <out.ltd> [fwd|fwdbwd]\n",
-                 Argv[0]);
-    return 2;
-  }
-  latte_init();
-  if (!readLtd(Argv[1])) {
-    std::fprintf(stderr, "cannot read %s\n", Argv[1]);
-    return 1;
-  }
-  latte_forward();
-  if (Argc < 4 || std::string(Argv[3]) == "fwdbwd")
-    latte_backward();
-  if (!writeLtd(Argv[2])) {
-    std::fprintf(stderr, "cannot write %s\n", Argv[2]);
-    return 1;
-  }
-  return 0;
-}
-)";
-}
-
-std::string CppEmitter::run() {
-  header();
-  buffers();
-  kernels();
-  initFunction();
-  OS << "void latte_forward();\nvoid latte_backward();\n\n";
-  passFunction("latte_forward", Prog.Forward.get(), /*ZeroOnForward=*/true);
-  passFunction("latte_backward", Prog.Backward.get(),
-               /*ZeroOnForward=*/false);
-  driver();
-  return OS.str();
-}
-
 //===----------------------------------------------------------------------===//
-// JIT emission
+// Task emission
 //===----------------------------------------------------------------------===//
 //
-// The JIT translation unit must reproduce engine::Executor::evalFloat /
-// evalInt / execStmt BITWISE, so emission is two-context:
+// One emitter renders the optimized IR for both outputs: the JIT module
+// (generateJitSource) and the standalone program (generateCpp, the same
+// translation unit plus the driver at the end of this file). It must
+// reproduce engine::Executor::evalFloat / evalInt / execStmt BITWISE, so
+// emission is two-context:
 //
 //  * Float context (store values, decl inits, if/select conditions,
 //    compare operands): every intermediate is float, IntConst and loop
@@ -960,7 +36,7 @@ std::string CppEmitter::run() {
 //    same static_cast), float constants are hex literals of the
 //    already-rounded float value (no decimal round-trip), and Min/Max use
 //    std::min/std::max tie semantics (latte_jit_min/max below), which
-//    differ from generateCpp's `A < B ? A : B` on ±0.0 ties.
+//    differ from `A < B ? A : B` on ±0.0 ties.
 //
 //  * Int context (indices, offsets, loop bounds, kernel expr args):
 //    int64_t arithmetic; C integer division matches evalInt.
@@ -974,10 +50,13 @@ std::string CppEmitter::run() {
 // loop body — exact Env-copy semantics with or without OpenMP — while the
 // serial branch reuses the enclosing locals directly. Loops nested inside
 // a parallel branch are emitted serial outright, mirroring the
-// interpreter's AllowParallel=false propagation.
+// interpreter's AllowParallel=false propagation. Slice-rotated loops
+// (compiler/rotate.h) run parallel over slices, items ascending within a
+// slice, with one environment copy per slice — the executor's schedule.
 //
-// Kernel calls normally dispatch through the ctx trampoline back into the
-// engine, executing the exact library kernels the interpreter uses. A
+// Kernel calls normally dispatch through the ctx trampoline: into the
+// engine's library kernels in the JIT (the exact functions the interpreter
+// runs), into the driver's kernel bodies in the standalone program. A
 // whitelisted subset instead gets a SPECIALIZED CLONE emitted into the
 // module: the library loop structure reproduced statement-for-statement
 // with every shape argument a compile-time constant, so the system
@@ -996,7 +75,11 @@ std::string CppEmitter::run() {
 
 class JitEmitter {
 public:
-  explicit JitEmitter(const Program &Prog) : Prog(Prog) {
+  /// \p AllUnits emits a task for every unit, including the ones the JIT
+  /// leaves to the engine; the standalone program has no engine to fall
+  /// back to.
+  JitEmitter(const Program &Prog, bool AllUnits)
+      : Prog(Prog), AllUnits(AllUnits) {
     for (size_t I = 0; I < Prog.Buffers.size(); ++I)
       BufIndex[Prog.Buffers[I].Name] = I;
     for (size_t I = 0; I < Prog.IntBuffers.size(); ++I)
@@ -1038,6 +121,7 @@ private:
   }
 
   const Program &Prog;
+  const bool AllUnits;
   std::ostringstream OS;
   /// Specialized kernel clones: (kind, int args) signature -> emitted
   /// function name. SpecOS accumulates their definitions in first-use
@@ -1201,11 +285,6 @@ bool JitEmitter::jittable(const Stmt *S) const {
         return false;
     return true;
   case Stmt::Kind::For:
-    // Slice-rotated batch loops need the executor's slice-grouped schedule
-    // (iterations sharing a rotated slice must not run concurrently);
-    // decline so the per-task interpreter fallback applies.
-    if (cast<ForStmt>(S)->annotations().SliceModulus > 0)
-      return false;
     return jittable(cast<ForStmt>(S)->body());
   case Stmt::Kind::TiledLoop:
     return jittable(cast<TiledLoopStmt>(S)->body());
@@ -1764,6 +843,30 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
     Scopes.pop_back();
     InParallelBody = Saved;
   };
+  // Opens the `LJ->par != 0` branch: snapshots every in-scope float local
+  // ahead of the pragma; Privatize re-declares them inside the parallel
+  // loop (the interpreter's Env copy).
+  std::vector<std::string> Snaps;
+  auto OpenParallel = [&]() {
+    Snaps = visibleLocals();
+    line(Indent, "if (LJ->par != 0) {");
+    for (const std::string &V : Snaps)
+      line(Indent + 1, "const float _snap" + std::to_string(Id) + "_" + V +
+                           " = " + V + ";");
+    line(Indent + 1, "#pragma omp parallel for schedule(static, 1)");
+  };
+  auto Privatize = [&](int Ind) {
+    for (const std::string &V : Snaps)
+      line(Ind,
+           "float " + V + " = _snap" + std::to_string(Id) + "_" + V + ";");
+  };
+  auto SerialElse = [&]() {
+    line(Indent, "} else {");
+    SerialHeader(Indent + 1);
+    EmitBody(F->body(), Indent + 2);
+    line(Indent + 1, "}");
+    line(Indent, "}");
+  };
 
   if (Par && Collapsed) {
     // Interpreter collapsed path: flatten batch x tile; iteration order of
@@ -1772,12 +875,7 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
     int64_t Tiles = Collapsed->numTiles();
     int64_t Total = F->extent() * Tiles;
     std::string Lf = "_lf" + std::to_string(Id);
-    std::vector<std::string> Snaps = visibleLocals();
-    line(Indent, "if (LJ->par != 0) {");
-    for (const std::string &V : Snaps)
-      line(Indent + 1, "const float _snap" + std::to_string(Id) + "_" + V +
-                           " = " + V + ";");
-    line(Indent + 1, "#pragma omp parallel for schedule(static, 1)");
+    OpenParallel();
     line(Indent + 1, "for (int64_t " + Lf + " = 0; " + Lf + " < (int64_t)" +
                          std::to_string(Total) + "; ++" + Lf + ") {");
     line(Indent + 2, "int64_t " + Var + " = " + Lo + " + " + Lf +
@@ -1785,9 +883,7 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
     line(Indent + 2, "int64_t " + Collapsed->tileVar() + " = " + Lf +
                          " % (int64_t)" + std::to_string(Tiles) + ";");
     // Per-iteration Env copy: fresh private float locals each iteration.
-    for (const std::string &V : Snaps)
-      line(Indent + 2,
-           "float " + V + " = _snap" + std::to_string(Id) + "_" + V + ";");
+    Privatize(Indent + 2);
     line(Indent + 2, "{");
     EmitBody(Collapsed->body(), Indent + 3);
     line(Indent + 2, "}");
@@ -1805,26 +901,37 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
     return;
   }
 
+  // Slice-rotated loop (compiler/rotate.h): iterations sharing a slice
+  // (equal n mod SliceModulus) must not run concurrently, so the parallel
+  // dimension is the slice and its items run in ascending order, sharing
+  // one Env copy per slice.
+  if (int64_t SliceMod = F->annotations().SliceModulus;
+      Par && SliceMod > 0 && F->extent() > 1) {
+    std::string Sl = "_sl" + std::to_string(Id);
+    OpenParallel();
+    line(Indent + 1, "for (int64_t " + Sl + " = 0; " + Sl + " < (int64_t)" +
+                         std::to_string(std::min(SliceMod, F->extent())) +
+                         "; ++" + Sl + ") {");
+    Privatize(Indent + 2);
+    line(Indent + 2, "for (int64_t " + Var + " = " + Lo + " + " + Sl + "; " +
+                         Var + " < " + Bound + "; " + Var + " += (int64_t)" +
+                         std::to_string(SliceMod) + ") {");
+    EmitBody(F->body(), Indent + 3);
+    line(Indent + 2, "}");
+    line(Indent + 1, "}");
+    SerialElse();
+    return;
+  }
+
   if (Par && F->extent() > 1) {
-    std::vector<std::string> Snaps = visibleLocals();
-    line(Indent, "if (LJ->par != 0) {");
-    for (const std::string &V : Snaps)
-      line(Indent + 1, "const float _snap" + std::to_string(Id) + "_" + V +
-                           " = " + V + ";");
-    line(Indent + 1, "#pragma omp parallel for schedule(static, 1)");
+    OpenParallel();
     SerialHeader(Indent + 1);
-    for (const std::string &V : Snaps)
-      line(Indent + 2,
-           "float " + V + " = _snap" + std::to_string(Id) + "_" + V + ";");
+    Privatize(Indent + 2);
     line(Indent + 2, "{");
     EmitBody(F->body(), Indent + 3);
     line(Indent + 2, "}");
     line(Indent + 1, "}");
-    line(Indent, "} else {");
-    SerialHeader(Indent + 1);
-    EmitBody(F->body(), Indent + 2);
-    line(Indent + 1, "}");
-    line(Indent, "}");
+    SerialElse();
     return;
   }
 
@@ -1990,7 +1097,7 @@ void JitEmitter::emitPass(const Stmt *Root, char PassTag,
     return;
   for (size_t I = 0; I < B->stmts().size(); ++I) {
     JitTaskInfo Info;
-    if (jittable(B->stmts()[I].get())) {
+    if (AllUnits || jittable(B->stmts()[I].get())) {
       Info.Jittable = true;
       Info.Symbol =
           std::string("latte_task_") + PassTag + std::to_string(I);
@@ -2013,16 +1120,397 @@ JitSource JitEmitter::run() {
   return JS;
 }
 
+//===----------------------------------------------------------------------===//
+// Standalone driver
+//===----------------------------------------------------------------------===//
+//
+// generateCpp appends a driver to the task translation unit: static
+// storage laid out by the memory plan, the LatteJitCtx the tasks read,
+// bodies for the kernel kinds the task emitter does not clone, the pass
+// functions, and a .ltd file main. The engine's kernels live in liblatte;
+// the driver's plain loops keep the program one self-contained file (built
+// with `g++ -O2 -fopenmp`, free of the library's sanitizer and OpenMP
+// flags), so the standalone agrees with the engine within a tolerance
+// rather than bitwise.
+
+/// Kernel bodies behind the standalone trampoline. Inner loops carry omp
+/// simd so the host compiler vectorizes them (the paper's vectorization
+/// guarantee, §5.5).
+const char *const kKernelBodies = R"cpp(
+static void k_mul_into(float *D, const float *A, const float *B,
+                       int64_t N) {
+#pragma omp simd
+  for (int64_t I = 0; I < N; ++I) D[I] = A[I] * B[I];
+}
+static void k_mul_add_to(float *D, const float *A, const float *B,
+                         int64_t N) {
+#pragma omp simd
+  for (int64_t I = 0; I < N; ++I) D[I] += A[I] * B[I];
+}
+static void k_scale(float *D, float F, int64_t N) {
+#pragma omp simd
+  for (int64_t I = 0; I < N; ++I) D[I] *= F;
+}
+// IA: {M, N, K, LdA, LdB, LdC, TransA, TransB, Accumulate}
+static void k_gemm(const float *A, const float *B, float *C,
+                   const int64_t *IA) {
+  const int64_t M = IA[0], N = IA[1], K = IA[2], LdA = IA[3], LdB = IA[4];
+  for (int64_t I = 0; I < M; ++I) {
+    float *Row = C + I * IA[5];
+    if (!IA[8])
+      for (int64_t J = 0; J < N; ++J) Row[J] = 0.0f;
+    for (int64_t P = 0; P < K; ++P) {
+      float AV = IA[6] ? A[P * LdA + I] : A[I * LdA + P];
+      if (IA[7]) {
+        for (int64_t J = 0; J < N; ++J) Row[J] += AV * B[J * LdB + P];
+      } else {
+        const float *BR = B + P * LdB;
+#pragma omp simd
+        for (int64_t J = 0; J < N; ++J) Row[J] += AV * BR[J];
+      }
+    }
+  }
+}
+// IA: {Op, Rows, Cols, ColCount}; ReLU forward is cloned into the tasks.
+static void k_act_fwd(float *D, const float *S, const int64_t *IA,
+                      int64_t Cb) {
+  for (int64_t R = 0; R < IA[1]; ++R)
+    for (int64_t I = R * IA[2] + Cb; I < R * IA[2] + Cb + IA[3]; ++I)
+      D[I] = IA[0] == 1 ? 1.0f / (1.0f + std::exp(-S[I])) : std::tanh(S[I]);
+}
+// IA: {Op, Rows, Cols, ColCount, InPlace}
+static void k_act_bwd(float *Dg, const float *Og, const float *V,
+                      const int64_t *IA, int64_t Cb) {
+  for (int64_t R = 0; R < IA[1]; ++R)
+    for (int64_t I = R * IA[2] + Cb; I < R * IA[2] + Cb + IA[3]; ++I) {
+      float D = IA[0] == 0   ? (V[I] > 0.0f ? Og[I] : 0.0f)
+                : IA[0] == 1 ? Og[I] * V[I] * (1.0f - V[I])
+                             : Og[I] * (1.0f - V[I] * V[I]);
+      Dg[I] = IA[4] ? D : Dg[I] + D;
+    }
+}
+static void k_row_sum(float *D, const float *S, int64_t Rows, int64_t Cols) {
+  for (int64_t R = 0; R < Rows; ++R) {
+    float Sum = 0;
+    for (int64_t I = 0; I < Cols; ++I) Sum += S[R * Cols + I];
+    D[R] += Sum;
+  }
+}
+static void k_col_sum(float *D, const float *S, int64_t Rows, int64_t Cols) {
+  for (int64_t R = 0; R < Rows; ++R)
+    for (int64_t I = 0; I < Cols; ++I) D[I] += S[R * Cols + I];
+}
+// IA: {C, H, W, K, S, Pad, RowCount}; Rb is the first output row.
+static void k_avgpool_fwd(float *Out, const float *In, const int64_t *IA,
+                          int64_t Rb) {
+  const int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
+                P = IA[5];
+  const int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
+  const float Inv = 1.0f / (K * K);
+  for (int64_t Ch = 0; Ch < C; ++Ch)
+    for (int64_t Y = Rb; Y < Rb + IA[6]; ++Y)
+      for (int64_t X = 0; X < OutW; ++X) {
+        float Sum = 0;
+        for (int64_t KY = 0; KY < K; ++KY)
+          for (int64_t KX = 0; KX < K; ++KX) {
+            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
+            if (IY >= 0 && IY < H && IX >= 0 && IX < W)
+              Sum += In[(Ch * H + IY) * W + IX];
+          }
+        Out[(Ch * OutH + Y) * OutW + X] = Sum * Inv;
+      }
+}
+static void k_avgpool_bwd(float *InG, const float *OutG, const int64_t *IA,
+                          int64_t Rb) {
+  const int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
+                P = IA[5];
+  const int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
+  const float Inv = 1.0f / (K * K);
+  for (int64_t Ch = 0; Ch < C; ++Ch)
+    for (int64_t Y = Rb; Y < Rb + IA[6]; ++Y)
+      for (int64_t X = 0; X < OutW; ++X) {
+        float G = OutG[(Ch * OutH + Y) * OutW + X] * Inv;
+        for (int64_t KY = 0; KY < K; ++KY)
+          for (int64_t KX = 0; KX < K; ++KX) {
+            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
+            if (IY >= 0 && IY < H && IX >= 0 && IX < W)
+              InG[(Ch * H + IY) * W + IX] += G;
+          }
+      }
+}
+static void k_softmax_row(float *D, const float *S, int64_t C) {
+  float Max = S[0];
+  for (int64_t I = 1; I < C; ++I) Max = latte_jit_max(Max, S[I]);
+  float Sum = 0;
+  for (int64_t I = 0; I < C; ++I) { D[I] = std::exp(S[I] - Max); Sum += D[I]; }
+  for (int64_t I = 0; I < C; ++I) D[I] /= Sum;
+}
+static void k_softmax_fwd(float *D, const float *S, int64_t Rows,
+                          int64_t C) {
+  for (int64_t R = 0; R < Rows; ++R) k_softmax_row(D + R * C, S + R * C, C);
+}
+static void k_softmax_loss_fwd(float *Prob, const float *S,
+                               const float *Lab, float *Loss, int64_t Rows,
+                               int64_t C) {
+  for (int64_t R = 0; R < Rows; ++R) {
+    k_softmax_row(Prob + R * C, S + R * C, C);
+    float P = Prob[R * C + (int64_t)Lab[R]];
+    Loss[R] = -std::log(P < 1e-20f ? 1e-20f : P);
+  }
+}
+static void k_softmax_loss_bwd(float *G, const float *Prob,
+                               const float *Lab, int64_t Rows, int64_t C,
+                               float Scale) {
+  for (int64_t R = 0; R < Rows; ++R)
+    for (int64_t I = 0; I < C; ++I)
+      G[R * C + I] += (Prob[R * C + I] -
+                       (I == (int64_t)Lab[R] ? 1.0f : 0.0f)) * Scale;
+}
+static void k_softmax_bwd(float *Gin, const float *Og, const float *P,
+                          int64_t Rows, int64_t C) {
+  for (int64_t R = 0; R < Rows; ++R) {
+    float Dot = 0;
+    for (int64_t I = 0; I < C; ++I) Dot += Og[R * C + I] * P[R * C + I];
+    for (int64_t I = 0; I < C; ++I)
+      Gin[R * C + I] += P[R * C + I] * (Og[R * C + I] - Dot);
+  }
+}
+// The program's own mask stream (splitmix64), not the engine's RNG.
+static uint64_t g_rng_state = 0x1a77e;
+static void k_dropout_mask(float *Mask, int64_t N, float Keep) {
+  for (int64_t I = 0; I < N; ++I) {
+    g_rng_state += 0x9e3779b97f4a7c15ULL;
+    uint64_t Z = g_rng_state;
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+    Z ^= Z >> 31;
+    double U = (double)(Z >> 11) / 9007199254740992.0;
+    Mask[I] = U < Keep ? 1.0f / Keep : 0.0f;
+  }
+}
+)cpp";
+
+/// How the trampoline runs each kernel kind the task emitter does not
+/// clone, on the resolved arguments (layouts in ir/stmt.h). Gradient
+/// synchronization has nothing to synchronize with in one process.
+const std::pair<KernelKind, const char *> kKernelCalls[] = {
+    {KernelKind::MulInto, "k_mul_into(FB[0], FB[1], FB[2], IA[0])"},
+    {KernelKind::MulAddTo, "k_mul_add_to(FB[0], FB[1], FB[2], IA[0])"},
+    {KernelKind::Scale, "k_scale(FB[0], (float)FA[0], IA[0])"},
+    {KernelKind::Sgemm, "k_gemm(FB[0], FB[1], FB[2], IA)"},
+    {KernelKind::ActFwdCols, "k_act_fwd(FB[0], FB[1], IA, EA[0])"},
+    {KernelKind::ActBwdCols, "k_act_bwd(FB[0], FB[1], FB[2], IA, EA[0])"},
+    {KernelKind::RowSumAdd, "k_row_sum(FB[0], FB[1], IA[0], IA[1])"},
+    {KernelKind::ColSumAdd, "k_col_sum(FB[0], FB[1], IA[0], IA[1])"},
+    {KernelKind::AvgPoolFwdRows, "k_avgpool_fwd(FB[0], FB[1], IA, EA[0])"},
+    {KernelKind::AvgPoolBwdRows, "k_avgpool_bwd(FB[0], FB[1], IA, EA[0])"},
+    {KernelKind::SoftmaxFwd, "k_softmax_fwd(FB[0], FB[1], IA[0], IA[1])"},
+    {KernelKind::SoftmaxLossFwd,
+     "k_softmax_loss_fwd(FB[0], FB[1], FB[2], FB[3], IA[0], IA[1])"},
+    {KernelKind::SoftmaxLossBwd,
+     "k_softmax_loss_bwd(FB[0], FB[1], FB[2], IA[0], IA[1], (float)FA[0])"},
+    {KernelKind::SoftmaxBwd,
+     "k_softmax_bwd(FB[0], FB[1], FB[2], IA[0], IA[1])"},
+    {KernelKind::DropoutMask, "k_dropout_mask(FB[0], IA[0], (float)FA[0])"},
+    {KernelKind::GradSyncHook, ""},
+};
+
+/// The .ltd entry point: `./prog <in.ltd> <out.ltd> [fwd|fwdbwd]` loads
+/// the named buffers it is given, runs the passes and writes every buffer
+/// back. Malformed input exits 1, as support/ltd_format.cpp rejects it.
+const char *const kLtdMain = R"cpp(
+[[noreturn]] static void latte_bad_input(const char *Path,
+                                         const std::string &Why) {
+  std::fprintf(stderr, "latte: %s: %s\n", Path, Why.c_str());
+  std::exit(1);
+}
+static const size_t kNumNamed = sizeof(latte_named) / sizeof(latte_named[0]);
+static void readLtd(const char *Path) {
+  FILE *F = std::fopen(Path, "rb");
+  if (!F)
+    latte_bad_input(Path, "cannot open for reading");
+  char Magic[4];
+  uint32_t Count = 0;
+  if (std::fread(Magic, 1, 4, F) != 4 || std::memcmp(Magic, "LTD1", 4) ||
+      std::fread(&Count, 4, 1, F) != 1)
+    latte_bad_input(Path, "not a valid .ltd file (bad header)");
+  for (uint32_t I = 0; I < Count; ++I) {
+    uint32_t NameLen = 0, Rank = 0;
+    if (std::fread(&NameLen, 4, 1, F) != 1 || NameLen > (1u << 20))
+      latte_bad_input(Path, "corrupt tensor name length");
+    std::string Name(NameLen, '\0');
+    if (std::fread(&Name[0], 1, NameLen, F) != NameLen ||
+        std::fread(&Rank, 4, 1, F) != 1 || Rank > 16)
+      latte_bad_input(Path, "corrupt tensor record " + std::to_string(I));
+    int64_t N = 1;
+    for (uint32_t D = 0; D < Rank; ++D) {
+      int64_t Dim = 0;
+      if (std::fread(&Dim, 8, 1, F) != 1 || Dim < 0 ||
+          (Dim > 0 && N > INT64_MAX / 4 / Dim))
+        latte_bad_input(Path, "corrupt dimension in " + Name);
+      N *= Dim;
+    }
+    float *Dst = nullptr;
+    for (size_t B = 0; B < kNumNamed; ++B) {
+      if (Name != latte_named[B].Name)
+        continue;
+      if (latte_named[B].N != N)
+        latte_bad_input(Path, Name + ": " + std::to_string(N) +
+                                  " elements, expected " +
+                                  std::to_string(latte_named[B].N));
+      Dst = latte_bufs[B];
+    }
+    // An entry this program does not name is read past, a chunk at a time.
+    float Chunk[1024];
+    for (int64_t Left = N; Left > 0;) {
+      const int64_t Part = Dst ? Left : Left < 1024 ? Left : 1024;
+      if (std::fread(Dst ? Dst : Chunk, 4, Part, F) != (size_t)Part)
+        latte_bad_input(Path, "truncated data for " + Name);
+      Left -= Part;
+    }
+  }
+  std::fclose(F);
+}
+static bool writeLtd(const char *Path) {
+  FILE *F = std::fopen(Path, "wb");
+  if (!F)
+    return false;
+  const uint32_t Count = kNumNamed, Rank = 1;
+  bool Ok = std::fwrite("LTD1", 1, 4, F) == 4 &&
+            std::fwrite(&Count, 4, 1, F) == 1;
+  for (size_t B = 0; B < kNumNamed && Ok; ++B) {
+    const uint32_t NameLen = (uint32_t)std::strlen(latte_named[B].Name);
+    const int64_t N = latte_named[B].N;
+    Ok = std::fwrite(&NameLen, 4, 1, F) == 1 &&
+         std::fwrite(latte_named[B].Name, 1, NameLen, F) == NameLen &&
+         std::fwrite(&Rank, 4, 1, F) == 1 && std::fwrite(&N, 8, 1, F) == 1 &&
+         std::fwrite(latte_bufs[B], 4, N, F) == (size_t)N;
+  }
+  return std::fclose(F) == 0 && Ok;
+}
+
+int main(int Argc, char **Argv) {
+  if (Argc < 3) {
+    std::fprintf(stderr, "usage: %s <in.ltd> <out.ltd> [fwd|fwdbwd]\n",
+                 Argv[0]);
+    return 2;
+  }
+  readLtd(Argv[1]);
+  latte_forward();
+  if (Argc < 4 || std::string(Argv[3]) == "fwdbwd")
+    latte_backward();
+  if (!writeLtd(Argv[2])) {
+    std::fprintf(stderr, "latte: cannot write %s\n", Argv[2]);
+    return 1;
+  }
+  return 0;
+}
+)cpp";
+
+/// Renders the driver for \p Prog, whose task entry points \p JS names.
+std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
+  const MemoryPlan &Plan = Prog.Plan;
+  if (!Plan.Valid)
+    reportFatalError("generateCpp: the program has no memory plan (build "
+                     "it with compile(), which always plans its arena)");
+  std::ostringstream OS;
+  OS << "// --- standalone driver ---\n"
+        "#include <cstdio>\n#include <cstdlib>\n#include <string>\n\n";
+
+  // One arena carved up by the liveness-driven memory plan; buffers whose
+  // live ranges are disjoint share bytes.
+  OS << "// buffer arena (liveness-planned: " << Plan.ArenaBytes
+     << " bytes vs " << Plan.EagerBytes << " eager)\n"
+     << "alignas(" << Plan.Alignment << ") static float latte_arena["
+     << std::max<int64_t>(Plan.ArenaBytes / 4, 1) << "];\n"
+     << "static float *latte_bufs[] = {\n";
+  for (const BufferInfo &B : Prog.Buffers)
+    OS << "  latte_arena + "
+       << Plan.Offsets.at(Prog.resolveAlias(B.Name)->Name) / 4 << ", // "
+       << B.Name << " " << B.Dims.str()
+       << (B.AliasOf.empty() ? "" : " alias of " + B.AliasOf) << "\n";
+  OS << "};\n\n// index tables and masks\n";
+  for (size_t I = 0; I < Prog.IntBuffers.size(); ++I) {
+    const IntBufferInfo &T = Prog.IntBuffers[I];
+    OS << "static int32_t latte_ib" << I << "["
+       << std::max<int64_t>(T.isStatic() ? T.Entries.size() : T.Count, 1)
+       << "] = {";
+    for (size_t E = 0; E < T.Entries.size(); ++E)
+      OS << (E % 16 == 0 ? "\n  " : "") << T.Entries[E] << ",";
+    OS << "}; // " << T.Name << "\n";
+  }
+  // nullptr-terminated, so never an empty array.
+  OS << "static int32_t *latte_ibufs[] = {";
+  for (size_t I = 0; I < Prog.IntBuffers.size(); ++I)
+    OS << "latte_ib" << I << ", ";
+  OS << "nullptr};\n\n";
+
+  OS << "// kernels the tasks reach through LatteJitCtx::kernel"
+     << kKernelBodies
+     << "static void latte_kernel(void *, int64_t Kind, float **FB, "
+        "int32_t **,\n                         const int64_t *IA, const "
+        "double *FA, const int64_t *EA) {\n  switch (Kind) {\n";
+  for (const auto &[Kind, Call] : kKernelCalls) {
+    OS << "  case " << static_cast<int64_t>(Kind) << ": // "
+       << kernelKindName(Kind) << "\n";
+    if (*Call)
+      OS << "    " << Call << ";\n";
+    OS << "    return;\n";
+  }
+  OS << "  }\n  std::fprintf(stderr, \"latte: no kernel body for kind "
+        "%lld\\n\", (long long)Kind);\n  std::abort();\n}\n\n"
+        "static LatteJitCtx latte_ctx = {nullptr, latte_bufs, latte_ibufs, "
+        "1, latte_kernel};\n\n";
+
+  // Each pass clears its pinned roots at the top and every interval root
+  // right before its first unit (the plan's ZeroBefore schedule), as
+  // engine::Executor::execProgram does, then runs the tasks in order.
+  auto Pass = [&](const char *Name, const Stmt *Root,
+                  const std::vector<JitTaskInfo> &Tasks,
+                  const std::vector<std::string> &PassTop, int GlobalBase) {
+    if (Root && !isa<BlockStmt>(Root))
+      reportFatalError(std::string("generateCpp: the ") + Name +
+                       " pass is not a block of units");
+    auto Zero = [&](const std::string &Buf) {
+      const BufferInfo *B = Prog.findBuffer(Buf);
+      OS << "  std::memset(latte_bufs[" << B - Prog.Buffers.data() << "], 0, "
+         << B->Dims.numElements() << " * sizeof(float)); // " << Buf << "\n";
+    };
+    OS << "void " << Name << "() {\n";
+    for (const std::string &Buf : PassTop)
+      Zero(Buf);
+    for (size_t I = 0; I < Tasks.size(); ++I) {
+      auto It = Plan.ZeroBefore.find(GlobalBase + static_cast<int>(I));
+      if (It != Plan.ZeroBefore.end())
+        for (const std::string &Buf : It->second)
+          Zero(Buf);
+      OS << "  " << Tasks[I].Symbol << "(&latte_ctx);\n";
+    }
+    OS << "}\n\n";
+  };
+  Pass("latte_forward", Prog.Forward.get(), JS.Forward,
+       Plan.ZeroOnForwardPinned, 0);
+  Pass("latte_backward", Prog.Backward.get(), JS.Backward,
+       Plan.ZeroOnBackwardPinned, Plan.NumForwardUnits);
+
+  OS << "// .ltd names, parallel to latte_bufs\n"
+        "static const struct { const char *Name; int64_t N; } "
+        "latte_named[] = {\n";
+  for (const BufferInfo &B : Prog.Buffers)
+    OS << "  {\"" << B.Name << "\", " << B.Dims.numElements() << "},\n";
+  OS << "};\n" << kLtdMain;
+  return OS.str();
+}
+
 } // namespace
 
 std::string compiler::generateCpp(const Program &Prog) {
-  CppEmitter E(Prog);
-  return E.run();
+  JitSource JS = JitEmitter(Prog, /*AllUnits=*/true).run();
+  return JS.Source + standaloneDriver(Prog, JS);
 }
 
 JitSource compiler::generateJitSource(const Program &Prog) {
-  JitEmitter E(Prog);
-  return E.run();
+  return JitEmitter(Prog, /*AllUnits=*/false).run();
 }
 
 bool compiler::writeGeneratedProgram(const Program &Prog,

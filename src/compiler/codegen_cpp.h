@@ -1,24 +1,28 @@
-//===- compiler/codegen_cpp.h - Standalone C++ code generation -*- C++ -*-===//
+//===- compiler/codegen_cpp.h - C++ code generation ------------*- C++ -*-===//
 ///
 /// \file
-/// The code-generation phase (§5.5): prints a compiled Program as a
-/// self-contained C++ translation unit. The original system lowered its
-/// Julia AST through ParallelAccelerator.jl to C++ compiled by ICC; here
-/// the optimized IR (post pattern-matching / tiling / fusion /
-/// parallelization) is emitted directly, with the paper's OpenMP
-/// `parallel for collapse(2) schedule(static, 1)` pragmas on annotated
-/// loops and `omp simd` on kernel inner loops.
+/// The code-generation phase (§5.5): one emitter prints a compiled
+/// Program's optimized IR (post pattern-matching / tiling / fusion /
+/// parallelization / slice rotation) as C++ — one `extern "C"` task
+/// function per top-level unit, with OpenMP `parallel for
+/// schedule(static, 1)` pragmas on annotated loops (batch × tile flattened
+/// into one loop, the paper's `collapse(2)`). The original system lowered
+/// its Julia AST through ParallelAccelerator.jl to C++ compiled by ICC.
+/// The translation unit has two uses:
 ///
-/// The generated program exposes a tiny file-based driver (reads buffer
-/// values from a .ltd file, runs forward/backward, writes all buffers
-/// back) so tests can compile it with the host compiler and validate it
-/// numerically against the in-process engine.
+///   * generateJitSource: the in-process JIT module (jit::JitModule),
+///     whose tasks re-enter the engine's kernels through the LatteJitCtx
+///     trampoline (jit/jit_abi.h);
+///   * generateCpp: the same translation unit, every unit emitted, plus a
+///     driver — the memory plan's static arena, buffer tables, kernel
+///     bodies behind the trampoline, and a `.ltd` file main — so tests
+///     compile it with the host compiler and check it against the engine.
 ///
-/// Both emitters are deterministic functions of the Program: no
-/// timestamps, no pointer-keyed iteration, symbol names derived from unit
-/// position only. generateJitSource additionally serves as a content-hash
-/// cache key (jit::hashSource), so byte-stability across emissions of the
-/// same program is load-bearing, not cosmetic — codegen_test pins it.
+/// Emission is a deterministic function of the Program: no timestamps, no
+/// pointer-keyed iteration, symbol names derived from unit position only.
+/// generateJitSource additionally serves as a content-hash cache key
+/// (jit::hashSource), so byte-stability across emissions of the same
+/// program is load-bearing, not cosmetic — codegen_test pins it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +38,10 @@ namespace latte {
 namespace compiler {
 
 /// Renders \p Prog as a complete C++17 translation unit with a main()
-/// driver: `./prog <input.ltd> <output.ltd> [fwd|fwdbwd]`.
+/// driver: `./prog <input.ltd> <output.ltd> [fwd|fwdbwd]`. The source
+/// begins with generateJitSource's translation unit whenever the JIT
+/// declines no unit. \p Prog must carry a memory plan (compile() always
+/// plans); malformed .ltd input makes the program exit 1.
 std::string generateCpp(const Program &Prog);
 
 /// Writes generateCpp(Prog) to \p Path. Returns false on I/O failure.
@@ -58,12 +65,12 @@ struct JitSource {
 };
 
 /// Renders \p Prog as a JIT translation unit: one `extern "C"` function
-/// per jittable top-level unit, reading buffer storage and re-entering the
-/// engine's kernels through the LatteJitCtx trampoline (jit/jit_abi.h).
-/// Unlike generateCpp this emits no kernel bodies, no storage and no
-/// driver — only the loop-nest / dispatch scaffolding — which is what
-/// makes JIT-on vs interpreted execution bitwise identical: the same
-/// kernel functions run in the same order either way.
+/// per jittable top-level unit, reading buffer storage through the
+/// LatteJitCtx and calling kernels through its trampoline (jit/jit_abi.h),
+/// except for the shape-specialized clones of data-movement kernels. The
+/// engine owns the storage and the trampoline lands in its kernels, which
+/// is what makes JIT-on vs interpreted execution bitwise identical: the
+/// same kernel functions run in the same order either way.
 JitSource generateJitSource(const Program &Prog);
 
 } // namespace compiler

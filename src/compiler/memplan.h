@@ -116,7 +116,8 @@ struct BufferLifetime {
 /// the C++ code generator, the verifier, and latte-lint --dump-plan.
 struct MemoryPlan {
   /// False for hand-built programs that never went through planMemory (the
-  /// engine and codegen then fall back to eager per-buffer allocation).
+  /// engine then falls back to eager per-buffer allocation; generateCpp
+  /// rejects them).
   bool Valid = false;
   int64_t Alignment = 64; ///< offset alignment in bytes
   int64_t ArenaBytes = 0; ///< planned arena extent

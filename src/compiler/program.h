@@ -172,8 +172,8 @@ struct Program {
   std::vector<RotationInfo> Rotations;
 
   /// Arena layout computed by planMemory() at the end of compile().
-  /// Plan.Valid is false on hand-built programs; the engine and codegen
-  /// then allocate eagerly per buffer.
+  /// Plan.Valid is false on hand-built programs; the engine then
+  /// allocates eagerly per buffer, and generateCpp rejects them.
   MemoryPlan Plan;
 
   /// Carried from CompileOptions::Jit: the engine should compile this

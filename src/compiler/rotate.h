@@ -28,10 +28,10 @@
 /// The pool depth D is the chain's intra-item dependence depth (max tiled
 /// dependence distance + 1, minimum 2); CompileOptions::RotateSlices
 /// raises it. The rewritten loop carries LoopAnnotations::SliceModulus so
-/// the executor parallelizes over slices (items sharing a slice serialize
-/// — a memory-for-parallelism trade, which is why CompileOptions::
-/// SliceRotation defaults off) and the JIT declines the unit in favor of
-/// the interpreter. Decisions are recorded in Program::Rotations for the
+/// the executor and the C++ emitter (JIT and standalone) parallelize over
+/// slices (items sharing a slice serialize — a memory-for-parallelism
+/// trade, which is why CompileOptions::SliceRotation defaults off).
+/// Decisions are recorded in Program::Rotations for the
 /// verifier's plan.subunit.* cross-checks, the race detector's
 /// rotated-root whitelist, and the bench harness. Rotation never changes
 /// values: lattice bit 8 proves rotation-on vs rotation-off bitwise

@@ -89,9 +89,9 @@ struct LoopAnnotations {
   /// When > 0, the slice-rotation pass rewrote batch-indexed accesses in
   /// this loop's body to address a modular pool of SliceModulus item
   /// slices (buffer index `n % SliceModulus` instead of `n`). Iterations
-  /// that share a slice must not run concurrently: the executor schedules
-  /// the parallel loop over slices (serial stride-SliceModulus inner
-  /// walk), and the JIT declines the loop so the interpreter path applies.
+  /// that share a slice must not run concurrently: the executor and the
+  /// C++ emitter schedule the parallel loop over slices (serial
+  /// stride-SliceModulus inner walk).
   int64_t SliceModulus = 0;
 };
 

@@ -9,11 +9,15 @@
 /// parallelism switch, and one callback — the kernel trampoline — through
 /// which generated code re-enters engine::Executor::execKernelResolved.
 ///
-/// Routing every kernel call back through the engine (instead of emitting
-/// standalone kernel copies as the offline codegen does) is what makes
-/// JIT-on vs interpreter comparisons BITWISE identical: the exact same
-/// kernel functions run in the exact same order, and only the loop-nest /
-/// dispatch scaffolding around them is compiled instead of interpreted.
+/// Routing kernel calls back through the engine is what makes JIT-on vs
+/// interpreter comparisons BITWISE identical: the exact same kernel
+/// functions run in the exact same order, and only the loop-nest /
+/// dispatch scaffolding around them is compiled instead of interpreted
+/// (plus the shape-specialized clones of data-movement kernels, which
+/// reproduce the library loops). The standalone program
+/// (compiler::generateCpp) is the same generated code with its own
+/// context: static storage, and a trampoline into kernel bodies of its
+/// own.
 ///
 /// The struct definition exists once: the macro below expands into the
 /// host-side type AND is stringified into the generated translation unit,

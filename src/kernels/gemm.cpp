@@ -64,9 +64,15 @@ void packB(bool TransB, const float *B, int64_t LdB, int64_t K0, int64_t J0,
 
 } // namespace
 
-void kernels::sgemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
-                    const float *A, int64_t LdA, const float *B, int64_t LdB,
-                    float *C, int64_t LdC, bool Accumulate) {
+// The vectorized AXPY below compiles to a ~25-byte loop whose speed depends
+// on fitting one 32-byte instruction-fetch window. With the default 16-byte
+// loop alignment that depends on where the linker places this function: a
+// 48-byte shift from unrelated code-size changes cost 20-25% of an AlexNet
+// training step on a 4-vCPU Xeon VM. Align the loops explicitly.
+__attribute__((optimize("align-loops=32"))) void
+kernels::sgemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
+               const float *A, int64_t LdA, const float *B, int64_t LdB,
+               float *C, int64_t LdC, bool Accumulate) {
   assert(M >= 0 && N >= 0 && K >= 0 && "matrix extents must be non-negative");
   if (M == 0 || N == 0)
     return;

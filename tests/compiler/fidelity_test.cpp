@@ -2,22 +2,17 @@
 ///
 /// Paper-fidelity tests: a hand-written Figure 5 mapping function (not
 /// the library helper) is recognized by analysis and pattern-matched to
-/// GEMM; the C++ backend emits correct code for interpreted (custom
-/// neuron) programs; learning-rate multipliers flow from Param
-/// declarations to the solver.
+/// GEMM; learning-rate multipliers flow from Param declarations to the
+/// solver.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "compiler/codegen_cpp.h"
 #include "compiler/compiler.h"
 #include "core/layers/layers.h"
 #include "engine/executor.h"
 #include "solvers/solvers.h"
-#include "support/ltd_format.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 using namespace latte;
 using namespace latte::compiler;
@@ -83,73 +78,6 @@ TEST(FidelityTest, HandWrittenFigure5MappingIsMatched) {
   EXPECT_EQ(A.readBuffer("conv_value")
                 .firstMismatch(B.readBuffer("conv_value"), 1e-5f, 1e-4f),
             -1);
-}
-
-TEST(FidelityTest, CodegenHandlesInterpretedNeurons) {
-  // A PReLU (no pattern matches it) goes through the synthesized SoA loop
-  // nests; the C++ backend must emit those loops and agree with the
-  // engine.
-  Net Net(2);
-  Ensemble *Data = DataLayer(Net, "data", Shape{5});
-  Ensemble *Fc = FullyConnectedLayer(Net, "fc", Data, 6);
-  Ensemble *Act = PReluLayer(Net, "prelu", Fc);
-  Ensemble *Out = FullyConnectedLayer(Net, "out", Act, 3);
-  Ensemble *Labels = LabelLayer(Net, "labels");
-  SoftmaxLossLayer(Net, "loss", Out, Labels);
-  Program P = compile(Net);
-  ASSERT_FALSE(P.Report.InterpretedEnsembles.empty());
-
-  Executor Ex(compile(Net));
-  Ex.initParams(99);
-  Rng R(3);
-  Tensor In(Shape{2, 5});
-  R.fillGaussian(In, 0.0f, 1.0f);
-  Ex.setInput(In);
-  Tensor L(Shape{2, 1});
-  L.at(0) = 2.0f;
-  Ex.setLabels(L);
-  Ex.forward();
-  Ex.backward();
-
-  std::string Dir = testing::TempDir();
-  std::string SrcPath = Dir + "/latte_interp.cpp";
-  std::string BinPath = Dir + "/latte_interp_bin";
-  std::string InPath = Dir + "/latte_interp_in.ltd";
-  std::string OutPath = Dir + "/latte_interp_out.ltd";
-  ASSERT_TRUE(writeGeneratedProgram(P, SrcPath));
-
-  std::vector<std::pair<std::string, Tensor>> Inputs;
-  Inputs.emplace_back("data_value", In);
-  Tensor Lab(Shape{2});
-  Lab.at(0) = 2.0f;
-  Inputs.emplace_back("labels_value", Lab);
-  for (const BufferInfo &B : P.Buffers)
-    if (B.Role == BufferRole::Param)
-      Inputs.emplace_back(B.Name, Ex.readBuffer(B.Name));
-  ASSERT_TRUE(writeLtdFile(InPath, Inputs));
-
-  ASSERT_EQ(std::system(("g++ -O2 -fopenmp -o " + BinPath + " " + SrcPath +
-                         " 2>" + Dir + "/latte_interp_err.txt")
-                            .c_str()),
-            0);
-  ASSERT_EQ(std::system(
-                (BinPath + " " + InPath + " " + OutPath + " fwdbwd").c_str()),
-            0);
-  auto Outputs = readLtdFile(OutPath);
-  for (const char *Buf : {"prelu_value", "prelu_grad_slope",
-                          "fc_grad_weights", "loss_loss"}) {
-    const Tensor *Gen = nullptr;
-    for (const auto &[Name, T] : Outputs)
-      if (Name == Buf)
-        Gen = &T;
-    ASSERT_NE(Gen, nullptr) << Buf;
-    Tensor Ref = Ex.readBuffer(Buf);
-    EXPECT_EQ(Ref.firstMismatch(*Gen, 1e-4f, 1e-3f), -1) << Buf;
-  }
-  std::remove(SrcPath.c_str());
-  std::remove(BinPath.c_str());
-  std::remove(InPath.c_str());
-  std::remove(OutPath.c_str());
 }
 
 TEST(FidelityTest, BiasLearningRateMultiplierReachesSolver) {

@@ -4,8 +4,8 @@
 /// shared-object cache (hit / recompile / corrupt-object recovery), clean
 /// interpreter fallback when the system compiler is broken, per-task
 /// fallback for non-codegen-able units (dropout), module sharing across
-/// executors, source determinism, and finite-difference gradient checking
-/// through the JIT dispatch path.
+/// executors, slice-rotated units, source determinism, and finite-difference
+/// gradient checking through the JIT dispatch path.
 ///
 /// Cache tests point LATTE_JIT_DIR at a fresh temp directory so a
 /// previous run's disk cache cannot skew the stats counters, and each
@@ -16,11 +16,14 @@
 
 #include "jit/jit_backend.h"
 
+#include "../codegen_harness.h"
+
 #include "compiler/codegen_cpp.h"
 #include "compiler/compiler.h"
 #include "core/layers/layers.h"
 #include "engine/executor.h"
 #include "models/models.h"
+#include "solvers/solvers.h"
 #include "verify/gradcheck.h"
 
 #include <gtest/gtest.h>
@@ -255,6 +258,71 @@ TEST(JitExecutorTest, PerTaskFallbackForDropout) {
           << "buffer '" << Name << "' diverged with dropout fallback";
     }
   }
+}
+
+TEST(JitExecutorTest, SliceRotatedUnitsRunJitted) {
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable";
+
+  // The emitter renders slice-rotated loops with the executor's schedule,
+  // so rotated units run jitted. One SGD step of the smallest rotating
+  // conv net must leave params and grads byte-identical to the
+  // interpreter's; its forward-only compile, whose rotated loop is
+  // parallel over slices, must match too.
+  std::unique_ptr<core::Net> Net = codegen_harness::makeConvNet(3);
+  CompileOptions CO;
+  CO.Jit = true;
+  CO.SliceRotation = true;
+  ExecOptions EO;
+  EO.Deterministic = true;
+  ExecOptions NoJit = EO;
+  NoJit.NoJit = true;
+  auto ExpectSameBytes = [](const Executor &A, const Executor &B,
+                            const std::string &Name) {
+    Tensor TA = A.readBuffer(Name);
+    Tensor TB = B.readBuffer(Name);
+    ASSERT_EQ(TA.numElements(), TB.numElements()) << Name;
+    EXPECT_EQ(std::memcmp(TA.data(), TB.data(),
+                          sizeof(float) * TA.numElements()),
+              0)
+        << "buffer '" << Name << "' diverged between JIT and interpreter";
+  };
+
+  Executor A(compile(*Net, CO), EO);
+  Executor B(compile(*Net, CO), NoJit);
+  ASSERT_FALSE(A.program().Rotations.empty());
+  ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
+  EXPECT_EQ(A.jitFallbackCount(), 0);
+  seedExecutor(A, 5);
+  seedExecutor(B, 5);
+  solvers::SolverParameters SP;
+  SP.Lr = solvers::LRPolicy::fixed(0.1);
+  solvers::SgdSolver SolverA(SP), SolverB(SP);
+  A.forward();
+  A.backward();
+  SolverA.step(A, 0);
+  B.forward();
+  B.backward();
+  SolverB.step(B, 0);
+  for (const ParamBinding &P : A.program().Params) {
+    ExpectSameBytes(A, B, P.Param);
+    ExpectSameBytes(A, B, P.Grad);
+  }
+
+  Executor C(compileForward(*Net, CO), EO);
+  Executor D(compileForward(*Net, CO), NoJit);
+  ASSERT_FALSE(C.program().Rotations.empty());
+  ASSERT_TRUE(C.jitActive()) << C.jitDiagnostic();
+  EXPECT_EQ(C.jitFallbackCount(), 0);
+  seedExecutor(C, 5);
+  seedExecutor(D, 5);
+  C.forward();
+  D.forward();
+  const Program &Fwd = C.program();
+  for (const BufferInfo &Buf : Fwd.Buffers)
+    if (Buf.Role == BufferRole::Value &&
+        Fwd.Plan.retainedAtExit(Fwd.resolveAlias(Buf.Name)->Name))
+      ExpectSameBytes(C, D, Buf.Name);
 }
 
 TEST(JitExecutorTest, ExecutorsShareOneModule) {

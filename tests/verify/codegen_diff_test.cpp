@@ -1,31 +1,65 @@
 //===- tests/verify/codegen_diff_test.cpp ---------------------*- C++ -*-===//
 ///
 /// Differential test of the C++ backend against the in-process engine: a
-/// generator-built net is emitted with codegen_cpp, compiled with the
-/// system toolchain, run as a standalone binary on the same inputs and
-/// parameters, and every value and parameter-gradient buffer must agree
-/// with the engine. Dropout is excluded — the generated binary draws its
-/// masks from its own RNG stream.
+/// net is emitted with codegen_cpp, compiled with the system toolchain,
+/// run as a standalone binary on the same inputs and parameters, and every
+/// value and parameter-gradient buffer must agree with the engine within
+/// the standalone tolerance. Dropout is excluded — the generated binary
+/// draws its masks from its own RNG stream.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "compiler/codegen_cpp.h"
+#include "../codegen_harness.h"
+
 #include "compiler/compiler.h"
 #include "engine/executor.h"
-#include "support/ltd_format.h"
 #include "verify/random_net.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-
 using namespace latte;
+using namespace latte::codegen_harness;
 using namespace latte::compiler;
 using namespace latte::core;
 using namespace latte::engine;
 
 namespace {
+
+/// Runs \p Prog in the engine and as a standalone program (\p Mode "fwd"
+/// or "fwdbwd") on the same Gaussian input and random labels, and
+/// compares every value and parameter gradient the program writes back.
+void diffProgram(const Program &Prog, uint64_t Seed, int64_t Classes,
+                 const std::string &Tag, const std::string &Mode) {
+  ExecOptions EO;
+  EO.Deterministic = true;
+  Executor Ex(Prog.clone(), EO);
+  Ex.initParams(Seed);
+  Rng R(Seed ^ 0xc0de);
+  Tensor In(Prog.findBuffer(Prog.DataBuffer)->Dims);
+  R.fillGaussian(In, 0.0f, 1.0f);
+  Ex.setInput(In);
+  Tensor L(Prog.findBuffer(Prog.LabelBuffer)->Dims);
+  for (int64_t I = 0; I < L.numElements(); ++I)
+    L.at(I) = static_cast<float>(R.uniformInt(Classes));
+  Ex.setLabels(L);
+  NamedTensors Inputs = engineInputs(Ex);
+  Ex.forward();
+  if (Mode == "fwdbwd")
+    Ex.backward();
+
+  StandaloneProgram Gen(Prog, Tag);
+  NamedTensors Outputs = Gen.run(Inputs, Mode);
+  int Compared = 0;
+  for (const BufferInfo &B : Prog.Buffers) {
+    if (B.Role != BufferRole::Value && B.Role != BufferRole::ParamGrad)
+      continue;
+    if (!findOutput(Outputs, B.Name))
+      continue; // aliased/internal buffers the backend folds away
+    expectMatchesEngine(Ex, Outputs, B.Name);
+    ++Compared;
+  }
+  EXPECT_GT(Compared, 0) << "no comparable buffers in generated output";
+}
 
 void codegenDiff(uint64_t Seed, const CompileOptions &Copts) {
   Net Net(2);
@@ -33,74 +67,8 @@ void codegenDiff(uint64_t Seed, const CompileOptions &Copts) {
   RO.AllowDropout = false; // generated code has an independent RNG
   std::string Desc = verify::randomNet(Net, Seed, RO);
   SCOPED_TRACE(Desc);
-
-  Program P = compile(Net, Copts);
-  ExecOptions EO;
-  EO.Deterministic = true;
-  Executor Ex(compile(Net, Copts), EO);
-  Ex.initParams(Seed);
-
-  const Program &Prog = Ex.program();
-  Rng R(Seed ^ 0xc0de);
-  Tensor In(Prog.findBuffer(Prog.DataBuffer)->Dims);
-  R.fillGaussian(In, 0.0f, 1.0f);
-  Ex.setInput(In);
-  int64_t Classes = verify::randomNetClasses(Seed, RO);
-  Tensor L(Prog.findBuffer(Prog.LabelBuffer)->Dims);
-  for (int64_t I = 0; I < L.numElements(); ++I)
-    L.at(I) = static_cast<float>(R.uniformInt(Classes));
-  Ex.setLabels(L);
-  Ex.forward();
-  Ex.backward();
-
-  std::string Dir = testing::TempDir();
-  std::string Tag = "latte_vdiff_" + std::to_string(Seed);
-  std::string SrcPath = Dir + "/" + Tag + ".cpp";
-  std::string BinPath = Dir + "/" + Tag + "_bin";
-  std::string InPath = Dir + "/" + Tag + "_in.ltd";
-  std::string OutPath = Dir + "/" + Tag + "_out.ltd";
-  ASSERT_TRUE(writeGeneratedProgram(P, SrcPath));
-
-  std::vector<std::pair<std::string, Tensor>> Inputs;
-  Inputs.emplace_back(Prog.DataBuffer, In);
-  Inputs.emplace_back(Prog.LabelBuffer, L);
-  for (const BufferInfo &B : Prog.Buffers)
-    if (B.Role == BufferRole::Param)
-      Inputs.emplace_back(B.Name, Ex.readBuffer(B.Name));
-  ASSERT_TRUE(writeLtdFile(InPath, Inputs));
-
-  ASSERT_EQ(std::system(("g++ -O2 -fopenmp -o " + BinPath + " " + SrcPath +
-                         " 2>" + Dir + "/" + Tag + "_err.txt")
-                            .c_str()),
-            0);
-  ASSERT_EQ(std::system(
-                (BinPath + " " + InPath + " " + OutPath + " fwdbwd").c_str()),
-            0);
-  auto Outputs = readLtdFile(OutPath);
-
-  // Every ensemble value and every parameter gradient the generated
-  // program exports must match the engine.
-  int Compared = 0;
-  for (const BufferInfo &B : Prog.Buffers) {
-    if (B.Role != BufferRole::Value && B.Role != BufferRole::ParamGrad)
-      continue;
-    const Tensor *Gen = nullptr;
-    for (const auto &[Name, T] : Outputs)
-      if (Name == B.Name)
-        Gen = &T;
-    if (!Gen)
-      continue; // aliased/internal buffers the backend folds away
-    Tensor Ref = Ex.readBuffer(B.Name);
-    EXPECT_EQ(Ref.firstMismatch(*Gen, 1e-4f, 1e-3f), -1)
-        << B.Name << " differs (seed 0x" << std::hex << Seed << ")";
-    ++Compared;
-  }
-  EXPECT_GT(Compared, 0) << "no comparable buffers in generated output";
-
-  std::remove(SrcPath.c_str());
-  std::remove(BinPath.c_str());
-  std::remove(InPath.c_str());
-  std::remove(OutPath.c_str());
+  diffProgram(compile(Net, Copts), Seed, verify::randomNetClasses(Seed, RO),
+              "latte_vdiff_" + std::to_string(Seed), "fwdbwd");
 }
 
 } // namespace
@@ -121,3 +89,27 @@ TEST(CodegenDiffTest, RandomNetFullyOptimized) {
 }
 
 TEST(CodegenDiffTest, RandomNetThird) { codegenDiff(23, CompileOptions{}); }
+
+TEST(CodegenDiffTest, SliceRotatedConvNet) {
+  // Batch 3 is the smallest at which the fused conv chain rotates a slice.
+  // Training rotates the backward chain's col2im scratch (a serial loop:
+  // it accumulates parameter gradients); the forward-only compile rotates
+  // the forward chain's im2col windows inside a parallel batch loop,
+  // which the emitter renders slice-grouped.
+  std::unique_ptr<Net> N = makeConvNet(3);
+  CompileOptions Opts;
+  Opts.SliceRotation = true;
+  Program Train = compile(*N, Opts);
+  ASSERT_FALSE(Train.Rotations.empty());
+  diffProgram(Train, 31, 5, "latte_vdiff_rot", "fwdbwd");
+
+  Program Fwd = compileForward(*N, Opts);
+  ASSERT_FALSE(Fwd.Rotations.empty());
+  bool ParallelRotated = false;
+  for (const ir::StmtPtr &U : cast<ir::BlockStmt>(Fwd.Forward.get())->stmts())
+    if (const auto *F = dyn_cast<ir::ForStmt>(U.get()))
+      ParallelRotated |= F->annotations().Parallel &&
+                         F->annotations().SliceModulus > 0;
+  EXPECT_TRUE(ParallelRotated);
+  diffProgram(Fwd, 32, 5, "latte_vdiff_rot_fwd", "fwd");
+}
