@@ -58,10 +58,6 @@ int main(int argc, char **argv) {
   PassTimes LatteJit =
       timeLatte(Spec, BO.Batch, FullJit, BO.Reps, &JitActive);
 
-  CompileOptions FullRotate = Full; // + sub-unit slice rotation
-  FullRotate.SliceRotation = true;
-  PassTimes LatteRotate = timeLatte(Spec, BO.Batch, FullRotate, BO.Reps);
-
   std::printf("\n-- Latte (no cross-layer optimizations) vs Caffe --\n");
   printSpeedupRow("forward", Caffe.FwdSec, LatteBase.FwdSec, ">7x (36c)");
   printSpeedupRow("backward", Caffe.BwdSec, LatteBase.BwdSec, ">7x (36c)");
@@ -105,13 +101,9 @@ int main(int argc, char **argv) {
   std::printf("\n-- memory: liveness-planned arena vs eager allocation --\n");
   printMemoryRow("Latte, no tiling/fusion", LatteBase);
   printMemoryRow("Latte, tiling+fusion", LatteFull);
-  printMemoryRow("Latte, tiling+fusion + slice rotation", LatteRotate);
   std::printf("(fusion keeps a chain's buffers in one batch loop, so its "
               "pass-local\n grads stay live together — less folding than "
-              "the unfused point.\n slice rotation folds *inside* the "
-              "chain: buffers the sub-unit effect\n analysis proves "
-              "per-item private shrink to modular slice pools; needs\n "
-              "batch > 2 to have anything to fold.)\n");
+              "the unfused point.)\n");
 
   if (BO.profiling()) {
     BenchReport R("fig13", BO);
@@ -119,10 +111,6 @@ int main(int argc, char **argv) {
     R.addRow("latte_no_crosslayer", LatteBase);
     R.addRow("latte_full", LatteFull);
     R.addRow("latte_full_scalar", LatteNoVec);
-    // The folded-vs-unfolded fused arena pair: latte_full's arena_bytes
-    // is the unrotated fused plan, this row's is the slice-rotated one.
-    // Both are deterministic, so compare gates them at 1.05x.
-    R.addRow("latte_full_rotate", LatteRotate);
     // Informational row (bench/compare treats rows present on only one
     // side as non-gating): absent when the JIT could not engage, so a CI
     // runner without a working system compiler never fails the gate.

@@ -5,7 +5,6 @@
 #include "ir/printer.h"
 #include "ir/visitor.h"
 #include "support/casting.h"
-#include "support/error.h"
 
 #include <algorithm>
 #include <set>
@@ -56,37 +55,6 @@ std::string AffineExpr::str() const {
   return OS.str();
 }
 
-/// Recognizes the mod composite the slice-rotation pass emits:
-///   v - C * (v / C)  ==  v % C      (Mul operands in either order)
-/// so the footprint machinery can model rotated indices instead of widening
-/// on the Div. On match, fills \p Var / \p Mod and returns true.
-static bool matchModComposite(const BinaryExpr *B, std::string &Var,
-                              int64_t &Mod) {
-  if (B->op() != BinaryOpKind::Sub)
-    return false;
-  const auto *V = dyn_cast<VarExpr>(B->lhs());
-  const auto *M = dyn_cast<BinaryExpr>(B->rhs());
-  if (!V || !M || M->op() != BinaryOpKind::Mul)
-    return false;
-  const auto *C = dyn_cast<IntConstExpr>(M->lhs());
-  const Expr *Quot = M->rhs();
-  if (!C) {
-    C = dyn_cast<IntConstExpr>(M->rhs());
-    Quot = M->lhs();
-  }
-  const auto *D = dyn_cast<BinaryExpr>(Quot);
-  if (!C || !D || D->op() != BinaryOpKind::Div)
-    return false;
-  const auto *DV = dyn_cast<VarExpr>(D->lhs());
-  const auto *DC = dyn_cast<IntConstExpr>(D->rhs());
-  if (!DV || !DC || DV->name() != V->name() || DC->value() != C->value() ||
-      C->value() <= 0)
-    return false;
-  Var = V->name();
-  Mod = C->value();
-  return true;
-}
-
 AffineExpr analyze::affineOf(const Expr *E) {
   if (!E)
     return AffineExpr::constant(0);
@@ -100,18 +68,6 @@ AffineExpr analyze::affineOf(const Expr *E) {
   }
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
-    // `v % C` appears as a pseudo-variable "v%C" with range [0, C); '%'
-    // cannot occur in a real identifier, so the name never collides.
-    // makeFootprint folds the pseudo-var into a bounded level.
-    {
-      std::string MV;
-      int64_t Mod = 0;
-      if (matchModComposite(B, MV, Mod)) {
-        AffineExpr A;
-        A.Coeffs[MV + "%" + std::to_string(Mod)] = 1;
-        return A;
-      }
-    }
     AffineExpr L = affineOf(B->lhs());
     AffineExpr R = affineOf(B->rhs());
     switch (B->op()) {
@@ -537,35 +493,6 @@ Footprint Collector::makeFootprint(AffineExpr Offset,
       }
     }
   }
-  // Mod-composite pseudo-variables ("n%D", from the slice-rotation pass):
-  // v % D ranges over [0, D) whenever v is a non-negative loop variable, so
-  // the pseudo-var folds into a level exactly like a bound [0, D)
-  // sequential loop — provided the underlying variable is actually in
-  // scope (parallel or bound); otherwise widen like any unbound name.
-  for (auto It = Offset.Coeffs.begin(); It != Offset.Coeffs.end();) {
-    size_t Pct = It->first.find('%');
-    if (Pct == std::string::npos) {
-      ++It;
-      continue;
-    }
-    std::string Prefix = It->first.substr(0, Pct);
-    int64_t Mod = 0;
-    for (size_t I = Pct + 1; I < It->first.size(); ++I)
-      Mod = Mod * 10 + (It->first[I] - '0');
-    if (Mod <= 0 ||
-        (ParallelVars.count(Prefix) == 0 && Bound.count(Prefix) == 0))
-      return wholeBuffer(BufferCount);
-    int64_t C = It->second;
-    if (Mod > 1) {
-      if (C > 0)
-        Fp.Levels.push_back({Mod, C});
-      else if (C < 0) {
-        Offset.Const += C * (Mod - 1);
-        Fp.Levels.push_back({Mod, -C});
-      }
-    }
-    It = Offset.Coeffs.erase(It);
-  }
   // Leftover coefficients must belong to the parallel dimensions; anything
   // else (an unbound variable — the verifier reports it) forces widening.
   for (const auto &[Var, C] : Offset.Coeffs)
@@ -937,133 +864,6 @@ std::string analyze::dumpEffects(const EffectSet &Effects) {
         OS << " accum";
       OS << " " << A.Fp.str() << "  <- " << A.Detail << "\n";
     }
-  }
-  return OS.str();
-}
-
-//===----------------------------------------------------------------------===//
-// Sub-unit (per-batch-item) slice classification
-//===----------------------------------------------------------------------===//
-
-const char *analyze::sliceClassName(SliceClass C) {
-  switch (C) {
-  case SliceClass::ItemPrivate:
-    return "item-private";
-  case SliceClass::ItemShared:
-    return "item-shared";
-  case SliceClass::Inexact:
-    return "inexact";
-  }
-  latteUnreachable("unknown slice class");
-}
-
-namespace {
-
-/// Classifies one access against the batch dimension: the access footprint
-/// (or, for inexact footprints, the guaranteed bound region) must be
-/// `S * n + resid` with resid + span contained in [0, S] over every value
-/// of the unit's remaining parallel dimensions.
-SliceClass classifyAccess(const Access &A, const std::string &BatchVar,
-                          const std::vector<ParallelDim> &Dims, int64_t S) {
-  const Footprint *F = nullptr;
-  if (A.Fp.Exact)
-    F = &A.Fp;
-  else if (A.HasBound)
-    F = &A.Bound;
-  else
-    return SliceClass::Inexact;
-  if (!F->Base.Affine)
-    return SliceClass::Inexact;
-  int64_t CN = F->Base.coeff(BatchVar);
-  int64_t Min = F->Base.Const;
-  int64_t Max = F->Base.Const;
-  for (const auto &[Var, C] : F->Base.Coeffs) {
-    if (Var == BatchVar)
-      continue;
-    const ParallelDim *D = nullptr;
-    for (const ParallelDim &PD : Dims)
-      if (PD.Var == Var)
-        D = &PD;
-    if (!D)
-      return SliceClass::Inexact; // unbound name slipped through — widen
-    int64_t LoV = D->Lo;
-    int64_t HiV = D->Lo + D->Extent - 1;
-    Min += C * (C >= 0 ? LoV : HiV);
-    Max += C * (C >= 0 ? HiV : LoV);
-  }
-  if (CN != S || Min < 0 || Max + F->spanEnd() > S)
-    return SliceClass::ItemShared;
-  return SliceClass::ItemPrivate;
-}
-
-/// True when \p A is an exact covering overwrite of the whole item slice:
-/// a pure write whose canonicalized footprint is exactly S*n + [0, S).
-bool coversItemSlice(const Access &A, const std::string &BatchVar,
-                     int64_t S) {
-  if (!A.Write || A.Read || A.Accumulating || !A.Fp.Exact)
-    return false;
-  const Footprint &F = A.Fp;
-  if (!F.Base.Affine || F.Base.Const != 0 || !F.Levels.empty())
-    return false;
-  if (F.Base.Coeffs.size() != 1 || F.Base.coeff(BatchVar) != S)
-    return false;
-  return F.Width == S;
-}
-
-} // namespace
-
-std::map<std::string, SliceInfo>
-analyze::classifySubUnit(const Stmt *Unit, const BufferTable &Bufs) {
-  std::map<std::string, SliceInfo> Out;
-  const auto *F = dyn_cast_if_present<const ForStmt>(Unit);
-  if (!F || F->extent() <= 1)
-    return Out;
-  // Re-analyze a clone with the batch loop forced parallel: at lattice
-  // points where the parallelization pass left the loop unannotated, the
-  // collector folds the batch variable into a sequential level and the
-  // per-item footprint this analysis is about no longer exists.
-  StmtPtr Clone = F->clone();
-  cast<ForStmt>(Clone.get())->annotations().Parallel = true;
-  UnitEffects UE = collectUnitEffects(Clone.get(), Bufs, nullptr);
-  if (UE.Dims.empty())
-    return Out;
-  const std::string &BatchVar = UE.Dims[0].Var;
-  for (const auto &[Root, Accesses] : UE.Effects.Buffers) {
-    if (Root.rfind("int:", 0) == 0)
-      continue; // int index tables are item-invariant; nothing to rotate
-    const BufferTable::FloatInfo *FI = Bufs.floatInfo(Root);
-    if (!FI)
-      continue;
-    SliceInfo Info;
-    Info.ItemElems = FI->Strides.empty() ? FI->Count : FI->Strides[0];
-    Info.Class = SliceClass::ItemPrivate;
-    for (const Access &A : Accesses) {
-      SliceClass C = classifyAccess(A, BatchVar, UE.Dims, Info.ItemElems);
-      if (C == SliceClass::ItemPrivate)
-        continue;
-      if (Info.Why.empty())
-        Info.Why = A.Detail; // first demoting access
-      if (static_cast<int>(C) > static_cast<int>(Info.Class))
-        Info.Class = C; // Inexact dominates ItemShared
-    }
-    if (Info.Class == SliceClass::ItemPrivate && !Accesses.empty())
-      Info.ItemFresh = coversItemSlice(Accesses.front(), BatchVar,
-                                       Info.ItemElems);
-    Out.emplace(Root, std::move(Info));
-  }
-  return Out;
-}
-
-std::string analyze::dumpSubUnit(const std::map<std::string, SliceInfo> &Classes) {
-  std::ostringstream OS;
-  for (const auto &[Root, Info] : Classes) {
-    OS << "  " << Root << ": " << sliceClassName(Info.Class);
-    if (Info.Class == SliceClass::ItemPrivate)
-      OS << " (item elems " << Info.ItemElems << ", "
-         << (Info.ItemFresh ? "overwrite-first" : "carries in") << ")";
-    if (!Info.Why.empty())
-      OS << "  <- " << Info.Why;
-    OS << "\n";
   }
   return OS.str();
 }

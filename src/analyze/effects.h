@@ -183,45 +183,6 @@ struct UnitEffects {
 UnitEffects collectUnitEffects(const ir::Stmt *Unit, const BufferTable &Bufs,
                                DiagnosticReport *Diags);
 
-/// Sub-unit (per-batch-item) classification of one buffer inside a batch
-/// loop. ItemPrivate: batch iteration n provably touches only its own item
-/// slice [n*S, (n+1)*S) where S is the buffer's leading stride. ItemShared:
-/// footprints are affine but cross item slices or are item-invariant
-/// (weights, reductions, padded scatters). Inexact: at least one access
-/// widened to a conservative superset with no exact bound region, so
-/// privacy cannot be decided.
-enum class SliceClass { ItemPrivate, ItemShared, Inexact };
-
-const char *sliceClassName(SliceClass C);
-
-struct SliceInfo {
-  SliceClass Class = SliceClass::Inexact;
-  /// Item stride S the privacy proof used (root Strides[0]).
-  int64_t ItemElems = 0;
-  /// The unit's first access to this root is an exact covering overwrite of
-  /// the item slice (write, no read, no accumulation, contiguous [0, S)
-  /// coverage): the buffer carries nothing in across items, so a rotated
-  /// slice needs no cross-item initialization.
-  bool ItemFresh = false;
-  /// First access that demoted the class below ItemPrivate (empty for
-  /// ItemPrivate buffers).
-  std::string Why;
-};
-
-/// Sub-unit (per-batch-item) effect analysis over one top-level unit: maps
-/// every float root referenced under the unit's batch loop to its
-/// SliceClass. Returns an empty map when the unit is not a ForStmt with
-/// constant extent > 1. The unit is re-analyzed with the batch loop forced
-/// parallel so per-item footprints exist even at lattice points where the
-/// parallelization pass left the loop unannotated (the collector would
-/// otherwise fold the batch variable into a sequential level).
-std::map<std::string, SliceInfo> classifySubUnit(const ir::Stmt *Unit,
-                                                 const BufferTable &Bufs);
-
-/// Human-readable per-buffer classification table (deterministic order) for
-/// latte-lint --dump-subunit.
-std::string dumpSubUnit(const std::map<std::string, SliceInfo> &Classes);
-
 /// Human-readable effect-set dump (deterministic order), one access per
 /// line, for latte-lint --dump-effects.
 std::string dumpEffects(const EffectSet &Effects);

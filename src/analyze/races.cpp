@@ -321,8 +321,7 @@ std::string dimsString(const std::vector<ParallelDim> &Dims) {
 } // namespace
 
 void analyze::detectRaces(const UnitEffects &UE, const std::string &TaskLabel,
-                          DiagnosticReport &Diags,
-                          const std::set<std::string> *RotatedRoots) {
+                          DiagnosticReport &Diags) {
   if (UE.Dims.empty())
     return;
   bool AnyDistinct = std::any_of(
@@ -332,20 +331,6 @@ void analyze::detectRaces(const UnitEffects &UE, const std::string &TaskLabel,
     return; // a single iteration point cannot race with itself
 
   for (const auto &[Buffer, Accesses] : UE.Effects.Buffers) {
-    if (RotatedRoots && RotatedRoots->count(Buffer)) {
-      // Slice-rotated pool: distinct batch iterations mapping to the same
-      // slice alias by construction. The executor serializes same-slice
-      // items (slice-grouped schedule) and plan.subunit.* cross-validates
-      // the rotated footprints, so pairwise intersection would only
-      // re-report the intended aliasing.
-      Diagnostic &D = Diags.note(
-          "race.rotated-slice",
-          "slice-rotated buffer: same-slice iterations serialized by the "
-          "engine's slice-grouped schedule (see compiler/rotate.h)");
-      D.Task = TaskLabel;
-      D.Buffer = Buffer;
-      continue;
-    }
     bool AnyWrite =
         std::any_of(Accesses.begin(), Accesses.end(),
                     [](const Access &A) { return A.Write; });

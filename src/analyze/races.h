@@ -12,11 +12,6 @@
 ///   - `race.possible` (Warning): the conflict involves a conservative
 ///     (inexact) footprint or the feasibility search exceeded its budget,
 ///     so the analysis cannot prove the unit race-free.
-///   - `race.rotated-slice` (Note): the buffer is a slice-rotated root
-///     (compiler/rotate.h). Distinct batch iterations that map to the same
-///     pool slice do alias, but the executor's slice-grouped schedule
-///     serializes them; the verifier's plan.subunit.* checks validate the
-///     rotated footprints, so pairwise intersection is skipped here.
 ///
 /// A cross-iteration `+=` is a race like any other write: the engine, the
 /// JIT and the emitter all run Parallel loops in parallel, backward
@@ -33,7 +28,6 @@
 #include "analyze/diagnostics.h"
 #include "analyze/effects.h"
 
-#include <set>
 #include <string>
 
 namespace latte {
@@ -41,13 +35,9 @@ namespace analyze {
 
 /// Checks one parallel loop's effects for cross-iteration conflicts and
 /// appends race.* diagnostics to \p Diags; \p TaskLabel tags them. A loop
-/// with no parallel dimensions never conflicts with itself. \p RotatedRoots
-/// (may be null) names the unit's slice-rotated buffers, whose
-/// cross-iteration aliasing is intentional and scheduled around (see
-/// race.rotated-slice).
+/// with no parallel dimensions never conflicts with itself.
 void detectRaces(const UnitEffects &UE, const std::string &TaskLabel,
-                 DiagnosticReport &Diags,
-                 const std::set<std::string> *RotatedRoots = nullptr);
+                 DiagnosticReport &Diags);
 
 } // namespace analyze
 } // namespace latte

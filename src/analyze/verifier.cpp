@@ -11,7 +11,6 @@
 #include "support/casting.h"
 
 #include <functional>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -385,11 +384,9 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Evaluates the [min, one-past-max) element range a footprint may touch,
-/// substituting each base coefficient's variable range. Plain variables
-/// range over their parallel dim; "v%C" pseudo-variables (the slice-
-/// rotation rewrite, see compiler/rotate.h) range over [0, C-1] regardless
-/// of v's own extent. Returns false when a variable is unknown or a
-/// modulus is malformed — the range is unbounded and not checkable.
+/// substituting each base coefficient's variable with its parallel dim's
+/// range. Returns false when a variable is unknown — the range is
+/// unbounded and not checkable.
 bool footprintRange(const Footprint &Fp,
                     const std::vector<ParallelDim> &Dims, int64_t &MinOut,
                     int64_t &EndOut) {
@@ -398,29 +395,14 @@ bool footprintRange(const Footprint &Fp,
   int64_t Min = Fp.Base.Const;
   int64_t Max = Fp.Base.Const;
   for (const auto &[Var, C] : Fp.Base.Coeffs) {
-    int64_t VMin = 0, VMax = -1;
-    if (size_t Pct = Var.find('%'); Pct != std::string::npos) {
-      int64_t Mod = 0;
-      for (size_t I = Pct + 1; I < Var.size(); ++I) {
-        if (Var[I] < '0' || Var[I] > '9') {
-          Mod = 0;
-          break;
-        }
-        Mod = Mod * 10 + (Var[I] - '0');
-      }
-      if (Mod <= 0)
-        return false;
-      VMax = Mod - 1;
-    } else {
-      const ParallelDim *Dim = nullptr;
-      for (const ParallelDim &D : Dims)
-        if (D.Var == Var)
-          Dim = &D;
-      if (!Dim || Dim->Extent <= 0)
-        return false;
-      VMin = Dim->Lo;
-      VMax = Dim->Lo + Dim->Extent - 1;
-    }
+    const ParallelDim *Dim = nullptr;
+    for (const ParallelDim &D : Dims)
+      if (D.Var == Var)
+        Dim = &D;
+    if (!Dim || Dim->Extent <= 0)
+      return false;
+    int64_t VMin = Dim->Lo;
+    int64_t VMax = Dim->Lo + Dim->Extent - 1;
     Min += C * (C >= 0 ? VMin : VMax);
     Max += C * (C >= 0 ? VMax : VMin);
   }
@@ -467,9 +449,7 @@ void checkBounds(const UnitEffects &UE, const BufferTable &Bufs,
 
 void verifyProgramIR(const Stmt *Root, const std::vector<TaskLabel> &Labels,
                      bool IsBackward, const BufferTable &Bufs,
-                     const VerifyOptions &Opts,
-                     const std::map<int, std::set<std::string>> &RotatedByUnit,
-                     int UnitBase, DiagnosticReport &R) {
+                     const VerifyOptions &Opts, DiagnosticReport &R) {
   if (!Root)
     return;
   const auto *Block = dyn_cast<BlockStmt>(Root);
@@ -516,18 +496,14 @@ void verifyProgramIR(const Stmt *Root, const std::vector<TaskLabel> &Labels,
     if (Opts.CheckBounds)
       checkBounds(UE, Bufs, Label, R);
     if (Opts.CheckRaces) {
-      const std::set<std::string> *Rotated = nullptr;
-      if (auto It = RotatedByUnit.find(UnitBase + static_cast<int>(I));
-          It != RotatedByUnit.end())
-        Rotated = &It->second;
       // A unit the gradient partition split (compiler/gradpart.h) is a
       // block of sibling loops, each parallel on its own.
       if (const auto *Loops = dyn_cast<BlockStmt>(Unit))
         for (const StmtPtr &Loop : Loops->stmts())
           detectRaces(collectUnitEffects(Loop.get(), Bufs, nullptr), Label,
-                      R, Rotated);
+                      R);
       else
-        detectRaces(UE, Label, R, Rotated);
+        detectRaces(UE, Label, R);
     }
   }
 }
@@ -822,132 +798,6 @@ void verifyRecompute(const Program &Prog, const BufferTable &Bufs,
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Sub-unit slice-rotation checks
-//===----------------------------------------------------------------------===//
-
-/// Cross-validates the slice-rotation ledger (Program::Rotations, see
-/// compiler/rotate.h) against the rewritten IR it claims to describe: the
-/// rotated root exists and its leading dimension equals the recorded pool
-/// depth with matching per-slice extent (plan.subunit.shape); the pool is
-/// strictly smaller than the batch — otherwise rotation saved nothing and
-/// the engine serializes for free (plan.subunit.slices); the recorded
-/// timeline unit is a batch loop carrying the matching SliceModulus
-/// annotation so the executor actually serializes slice-sharing items
-/// (plan.subunit.unit); and — recomputed from analyze::effects, not read
-/// from the ledger — every access to the root inside that unit has shed
-/// its whole-batch term and lands inside the modular pool
-/// (plan.subunit.footprint). A forged ItemPrivate claim or an undersized
-/// pool fails these checks even when the planner happily packed the
-/// shrunken buffer.
-void verifySubUnit(const Program &Prog, const BufferTable &Bufs,
-                   DiagnosticReport &R) {
-  if (Prog.Rotations.empty())
-    return;
-  std::vector<const Stmt *> Units;
-  auto AddUnits = [&Units](const Stmt *Root) {
-    if (const auto *B = dyn_cast_if_present<const BlockStmt>(Root))
-      for (const StmtPtr &S : B->stmts())
-        Units.push_back(S.get());
-    else if (Root)
-      Units.push_back(Root);
-  };
-  AddUnits(Prog.Forward.get());
-  AddUnits(Prog.Backward.get());
-  for (const RotationInfo &RI : Prog.Rotations) {
-    auto Bad = [&](const std::string &Code,
-                   const std::string &Msg) -> Diagnostic & {
-      Diagnostic &D = R.error(Code, Msg);
-      D.Buffer = RI.Buffer;
-      return D;
-    };
-    const BufferInfo *Root = Prog.findBuffer(RI.Buffer);
-    if (!Root) {
-      Bad("plan.subunit.shape", "rotated buffer is not in the buffer table");
-      continue;
-    }
-    if (RI.Slices < 1 || RI.Slices >= Prog.BatchSize)
-      Bad("plan.subunit.slices",
-          "pool of " + std::to_string(RI.Slices) +
-              " slices is not in [1, batch) for batch size " +
-              std::to_string(Prog.BatchSize));
-    if (Root->Dims.rank() < 1 || Root->Dims[0] != RI.Slices)
-      Bad("plan.subunit.shape",
-          "leading dimension " +
-              std::to_string(Root->Dims.rank() ? Root->Dims[0] : 0) +
-              " disagrees with the recorded pool depth " +
-              std::to_string(RI.Slices));
-    if (RI.SliceElems <= 0 ||
-        Root->Dims.numElements() != RI.Slices * RI.SliceElems)
-      Bad("plan.subunit.shape",
-          "pool extent " + std::to_string(Root->Dims.numElements()) +
-              " disagrees with " + std::to_string(RI.Slices) + " slices x " +
-              std::to_string(RI.SliceElems) + " elements");
-    if (RI.Unit < 0 || RI.Unit >= static_cast<int>(Units.size())) {
-      Bad("plan.subunit.unit",
-          "recorded unit index " + std::to_string(RI.Unit) +
-              " is outside the " + std::to_string(Units.size()) +
-              "-unit timeline");
-      continue;
-    }
-    const auto *F = dyn_cast<const ForStmt>(Units[RI.Unit]);
-    if (!F) {
-      Bad("plan.subunit.unit",
-          "recorded unit " + std::to_string(RI.Unit) +
-              " is not a batch loop");
-      continue;
-    }
-    if (F->annotations().SliceModulus != RI.Slices) {
-      Bad("plan.subunit.unit",
-          "unit " + std::to_string(RI.Unit) + " carries SliceModulus " +
-              std::to_string(F->annotations().SliceModulus) +
-              " but the ledger records a pool of " +
-              std::to_string(RI.Slices));
-      continue;
-    }
-
-    // Recompute the rotated footprints from the IR: after the rewrite no
-    // access may scale with the batch variable, and every reachable
-    // element must sit inside the modular pool.
-    UnitEffects UE = collectUnitEffects(Units[RI.Unit], Bufs, nullptr);
-    auto It = UE.Effects.Buffers.find(Root->Name);
-    if (It == UE.Effects.Buffers.end()) {
-      Bad("plan.subunit.footprint",
-          "recorded unit " + std::to_string(RI.Unit) +
-              " never references the rotated buffer");
-      continue;
-    }
-    const int64_t PoolElems = RI.Slices * RI.SliceElems;
-    for (const Access &A : It->second) {
-      if (!A.Fp.Exact && !A.HasBound) {
-        Bad("plan.subunit.footprint",
-            "access has no exact or bounded footprint to validate against "
-            "the pool: " +
-                A.Detail);
-        continue;
-      }
-      const Footprint &Fp = A.Fp.Exact ? A.Fp : A.Bound;
-      if (auto CIt = Fp.Base.Coeffs.find(F->var());
-          CIt != Fp.Base.Coeffs.end() && CIt->second != 0) {
-        Bad("plan.subunit.footprint",
-            "access still scales with the whole batch (coefficient " +
-                std::to_string(CIt->second) + " on '" + F->var() +
-                "'): " + A.Detail + " [" + Fp.str() + "]");
-        continue;
-      }
-      int64_t Min = 0, End = 0;
-      if (!footprintRange(Fp, UE.Dims, Min, End))
-        continue; // unbounded symbols are ir.bounds' problem, not ours
-      if (Min < 0 || End > PoolElems)
-        Bad("plan.subunit.footprint",
-            "access may reach elements [" + std::to_string(Min) + ", " +
-                std::to_string(End) + ") of a " +
-                std::to_string(PoolElems) + "-element pool: " + A.Detail +
-                " [" + Fp.str() + "]");
-    }
-  }
-}
-
 } // namespace
 
 DiagnosticReport analyze::verifyProgram(const Program &Prog,
@@ -960,24 +810,11 @@ DiagnosticReport analyze::verifyProgram(const Program &Prog,
   if (R.hasErrors())
     return R;
   BufferTable Bufs(Prog);
-  // Slice-rotated roots intentionally alias across batch iterations that
-  // share a pool slice; the race detector whitelists them per global unit
-  // (race.rotated-slice) and verifySubUnit validates the rotation instead.
-  std::map<int, std::set<std::string>> RotatedByUnit;
-  for (const RotationInfo &RI : Prog.Rotations)
-    RotatedByUnit[RI.Unit].insert(RI.Buffer);
-  int NumFwd = 0;
-  if (const auto *B = dyn_cast_if_present<const BlockStmt>(Prog.Forward.get()))
-    NumFwd = static_cast<int>(B->stmts().size());
-  else if (Prog.Forward)
-    NumFwd = 1;
   verifyProgramIR(Prog.Forward.get(), Prog.ForwardTasks, /*IsBackward=*/false,
-                  Bufs, Opts, RotatedByUnit, /*UnitBase=*/0, R);
+                  Bufs, Opts, R);
   verifyProgramIR(Prog.Backward.get(), Prog.BackwardTasks,
-                  /*IsBackward=*/true, Bufs, Opts, RotatedByUnit,
-                  /*UnitBase=*/NumFwd, R);
+                  /*IsBackward=*/true, Bufs, Opts, R);
   verifyRecompute(Prog, Bufs, R);
-  verifySubUnit(Prog, Bufs, R);
   verifyMemoryPlan(Prog, Bufs, R);
   return R;
 }

@@ -50,9 +50,7 @@ namespace {
 // loop body — exact Env-copy semantics with or without OpenMP — while the
 // serial branch reuses the enclosing locals directly. Loops nested inside
 // a parallel branch are emitted serial outright, mirroring the
-// interpreter's AllowParallel=false propagation. Slice-rotated loops
-// (compiler/rotate.h) run parallel over slices, items ascending within a
-// slice, with one environment copy per slice — the executor's schedule.
+// interpreter's AllowParallel=false propagation.
 //
 // Kernel calls normally dispatch through the ctx trampoline: into the
 // engine's library kernels in the JIT (the exact functions the interpreter
@@ -860,13 +858,6 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
       line(Ind,
            "float " + V + " = _snap" + std::to_string(Id) + "_" + V + ";");
   };
-  auto SerialElse = [&]() {
-    line(Indent, "} else {");
-    SerialHeader(Indent + 1);
-    EmitBody(F->body(), Indent + 2);
-    line(Indent + 1, "}");
-    line(Indent, "}");
-  };
 
   if (Par && Collapsed) {
     // Interpreter collapsed path: flatten batch x tile; iteration order of
@@ -901,28 +892,6 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
     return;
   }
 
-  // Slice-rotated loop (compiler/rotate.h): iterations sharing a slice
-  // (equal n mod SliceModulus) must not run concurrently, so the parallel
-  // dimension is the slice and its items run in ascending order, sharing
-  // one Env copy per slice.
-  if (int64_t SliceMod = F->annotations().SliceModulus;
-      Par && SliceMod > 0 && F->extent() > 1) {
-    std::string Sl = "_sl" + std::to_string(Id);
-    OpenParallel();
-    line(Indent + 1, "for (int64_t " + Sl + " = 0; " + Sl + " < (int64_t)" +
-                         std::to_string(std::min(SliceMod, F->extent())) +
-                         "; ++" + Sl + ") {");
-    Privatize(Indent + 2);
-    line(Indent + 2, "for (int64_t " + Var + " = " + Lo + " + " + Sl + "; " +
-                         Var + " < " + Bound + "; " + Var + " += (int64_t)" +
-                         std::to_string(SliceMod) + ") {");
-    EmitBody(F->body(), Indent + 3);
-    line(Indent + 2, "}");
-    line(Indent + 1, "}");
-    SerialElse();
-    return;
-  }
-
   if (Par && F->extent() > 1) {
     OpenParallel();
     SerialHeader(Indent + 1);
@@ -931,7 +900,11 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
     EmitBody(F->body(), Indent + 3);
     line(Indent + 2, "}");
     line(Indent + 1, "}");
-    SerialElse();
+    line(Indent, "} else {");
+    SerialHeader(Indent + 1);
+    EmitBody(F->body(), Indent + 2);
+    line(Indent + 1, "}");
+    line(Indent, "}");
     return;
   }
 

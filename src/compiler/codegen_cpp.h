@@ -3,7 +3,7 @@
 /// \file
 /// The code-generation phase (§5.5): one emitter prints a compiled
 /// Program's optimized IR (post pattern-matching / tiling / fusion /
-/// parallelization / slice rotation) as C++ — one `extern "C"` task
+/// parallelization) as C++ — one `extern "C"` task
 /// function per top-level unit, with OpenMP `parallel for
 /// schedule(static, 1)` pragmas on annotated loops (batch × tile flattened
 /// into one loop, the paper's `collapse(2)`). The original system lowered

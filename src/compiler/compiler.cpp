@@ -8,7 +8,6 @@
 #include "compiler/memplan.h"
 #include "compiler/passes.h"
 #include "compiler/recompute.h"
-#include "compiler/rotate.h"
 #include "compiler/synthesis.h"
 #include "ir/printer.h"
 #include "support/casting.h"
@@ -120,15 +119,8 @@ Program compiler::compile(const core::Net &Net, const CompileOptions &Opts) {
     prof::ScopedTimer T("recompute");
     recomputeGathers(Prog);
   }
-  if (Opts.SliceRotation) {
-    // After recompute/strip (both reshape the timeline) and before
-    // planMemory (which sizes arena lifetimes from the shrunk Dims).
-    prof::ScopedTimer T("slice-rotation");
-    rotateSlices(Prog, Opts);
-  }
   if (Opts.Parallelize && !Opts.Inference) {
-    // After rotation (rotated units keep their slice-grouped schedule and
-    // are left serial) and before planMemory; the unit count is unchanged.
+    // After recompute and before planMemory; the unit count is unchanged.
     prof::ScopedTimer T("grad-partition");
     partitionParamGrads(Prog);
   }
@@ -165,7 +157,6 @@ std::vector<PassStage> compiler::compileStaged(const core::Net &Net,
   Cur.Parallelize = false;
   Cur.VectorKernels = false;
   Cur.Recompute = false;
-  Cur.SliceRotation = false;
 
   struct Switch {
     const char *Name;
@@ -179,7 +170,6 @@ std::vector<PassStage> compiler::compileStaged(const core::Net &Net,
       {"+fusion", &CompileOptions::Fusion},
       {"+parallelize", &CompileOptions::Parallelize},
       {"+recompute", &CompileOptions::Recompute},
-      {"+slice-rotation", &CompileOptions::SliceRotation},
   };
 
   std::vector<PassStage> Stages;

@@ -133,10 +133,6 @@ private:
 StmtPtr Partitioner::splitBatchLoop(const ForStmt &F,
                                     const std::set<std::string> &Grads,
                                     std::string &Why) const {
-  if (F.annotations().SliceModulus > 0) {
-    Why = "slice-rotated loop";
-    return nullptr;
-  }
   const auto *Body = dyn_cast<BlockStmt>(F.body());
   if (!Body) {
     Why = "loop body is not a statement list";

@@ -31,8 +31,8 @@
 /// loop (a) writes in a later item (the race detector over the original
 /// unit reports nothing outside those roots) or, for statements that
 /// followed them in the body, in the same item. A unit that fails — an
-/// interpreted `+=` nest, a slice-rotated loop — loses its Parallel
-/// annotation and runs serially; CompileReport::Notes records why.
+/// interpreted `+=` nest, say — loses its Parallel annotation and runs
+/// serially; CompileReport::Notes records why.
 ///
 /// After this pass a Parallel annotation on a backward loop means
 /// race-free, exactly as it does in forward, so the engine, the JIT and
@@ -54,7 +54,7 @@ struct Program;
 /// and fully-connected output-channel count in AlexNet and VGG.
 constexpr int64_t kGradRowBlock = 32;
 
-/// Runs the partition over Prog.Backward (after rotateSlices, before
+/// Runs the partition over Prog.Backward (after recomputeGathers, before
 /// planMemory; only meaningful when CompileOptions::Parallelize is on).
 void partitionParamGrads(Program &Prog);
 

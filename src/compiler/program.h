@@ -123,22 +123,6 @@ struct RecomputeInfo {
   int64_t Bytes = 0;
 };
 
-/// One slice-rotation decision (compiler/rotate.h): a chain-internal buffer
-/// proven ItemPrivate + overwrite-first by the sub-unit effect analysis
-/// (analyze::classifySubUnit) was shrunk from a full-batch allocation to a
-/// modular pool of \c Slices item slices; every batch-indexed access inside
-/// its single referencing unit was rewritten from `n` to `n % Slices`, and
-/// the unit's loop annotations carry SliceModulus so the executor schedules
-/// slice-sharing iterations serially. The verifier's plan.subunit.* checks
-/// cross-validate each entry against the rewritten IR.
-struct RotationInfo {
-  std::string Buffer;     ///< rotated alias-root
-  int Unit = -1;          ///< global timeline unit (forward units first)
-  int64_t Slices = 0;     ///< pool depth D (< batch size)
-  int64_t SliceElems = 0; ///< item stride S the analysis proved private
-  int64_t SavedBytes = 0; ///< (B - D) * S * sizeof(float), before packing
-};
-
 /// A compiled network.
 struct Program {
   int64_t BatchSize = 0;
@@ -164,12 +148,6 @@ struct Program {
   /// qualified). Consumed by the memory planner, the verifier's
   /// plan.recompute.* checks, the profiler, and the bench harness.
   std::vector<RecomputeInfo> Recomputes;
-
-  /// Buffers the slice-rotation pass shrank to modular per-item pools
-  /// (empty when CompileOptions::SliceRotation is off or nothing
-  /// qualified). Consumed by the verifier's plan.subunit.* checks, the
-  /// race detector's rotated-root whitelist, and the bench harness.
-  std::vector<RotationInfo> Rotations;
 
   /// Arena layout computed by planMemory() at the end of compile().
   /// Plan.Valid is false on hand-built programs; the engine then
@@ -219,7 +197,6 @@ struct Program {
     P.ProbBuffer = ProbBuffer;
     P.Report = Report;
     P.Recomputes = Recomputes;
-    P.Rotations = Rotations;
     P.Plan = Plan;
     P.Jit = Jit;
     P.Inference = Inference;
@@ -263,20 +240,6 @@ struct CompileOptions {
   /// verification sweep. Off by default — purely a steady-state speed
   /// lever, bitwise-identical results either way.
   bool Jit = false;
-  /// Per-item slice rotation (compiler/rotate.h): buffers the sub-unit
-  /// effect analysis proves ItemPrivate inside a single batch-loop unit are
-  /// shrunk to a modular pool of D item slices instead of a full-batch
-  /// allocation — the fused-chain memory the planner cannot fold because
-  /// the whole chain is one timeline unit. Lattice bit 8 in the
-  /// verification sweep; bitwise identical on or off. Off by default: it
-  /// trades intra-unit parallelism (D-way instead of B-way on rotated
-  /// chains) for arena bytes.
-  bool SliceRotation = false;
-  /// Slice pool depth override for SliceRotation. 0 = auto: the chain's
-  /// intra-item dependence depth (max tiled-loop dependence distance + 1,
-  /// minimum 2). Values below the dependence depth are raised to it;
-  /// buffers whose batch loop is not longer than the pool are skipped.
-  int64_t RotateSlices = 0;
   /// Inference mode (compileForward): assemble the forward program only,
   /// then strip everything backward-owned — backward tasks, gradient and
   /// solver buffers, backward-only index tables, parameter bindings. The

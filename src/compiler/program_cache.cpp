@@ -71,15 +71,14 @@ std::string ProgramCache::key(const models::ModelSpec &Spec,
   // checking knob, not a program-shaping one, and is deliberately absent.
   // Keep this list in lockstep with CompileOptions: a missing field lets
   // two option sets alias one cache entry and serve the wrong program
-  // (the Recompute/SliceRotation-era regression the rekey test pins).
+  // (the regression the rekey test pins).
   int64_t Bits = 0;
   for (bool B : {Opts.PatternMatchGemm, Opts.PatternMatchKernels, Opts.Tiling,
                  Opts.Fusion, Opts.Parallelize, Opts.VectorKernels,
-                 Opts.Recompute, Opts.Jit, Opts.SliceRotation, Opts.Inference,
-                 Opts.EvalDropout, Opts.GradSyncHooks})
+                 Opts.Recompute, Opts.Jit, Opts.Inference, Opts.EvalDropout,
+                 Opts.GradSyncHooks})
     Bits = (Bits << 1) | (B ? 1 : 0);
   F.i64(Bits);
-  F.i64(Opts.RotateSlices);
   F.i64(Opts.TileSize);
   F.i64(Opts.MinRowsToTile);
   F.i64(BatchSize);

@@ -660,27 +660,6 @@ void Executor::execStmt(const Stmt *S, Env &E) {
       }
       return;
     }
-    // Slice-rotated batch loop (compiler/rotate.h): iterations that share
-    // a slice of a rotated buffer (equal n mod SliceModulus) must not run
-    // concurrently, so the parallel dimension is the slice index and the
-    // items within a slice run serially in batch order.
-    if (int64_t SliceMod = F->annotations().SliceModulus;
-        Par && SliceMod > 0 && Extent > 1) {
-      int64_t NumSlices = std::min(SliceMod, Extent);
-#ifdef LATTE_HAVE_OPENMP
-#pragma omp parallel for schedule(static, 1)
-#endif
-      for (int64_t Sl = 0; Sl < NumSlices; ++Sl) {
-        Env Local = E;
-        Local.AllowParallel = false;
-        Local.IntVars.emplace_back(F->var(), 0);
-        for (int64_t I = Sl; I < Extent; I += SliceMod) {
-          Local.IntVars.back().second = Lo + I;
-          execStmt(F->body(), Local);
-        }
-      }
-      return;
-    }
     if (Par && Extent > 1) {
 #ifdef LATTE_HAVE_OPENMP
 #pragma omp parallel for schedule(static, 1)

@@ -86,13 +86,6 @@ private:
 struct LoopAnnotations {
   bool Parallel = false;
   int Collapse = 1;
-  /// When > 0, the slice-rotation pass rewrote batch-indexed accesses in
-  /// this loop's body to address a modular pool of SliceModulus item
-  /// slices (buffer index `n % SliceModulus` instead of `n`). Iterations
-  /// that share a slice must not run concurrently: the executor and the
-  /// C++ emitter schedule the parallel loop over slices (serial
-  /// stride-SliceModulus inner walk).
-  int64_t SliceModulus = 0;
 };
 
 /// Counted loop: for Var in [Lo, Lo + Extent). The trip count is a static

@@ -148,21 +148,16 @@ std::vector<unsigned> verify::sweepMasks() {
   }
   // Per-PR tier: the full Recompute-on sub-lattice (the shipping default
   // for every switch combination underneath it) plus the everything-but-
-  // recompute point — 66 masks, about the cost of the old 2^6 sweep —
+  // recompute point — 66 masks, about the cost of the old 2^6 sweep — and
   // three JIT probes (JIT alone, JIT over the recompute default,
-  // everything but rotation), and three slice-rotation probes (rotation
-  // alone, rotation over the recompute default, everything on). The full
-  // JIT and rotation sub-lattices are deep-tier only; the dedicated
-  // jit_diff_test sweeps all 64 base masks per PR.
+  // everything on). The full JIT sub-lattice is deep-tier only; the
+  // dedicated jit_diff_test sweeps all 64 base masks per PR.
   for (unsigned M = 64; M < 128; ++M)
     Masks.push_back(M);
   Masks.push_back(0x3f);
   Masks.push_back(0x80);
   Masks.push_back(0xC0);
   Masks.push_back(0xFF);
-  Masks.push_back(0x100);
-  Masks.push_back(0x140);
-  Masks.push_back(0x1FF);
   return Masks;
 }
 
@@ -178,7 +173,6 @@ CompileOptions verify::optionsForMask(unsigned Mask,
   C.VectorKernels = (Mask & 32u) != 0;
   C.Recompute = (Mask & 64u) != 0;
   C.Jit = (Mask & 128u) != 0;
-  C.SliceRotation = (Mask & 256u) != 0;
   C.TileSize = O.TileSize;
   C.MinRowsToTile = O.MinRowsToTile;
   C.VerifyEach = O.VerifyEach;
@@ -191,7 +185,7 @@ std::string verify::flagString(const CompileOptions &Opts) {
      << " kernels=" << Opts.PatternMatchKernels << " tiling=" << Opts.Tiling
      << " fusion=" << Opts.Fusion << " parallel=" << Opts.Parallelize
      << " vector=" << Opts.VectorKernels << " recompute=" << Opts.Recompute
-     << " jit=" << Opts.Jit << " rotate=" << Opts.SliceRotation;
+     << " jit=" << Opts.Jit;
   return Os.str();
 }
 

@@ -4,8 +4,8 @@
 /// The differential oracle at the heart of the verification subsystem: one
 /// core::Net is compiled under every combination of the CompileOptions
 /// optimization switches (PatternMatchGemm, PatternMatchKernels, Tiling,
-/// Fusion, Parallelize, VectorKernels, Recompute, Jit, SliceRotation —
-/// 2^9 lattice points),
+/// Fusion, Parallelize, VectorKernels, Recompute, Jit — 2^8 lattice
+/// points),
 /// each variant runs the same seeded inputs/labels/parameters
 /// deterministically, and
 /// forward outputs plus all parameter gradients must agree with the
@@ -34,7 +34,7 @@ namespace latte {
 namespace verify {
 
 /// Number of swept switches; the lattice has 2^kNumLatticeSwitches points.
-constexpr unsigned kNumLatticeSwitches = 9;
+constexpr unsigned kNumLatticeSwitches = 8;
 
 /// True when the deep verification tier is requested (LATTE_DEEP=1 in the
 /// environment — set by the nightly CI pipeline). Deep-tier consumers
@@ -45,12 +45,10 @@ bool deepTier();
 
 /// The lattice masks to sweep at the current tier. Per-PR: the reference
 /// point, the full Recompute-on sub-lattice (the shipping default), the
-/// all-but-recompute point, three JIT probes (JIT alone, JIT over the
-/// recompute default, everything-but-rotation), and three slice-rotation
-/// probes (rotation alone, rotation over the recompute default,
-/// everything on) — 72 masks, about the cost of the old 2^6 sweep. Deep
-/// tier (LATTE_DEEP=1): all 2^kNumLatticeSwitches masks. Mask 0 (the
-/// reference) is always first.
+/// all-but-recompute point, and three JIT probes (JIT alone, JIT over the
+/// recompute default, everything on) — 69 masks, about the cost of the
+/// old 2^6 sweep. Deep tier (LATTE_DEEP=1): all 2^kNumLatticeSwitches
+/// masks. Mask 0 (the reference) is always first.
 std::vector<unsigned> sweepMasks();
 
 struct LatticeOptions {
@@ -110,13 +108,12 @@ struct LatticeReport {
 
 /// Decodes a lattice point: bit 0 = PatternMatchGemm, 1 =
 /// PatternMatchKernels, 2 = Tiling, 3 = Fusion, 4 = Parallelize, 5 =
-/// VectorKernels, 6 = Recompute, 7 = Jit, 8 = SliceRotation. Tile
-/// geometry comes from \p O.
+/// VectorKernels, 6 = Recompute, 7 = Jit. Tile geometry comes from \p O.
 compiler::CompileOptions optionsForMask(unsigned Mask,
                                         const LatticeOptions &O = {});
 
 /// Renders options as "gemm=1 kernels=0 tiling=1 fusion=0 parallel=0
-/// vector=1 recompute=0 jit=0 rotate=0" for failure messages.
+/// vector=1 recompute=0 jit=0" for failure messages.
 std::string flagString(const compiler::CompileOptions &Opts);
 
 /// Runs the full lattice over \p Net. The net must end in a loss ensemble

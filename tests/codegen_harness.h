@@ -37,7 +37,7 @@ using NamedTensors = std::vector<std::pair<std::string, Tensor>>;
 
 /// conv 3x3 (pad 1) -> ReLU -> 2x2 max pool -> fc -> softmax loss over
 /// {2, 8, 8} inputs. The default pipeline fuses conv + ReLU + pool into
-/// one batch loop; from batch 3 up, slice rotation fires on it.
+/// one batch loop.
 inline std::unique_ptr<core::Net> makeConvNet(int64_t Batch) {
   using namespace layers;
   auto Net = std::make_unique<core::Net>(Batch);

@@ -5,8 +5,8 @@
 /// row-block-parallel loop whose ParamGrad write footprints are disjoint
 /// across blocks, whole-batch fully-connected dW GEMMs are row-blocked with
 /// a static tail, and units the pass cannot split — interpreted `+=`
-/// nests, slice-rotated loops — keep no Parallel annotation on a loop that
-/// accumulates into a parameter gradient.
+/// nests — keep no Parallel annotation on a loop that accumulates into a
+/// parameter gradient.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -203,15 +203,4 @@ TEST(GradPartitionTest, InterpretedAccumulationStaysSerial) {
   for (const std::string &N : P.Report.Notes)
     SerialNotes += N.find("runs serially") != std::string::npos;
   EXPECT_GE(SerialNotes, 5);
-}
-
-TEST(GradPartitionTest, SliceRotatedUnitsStaySerial) {
-  CompileOptions Opts;
-  Opts.SliceRotation = true;
-  Opts.TileSize = 4;
-  Opts.MinRowsToTile = 2;
-  Program P = compileModel(models::vggFirstThreeLayers(0.25), 4, Opts);
-  ASSERT_FALSE(P.Rotations.empty());
-  analyze::BufferTable Bufs(P);
-  EXPECT_EQ(parallelGradLoops(P.Backward.get(), Bufs), 0);
 }

@@ -234,40 +234,6 @@ TEST(MemPlanTest, FusedVgg16ArenaSavesAtLeast6Percent) {
   EXPECT_GE(Saved, 0.06) << P.Plan.str();
 }
 
-// Sub-unit slice rotation (compiler/rotate.h): the fused point folds ~0%
-// because every chain-internal buffer shares the chain's single timeline
-// unit — but the backward chain's col2im scratch is proven ItemPrivate by
-// the sub-unit effect analysis and shrinks to a 2-slice modular pool,
-// giving back (B - D) item slices the unit-granular planner never could.
-TEST(MemPlanTest, SliceRotationShrinksFusedVgg3Arena) {
-  CompileOptions Base; // the full default pipeline: fused chains
-  Program Unrotated = compileModel(models::vggFirstThreeLayers(0.25), 4, Base);
-  CompileOptions Rot = Base;
-  Rot.SliceRotation = true;
-  Program Rotated = compileModel(models::vggFirstThreeLayers(0.25), 4, Rot);
-  ASSERT_TRUE(Unrotated.Plan.Valid);
-  ASSERT_TRUE(Rotated.Plan.Valid);
-
-  EXPECT_TRUE(Unrotated.Rotations.empty());
-  ASSERT_FALSE(Rotated.Rotations.empty());
-  for (const RotationInfo &RI : Rotated.Rotations) {
-    EXPECT_GE(RI.Slices, 1) << RI.Buffer;
-    EXPECT_LT(RI.Slices, 4) << RI.Buffer;
-    EXPECT_GT(RI.SliceElems, 0) << RI.Buffer;
-    EXPECT_GT(RI.SavedBytes, 0) << RI.Buffer;
-    const BufferInfo *Root = Rotated.findBuffer(RI.Buffer);
-    ASSERT_NE(Root, nullptr) << RI.Buffer;
-    EXPECT_EQ(Root->Dims[0], RI.Slices) << RI.Buffer;
-  }
-
-  // Measured floor (deterministic, like the savings bounds above): the
-  // backward fused chain's conv1_1_grad_inputs0 rotates from 4 item
-  // slices to 2, returning 677376 bytes at scale 0.25 / batch 4.
-  EXPECT_LT(Rotated.Plan.ArenaBytes, Unrotated.Plan.ArenaBytes);
-  EXPECT_GE(Unrotated.Plan.ArenaBytes - Rotated.Plan.ArenaBytes, 650000)
-      << Rotated.Plan.str();
-}
-
 TEST(MemPlanTest, ArenaNeverExceedsEagerPlusAlignmentSlack) {
   for (unsigned Mask : {0x00u, 0x0fu, 0x33u, 0x3fu}) {
     CompileOptions Opts = verify::optionsForMask(Mask);

@@ -4,7 +4,8 @@
 /// shared-object cache (hit / recompile / corrupt-object recovery), clean
 /// interpreter fallback when the system compiler is broken, per-task
 /// fallback for non-codegen-able units (dropout), module sharing across
-/// executors, slice-rotated units, source determinism, and finite-difference
+/// executors, byte identity with the interpreter for training and
+/// forward-only programs, source determinism, and finite-difference
 /// gradient checking through the JIT dispatch path.
 ///
 /// Cache tests point LATTE_JIT_DIR at a fresh temp directory so a
@@ -260,19 +261,17 @@ TEST(JitExecutorTest, PerTaskFallbackForDropout) {
   }
 }
 
-TEST(JitExecutorTest, SliceRotatedUnitsRunJitted) {
+TEST(JitExecutorTest, ConvNetTrainAndForwardOnlyMatchInterpreter) {
   if (!jit::available())
     GTEST_SKIP() << "JIT backend unavailable";
 
-  // The emitter renders slice-rotated loops with the executor's schedule,
-  // so rotated units run jitted. One SGD step of the smallest rotating
-  // conv net must leave params and grads byte-identical to the
-  // interpreter's; its forward-only compile, whose rotated loop is
-  // parallel over slices, must match too.
+  // Every unit of the small fused conv net runs jitted. One SGD step must
+  // leave params and grads byte-identical to the interpreter's; its
+  // forward-only compile, whose fused chain is a parallel batch loop,
+  // must match too.
   std::unique_ptr<core::Net> Net = codegen_harness::makeConvNet(3);
   CompileOptions CO;
   CO.Jit = true;
-  CO.SliceRotation = true;
   ExecOptions EO;
   EO.Deterministic = true;
   ExecOptions NoJit = EO;
@@ -290,7 +289,6 @@ TEST(JitExecutorTest, SliceRotatedUnitsRunJitted) {
 
   Executor A(compile(*Net, CO), EO);
   Executor B(compile(*Net, CO), NoJit);
-  ASSERT_FALSE(A.program().Rotations.empty());
   ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
   EXPECT_EQ(A.jitFallbackCount(), 0);
   seedExecutor(A, 5);
@@ -311,7 +309,6 @@ TEST(JitExecutorTest, SliceRotatedUnitsRunJitted) {
 
   Executor C(compileForward(*Net, CO), EO);
   Executor D(compileForward(*Net, CO), NoJit);
-  ASSERT_FALSE(C.program().Rotations.empty());
   ASSERT_TRUE(C.jitActive()) << C.jitDiagnostic();
   EXPECT_EQ(C.jitFallbackCount(), 0);
   seedExecutor(C, 5);

@@ -141,7 +141,6 @@ TEST(GraphSpecTest, SequenceClassifiersTrainSmokeUnplanned) {
   // for aliased tied weights and the BPTT liveness fallback.
   CompileOptions NoPlan;
   NoPlan.Fusion = false;
-  NoPlan.SliceRotation = false;
   trainSmoke(lstmClassifier(), NoPlan);
   trainSmoke(attentionClassifier(), NoPlan);
 }

@@ -527,9 +527,9 @@ TEST(Server, ProgramCacheHitsOnSecondServer) {
 
 TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
   // Regression pin for the fingerprint audit: every program-shaping
-  // CompileOptions field must perturb the cache key. The Recompute and
-  // SliceRotation era added fields without rekeying, so two option sets
-  // aliased one entry and the server served the wrong program.
+  // CompileOptions field must perturb the cache key. Fields were once
+  // added without rekeying, so two option sets aliased one entry and the
+  // server served the wrong program.
   models::ModelSpec Spec = testSpec();
   const compiler::CompileOptions Base;
   auto K = [&](const compiler::CompileOptions &CO) {
@@ -548,8 +548,6 @@ TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
       {"VectorKernels", [](auto &C) { C.VectorKernels ^= true; }},
       {"Recompute", [](auto &C) { C.Recompute ^= true; }},
       {"Jit", [](auto &C) { C.Jit ^= true; }},
-      {"SliceRotation", [](auto &C) { C.SliceRotation ^= true; }},
-      {"RotateSlices", [](auto &C) { C.RotateSlices = 3; }},
       {"Inference", [](auto &C) { C.Inference ^= true; }},
       {"EvalDropout", [](auto &C) { C.EvalDropout ^= true; }},
       {"GradSyncHooks", [](auto &C) { C.GradSyncHooks ^= true; }},

@@ -1,7 +1,7 @@
 //===- tests/verify/lattice_test.cpp --------------------------*- C++ -*-===//
 ///
 /// The optimization-lattice differential oracle: the swept combinations of
-/// the nine CompileOptions switches (all 2^9 = 512 points at the deep
+/// the eight CompileOptions switches (all 2^8 = 256 points at the deep
 /// tier, the curated verify::sweepMasks() subset per-PR) must produce the
 /// same forward outputs and parameter gradients as the fully-unoptimized
 /// interpreter, on three hand-built nets covering the GEMM path, the
@@ -81,22 +81,21 @@ void buildCustomNet(Net &Net) {
 } // namespace
 
 TEST(LatticeTest, OptionsForMaskCoversAllSwitches) {
-  EXPECT_EQ(verify::kNumLatticeSwitches, 9u);
+  EXPECT_EQ(verify::kNumLatticeSwitches, 8u);
   CompileOptions None = verify::optionsForMask(0);
   EXPECT_FALSE(None.PatternMatchGemm || None.PatternMatchKernels ||
                None.Tiling || None.Fusion || None.Parallelize ||
-               None.VectorKernels || None.Recompute || None.Jit ||
-               None.SliceRotation);
-  CompileOptions All = verify::optionsForMask(511);
+               None.VectorKernels || None.Recompute || None.Jit);
+  CompileOptions All = verify::optionsForMask(255);
   EXPECT_TRUE(All.PatternMatchGemm && All.PatternMatchKernels && All.Tiling &&
               All.Fusion && All.Parallelize && All.VectorKernels &&
-              All.Recompute && All.Jit && All.SliceRotation);
+              All.Recompute && All.Jit);
   // Each bit flips exactly one switch.
   for (unsigned Bit = 0; Bit < verify::kNumLatticeSwitches; ++Bit) {
     CompileOptions C = verify::optionsForMask(1u << Bit);
     int On = C.PatternMatchGemm + C.PatternMatchKernels + C.Tiling +
              C.Fusion + C.Parallelize + C.VectorKernels + C.Recompute +
-             C.Jit + C.SliceRotation;
+             C.Jit;
     EXPECT_EQ(On, 1) << "bit " << Bit;
   }
   std::string S = verify::flagString(All);
@@ -104,7 +103,6 @@ TEST(LatticeTest, OptionsForMaskCoversAllSwitches) {
   EXPECT_NE(S.find("vector=1"), std::string::npos);
   EXPECT_NE(S.find("recompute=1"), std::string::npos);
   EXPECT_NE(S.find("jit=1"), std::string::npos);
-  EXPECT_NE(S.find("rotate=1"), std::string::npos);
 }
 
 TEST(LatticeTest, SweepMasksCoverTier) {
@@ -115,18 +113,15 @@ TEST(LatticeTest, SweepMasksCoverTier) {
     EXPECT_EQ(Masks.size(), 1u << verify::kNumLatticeSwitches);
   } else {
     // Per-PR tier: reference + full recompute-on sub-lattice + the
-    // all-but-recompute point + three JIT probes + three slice-rotation
-    // probes, at roughly the pre-recompute sweep cost (the full JIT x
-    // base cross product lives in jit_diff_test and the deep tier).
-    EXPECT_EQ(Masks.size(), 72u);
+    // all-but-recompute point + three JIT probes, at roughly the
+    // pre-recompute sweep cost (the full JIT x base cross product lives in
+    // jit_diff_test and the deep tier).
+    EXPECT_EQ(Masks.size(), 69u);
     EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x7fu), Masks.end());
     EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x3fu), Masks.end());
     EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x80u), Masks.end());
     EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0xC0u), Masks.end());
     EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0xFFu), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x100u), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x140u), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x1FFu), Masks.end());
   }
   for (unsigned M : Masks)
     EXPECT_LT(M, 1u << verify::kNumLatticeSwitches);
@@ -161,8 +156,8 @@ TEST(LatticeTest, CustomNeuronLattice) {
 TEST(LatticeTest, UnrolledLstmLattice) {
   // The unrolled shared-weight LSTM across the whole per-PR mask tier:
   // tied-gate GEMM matching, fusion, memory planning over aliased weight
-  // roots, slice rotation, and the JIT probes must all stay bitwise
-  // faithful to the interpreter, gradients included (BPTT).
+  // roots, and the JIT probes must all stay bitwise faithful to the
+  // interpreter, gradients included (BPTT).
   Net Net(2);
   models::buildLatte(Net, models::lstmClassifier(3, 4, 3, 3),
                      /*WithLoss=*/true);

@@ -3,19 +3,19 @@
 /// \file
 /// latte-lint: compiles a shipped model (src/models/) at a chosen
 /// CompileOptions lattice point (or the tier's sweep of them —
-/// verify::sweepMasks, all 2^9 under LATTE_DEEP=1), runs the static
+/// verify::sweepMasks, all 2^8 under LATTE_DEEP=1), runs the static
 /// verifier + race detector, and prints structured diagnostics, optionally
-/// with per-task effect-set dumps (--dump-effects) and per-chain sub-unit
-/// slice classifications (--dump-subunit). --inference lints the
+/// with per-task effect-set dumps (--dump-effects). --inference lints the
 /// compileForward() program instead of the training compile — the
 /// stripped buffer table and forward-only memory plan go through the same
 /// verifier. Exit code 1 when any Error diagnostic was produced, 0
-/// otherwise (warnings and rotated-slice notes do not fail the run).
+/// otherwise (warnings and notes do not fail the run); 2 on a usage error,
+/// including a numeric argument that does not parse completely or is out
+/// of range.
 ///
 /// The --corrupt mode injects one of the hand-corruption fixtures the
 /// verifier tests key on (shape-mismatch, use-before-def, dropped-barrier,
-/// cross-iteration-write, plan-overlap, plan-oob, recompute-after-use,
-/// forged-item-private, undersized-rotation)
+/// cross-iteration-write, plan-overlap, plan-oob, recompute-after-use)
 /// into the compiled program before verification;
 /// with --expect CODE it exits 0 iff the verifier found errors including
 /// CODE — i.e. iff an uncorrupted lint run *would* have exited 1.
@@ -32,7 +32,10 @@
 #include "support/casting.h"
 #include "verify/lattice.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -50,7 +53,6 @@ struct Options {
   bool DumpEffects = false;
   bool DumpIR = false;
   bool DumpPlan = false;
-  bool DumpSubunit = false;
   bool Inference = false; ///< lint the compileForward() program
   std::string Corrupt; ///< fixture name, empty = none
   std::string Expect;  ///< diagnostic code required under --corrupt
@@ -231,64 +233,6 @@ void corruptRecomputeAfterUse(compiler::Program &Prog) {
               Prog.BackwardTasks[RI.ConsumerUnit]);
 }
 
-/// Forges an ItemPrivate claim: appends a rotation-ledger entry for a
-/// whole-batch Value buffer the pass never rotated. Its leading dimension
-/// still equals the batch (not the claimed 2-slice pool) and its unit
-/// carries no SliceModulus — the plan.subunit.* cross-checks must reject
-/// the ledger instead of trusting it.
-void corruptForgedItemPrivate(compiler::Program &Prog) {
-  for (const compiler::BufferInfo &B : Prog.Buffers) {
-    if (B.Role != compiler::BufferRole::Value || B.Dims.rank() < 1 ||
-        B.Dims[0] != Prog.BatchSize || !B.AliasOf.empty())
-      continue;
-    compiler::RotationInfo RI;
-    RI.Buffer = B.Name;
-    RI.Unit = 0;
-    RI.Slices = 2;
-    RI.SliceElems = B.Dims.numElements() / 2;
-    Prog.Rotations.push_back(std::move(RI));
-    return;
-  }
-  std::fprintf(stderr,
-               "latte-lint: no whole-batch Value buffer to forge a rotation "
-               "claim for\n");
-  std::exit(2);
-}
-
-/// Shrinks a real rotation's pool below the depth the rewritten accesses
-/// actually reach: ledger, buffer shape, and loop annotation are all made
-/// consistently one slice smaller, but the IR still indexes `n % D` — the
-/// recomputed footprints escape the pool (plan.subunit.footprint), exactly
-/// the corruption an unsound dependence-depth bound would produce.
-void corruptUndersizedRotation(compiler::Program &Prog) {
-  if (Prog.Rotations.empty()) {
-    std::fprintf(stderr,
-                 "latte-lint: no rotated buffer to corrupt (compile a fused "
-                 "model with the slice-rotation bit set, e.g. --model vgg3 "
-                 "--batch 4 --mask 0x1ff)\n");
-    std::exit(2);
-  }
-  compiler::RotationInfo &RI = Prog.Rotations.front();
-  const int64_t NewD = RI.Slices - 1; // >= 1: plausible but too shallow
-  for (compiler::BufferInfo &B : Prog.Buffers) {
-    const compiler::BufferInfo *Root = Prog.resolveAlias(B.Name);
-    if (!Root || Root->Name != RI.Buffer)
-      continue;
-    std::vector<int64_t> NewDims = B.Dims.dims();
-    NewDims[0] = NewD;
-    B.Dims = Shape(std::move(NewDims));
-  }
-  std::vector<ir::Stmt *> Units;
-  for (ir::StmtPtr *Root : {&Prog.Forward, &Prog.Backward})
-    if (auto *Block = dyn_cast_if_present<ir::BlockStmt>(Root->get()))
-      for (ir::StmtPtr &S : Block->stmts())
-        Units.push_back(S.get());
-  if (RI.Unit >= 0 && RI.Unit < static_cast<int>(Units.size()))
-    if (auto *F = dyn_cast<ir::ForStmt>(Units[RI.Unit]))
-      F->annotations().SliceModulus = NewD;
-  RI.Slices = NewD;
-}
-
 void applyCorruption(compiler::Program &Prog, const std::string &Kind) {
   if (Kind == "shape-mismatch")
     return corruptShapeMismatch(Prog);
@@ -304,15 +248,10 @@ void applyCorruption(compiler::Program &Prog, const std::string &Kind) {
     return corruptPlanOutOfBounds(Prog);
   if (Kind == "recompute-after-use")
     return corruptRecomputeAfterUse(Prog);
-  if (Kind == "forged-item-private")
-    return corruptForgedItemPrivate(Prog);
-  if (Kind == "undersized-rotation")
-    return corruptUndersizedRotation(Prog);
   std::fprintf(stderr,
                "latte-lint: unknown corruption '%s' (shape-mismatch, "
                "use-before-def, dropped-barrier, cross-iteration-write, "
-               "plan-overlap, plan-oob, recompute-after-use, "
-               "forged-item-private, undersized-rotation)\n",
+               "plan-overlap, plan-oob, recompute-after-use)\n",
                Kind.c_str());
   std::exit(2);
 }
@@ -338,34 +277,6 @@ void dumpUnitEffects(const compiler::Program &Prog) {
       std::printf(" unit %zu '%s'%s\n", I, Label.c_str(),
                   UE.Dims.empty() ? "" : " [parallel]");
       std::fputs(analyze::dumpEffects(UE.Effects).c_str(), stdout);
-    }
-  };
-  DumpProgram(Prog.Forward.get(), Prog.ForwardTasks, "forward");
-  DumpProgram(Prog.Backward.get(), Prog.BackwardTasks, "backward");
-}
-
-/// Prints the sub-unit slice classification (analyze::classifySubUnit) of
-/// every batch-loop unit: which chain-internal buffers are provably
-/// per-item private (rotation candidates), which are shared across items,
-/// and which the analysis cannot pin down.
-void dumpSubUnitClasses(const compiler::Program &Prog) {
-  analyze::BufferTable Bufs(Prog);
-  auto DumpProgram = [&](const ir::Stmt *Root,
-                         const std::vector<compiler::TaskLabel> &Labels,
-                         const char *Which) {
-    const auto *Block = dyn_cast_if_present<const ir::BlockStmt>(Root);
-    if (!Block)
-      return;
-    std::printf("%s sub-unit slice classes:\n", Which);
-    for (size_t I = 0; I < Block->stmts().size(); ++I) {
-      std::map<std::string, analyze::SliceInfo> Classes =
-          analyze::classifySubUnit(Block->stmts()[I].get(), Bufs);
-      if (Classes.empty())
-        continue;
-      std::string Label =
-          I < Labels.size() ? Labels[I].Name : "task#" + std::to_string(I);
-      std::printf(" unit %zu '%s'\n", I, Label.c_str());
-      std::fputs(analyze::dumpSubUnit(Classes).c_str(), stdout);
     }
   };
   DumpProgram(Prog.Forward.get(), Prog.ForwardTasks, "forward");
@@ -399,13 +310,39 @@ int lintPoint(const core::Net &Net, unsigned Mask, const Options &Opt,
   }
   if (Opt.DumpEffects)
     dumpUnitEffects(Prog);
-  if (Opt.DumpSubunit)
-    dumpSubUnitClasses(Prog);
   if (Opt.DumpPlan)
     std::fputs(Prog.Plan.str().c_str(), stdout);
   if (!Opt.Expect.empty() && R.hasErrors() && R.hasCode(Opt.Expect))
     ExpectMet = true;
   return R.errors();
+}
+
+/// Prints "latte-lint: <Msg>" and exits with the usage-error status.
+[[noreturn]] void usageError(const std::string &Msg) {
+  std::fprintf(stderr, "latte-lint: %s\n", Msg.c_str());
+  std::exit(2);
+}
+
+/// Parses all of \p Text as an integer (decimal, 0x hex or 0 octal, as
+/// strtoll's base 0 reads it); a partial parse such as "12abc" is a usage
+/// error.
+int64_t parseInt(const std::string &Flag, const char *Text) {
+  char *End = nullptr;
+  errno = 0;
+  long long V = std::strtoll(Text, &End, 0);
+  if (End == Text || *End != '\0' || errno == ERANGE)
+    usageError(Flag + " expects an integer, got '" + Text + "'");
+  return V;
+}
+
+/// Parses all of \p Text as a floating-point number.
+double parseFloat(const std::string &Flag, const char *Text) {
+  char *End = nullptr;
+  errno = 0;
+  double V = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || errno == ERANGE)
+    usageError(Flag + " expects a number, got '" + Text + "'");
+  return V;
 }
 
 int usage() {
@@ -414,7 +351,7 @@ int usage() {
       "usage: latte-lint [--model NAME|all] [--mask N|--all-masks]\n"
       "                  [--batch N] [--scale F] [--inference]\n"
       "                  [--dump-effects] [--dump-ir] [--dump-plan]\n"
-      "                  [--dump-subunit] [--corrupt KIND --expect CODE]\n"
+      "                  [--corrupt KIND --expect CODE]\n"
       "models: ");
   for (const char *M : kModels)
     std::fprintf(stderr, "%s ", M);
@@ -430,30 +367,42 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     auto Next = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "latte-lint: %s needs a value\n", A.c_str());
-        std::exit(2);
-      }
+      if (I + 1 >= Argc)
+        usageError(A + " needs a value");
       return Argv[++I];
     };
     if (A == "--model")
       Opt.Model = Next();
-    else if (A == "--mask")
-      Opt.Mask = static_cast<int>(std::strtol(Next(), nullptr, 0));
-    else if (A == "--all-masks")
+    else if (A == "--mask") {
+      const char *Text = Next();
+      int64_t Mask = parseInt(A, Text);
+      const int64_t Points = int64_t{1} << verify::kNumLatticeSwitches;
+      if (Mask < 0 || Mask >= Points)
+        usageError("--mask " + std::string(Text) + " is out of range: " +
+                   std::to_string(verify::kNumLatticeSwitches) +
+                   " lattice switches allow masks 0 to " +
+                   std::to_string(Points - 1));
+      Opt.Mask = static_cast<int>(Mask);
+    } else if (A == "--all-masks")
       AllMasks = true;
-    else if (A == "--batch")
-      Opt.Batch = std::strtol(Next(), nullptr, 0);
-    else if (A == "--scale")
-      Opt.Scale = std::strtod(Next(), nullptr);
-    else if (A == "--dump-effects")
+    else if (A == "--batch") {
+      const char *Text = Next();
+      Opt.Batch = parseInt(A, Text);
+      if (Opt.Batch < 1)
+        usageError("--batch must be at least 1, got '" + std::string(Text) +
+                   "'");
+    } else if (A == "--scale") {
+      const char *Text = Next();
+      Opt.Scale = parseFloat(A, Text);
+      if (!(Opt.Scale > 0) || !std::isfinite(Opt.Scale))
+        usageError("--scale must be a positive number, got '" +
+                   std::string(Text) + "'");
+    } else if (A == "--dump-effects")
       Opt.DumpEffects = true;
     else if (A == "--dump-ir")
       Opt.DumpIR = true;
     else if (A == "--dump-plan")
       Opt.DumpPlan = true;
-    else if (A == "--dump-subunit")
-      Opt.DumpSubunit = true;
     else if (A == "--inference")
       Opt.Inference = true;
     else if (A == "--corrupt")
