@@ -14,8 +14,16 @@
 /// - Accumulate=false overwrites C; true adds into it.
 ///
 /// Two implementations exist so the vectorization ablation (Figure 13) is
-/// meaningful: sgemm (blocked, auto-vectorized) and sgemmNaive (plain
-/// triple loop compiled with vectorization disabled).
+/// meaningful: sgemm (packed panels and a register-blocked micro-kernel)
+/// and sgemmNaive (plain triple loop compiled with vectorization disabled).
+///
+/// Invariant: both kernels run the same multiply-add chain per C element,
+/// c = (Accumulate ? c : +0), then c += op(A)[i,k] * op(B)[k,j] for k
+/// ascending. They are therefore byte-identical, and any row or column
+/// sub-block of a call computes exactly the corresponding part of the
+/// whole call. The compiler's gradient row blocks, conv column windows and
+/// the JIT-vs-interpreter oracle rely on this; tests/kernels/gemm_test.cpp
+/// holds sgemm to it with memcmp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +35,7 @@
 namespace latte {
 namespace kernels {
 
-/// Blocked, vectorizable GEMM.
+/// Blocked, register-tiled GEMM.
 void sgemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
            const float *A, int64_t LdA, const float *B, int64_t LdB, float *C,
            int64_t LdC, bool Accumulate);

@@ -70,27 +70,35 @@ TEST(GemmTest, LeadingDimensionLargerThanWidth) {
   EXPECT_FLOAT_EQ(C[3], 3 * 6 + 4 * 8);
 }
 
-// Property sweep: blocked GEMM agrees with the naive reference over sizes
-// spanning the blocking boundaries and all four transpose combinations.
+// Property sweep: sgemm is byte-identical to sgemmNaive. Both run the same
+// ascending-k chain of c += a * b per C element (kernels/gemm.h), so any
+// reassociation of that chain, such as splitting k into partial sums, fails
+// here. Every case runs both Accumulate values on operands stored inside
+// wider rows (leading dimension = width + 3) whose base pointers sit one
+// float past an aligned allocation; the padding must come back untouched.
 class GemmSweepTest
     : public testing::TestWithParam<std::tuple<int, int, int, bool, bool>> {};
 
 TEST_P(GemmSweepTest, MatchesNaive) {
   auto [M, N, K, TransA, TransB] = GetParam();
+  const int64_t Pad = 3;
+  int64_t LdA = (TransA ? M : K) + Pad;
+  int64_t LdB = (TransB ? K : N) + Pad;
+  int64_t LdC = N + Pad;
   Rng R(1000 + M * 7 + N * 13 + K * 31 + TransA * 2 + TransB);
-  int64_t LdA = TransA ? M : K;
-  int64_t LdB = TransB ? K : N;
-  std::vector<float> A = randomMatrix(R, M * K);
-  std::vector<float> B = randomMatrix(R, K * N);
-  std::vector<float> C0 = randomMatrix(R, M * N);
-  std::vector<float> C1 = C0;
-
-  sgemm(TransA, TransB, M, N, K, A.data(), LdA, B.data(), LdB, C0.data(), N,
-        true);
-  sgemmNaive(TransA, TransB, M, N, K, A.data(), LdA, B.data(), LdB, C1.data(),
-             N, true);
-  for (int64_t I = 0; I < M * N; ++I)
-    ASSERT_NEAR(C0[I], C1[I], 1e-3f * (K + 1)) << "at " << I;
+  // One float of offset, then rows of the stored shape at the wider stride.
+  std::vector<float> A = randomMatrix(R, 1 + (TransA ? K : M) * LdA);
+  std::vector<float> B = randomMatrix(R, 1 + (TransB ? N : K) * LdB);
+  std::vector<float> C = randomMatrix(R, 1 + M * LdC);
+  for (bool Accumulate : {false, true}) {
+    std::vector<float> C0 = C, C1 = C;
+    sgemm(TransA, TransB, M, N, K, A.data() + 1, LdA, B.data() + 1, LdB,
+          C0.data() + 1, LdC, Accumulate);
+    sgemmNaive(TransA, TransB, M, N, K, A.data() + 1, LdA, B.data() + 1, LdB,
+               C1.data() + 1, LdC, Accumulate);
+    ASSERT_EQ(std::memcmp(C0.data(), C1.data(), C0.size() * sizeof(float)), 0)
+        << "Accumulate=" << Accumulate;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -99,8 +107,28 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(1, 16, 300), testing::Bool(),
                      testing::Bool()));
 
+// Sizes one either side of every tile edge of kernels/gemm.cpp: M around
+// its 6-row tile; N around its 16-float vector, the 64-wide tile and the
+// 512-column panel, plus conv5's N = 25; K around its 256-deep panel, plus
+// the FC weight gradient's K = 8.
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, GemmSweepTest,
+    testing::Combine(testing::Values(1, 5, 7, 65),
+                     testing::Values(1, 15, 17, 25, 63, 65, 513),
+                     testing::Values(1, 8, 255, 257, 300), testing::Bool(),
+                     testing::Bool()));
+
+// The GEMM shapes of an AlexNet(0.5) batch-8 training step: conv3-5
+// forward, the FC forward (B transposed, 64 MB of weights) and the FC
+// weight gradient (A transposed).
+INSTANTIATE_TEST_SUITE_P(
+    AlexNetShapes, GemmSweepTest,
+    testing::Values(std::make_tuple(384, 25, 3456, false, false),
+                    std::make_tuple(8, 4096, 4096, false, true),
+                    std::make_tuple(32, 4096, 8, true, false)));
+
 TEST(GemmTest, LargeBlockedCaseCrossesAllPanels) {
-  // Exercise multiple NC/KC/MC panels in one call.
+  // Exercise multiple NC and KC panels and row slivers in one call.
   const int64_t M = 130, N = 600, K = 300;
   Rng R(99);
   std::vector<float> A = randomMatrix(R, M * K);
@@ -109,8 +137,7 @@ TEST(GemmTest, LargeBlockedCaseCrossesAllPanels) {
   sgemm(false, false, M, N, K, A.data(), K, B.data(), N, C0.data(), N, false);
   sgemmNaive(false, false, M, N, K, A.data(), K, B.data(), N, C1.data(), N,
              false);
-  for (int64_t I = 0; I < M * N; I += 997)
-    ASSERT_NEAR(C0[I], C1[I], 1e-2f);
+  EXPECT_EQ(std::memcmp(C0.data(), C1.data(), C0.size() * sizeof(float)), 0);
 }
 
 TEST(GemmTest, TransposedBMatchesExplicitTransposeBitwise) {
@@ -146,23 +173,56 @@ TEST(GemmTest, TransposedBMatchesExplicitTransposeBitwise) {
 TEST(GemmTest, RowBlocksAreBitwiseIndependent) {
   // The gradient partition (compiler/gradpart.h) runs a GEMM as separate
   // calls over blocks of output rows; each row must come out bitwise as in
-  // the whole call, for both A layouts and a ragged last block.
+  // the whole call, for every A and B layout (conv weight gradients run
+  // with B transposed) and a ragged last block.
   const int64_t M = 70, N = 600, K = 300, Block = 32;
+  for (bool TransA : {false, true})
+    for (bool TransB : {false, true}) {
+      Rng R(31 + TransA + 2 * TransB);
+      int64_t LdA = TransA ? M : K;
+      int64_t LdB = TransB ? K : N;
+      std::vector<float> A = randomMatrix(R, M * K);
+      std::vector<float> B = randomMatrix(R, K * N);
+      std::vector<float> Whole = randomMatrix(R, M * N);
+      std::vector<float> Blocked = Whole;
+      sgemm(TransA, TransB, M, N, K, A.data(), LdA, B.data(), LdB,
+            Whole.data(), N, true);
+      for (int64_t Row0 = 0; Row0 < M; Row0 += Block) {
+        int64_t Rows = std::min(Block, M - Row0);
+        sgemm(TransA, TransB, Rows, N, K,
+              A.data() + (TransA ? Row0 : Row0 * LdA), LdA, B.data(), LdB,
+              Blocked.data() + Row0 * N, N, true);
+      }
+      EXPECT_EQ(std::memcmp(Whole.data(), Blocked.data(),
+                            Whole.size() * sizeof(float)),
+                0)
+          << "TransA=" << TransA << " TransB=" << TransB;
+    }
+}
+
+TEST(GemmTest, ColumnWindowsAreBitwiseIndependent) {
+  // Convolution tiling (compiler/synthesis.cpp) runs the forward and
+  // input-gradient GEMMs as separate calls over windows of Rc output rows,
+  // i.e. columns [Rb * X, (Rb + Rc) * X) of a C whose rows are Y * X wide:
+  // C + Rb * X and B + Rb * X with N = Rc * X and the full-width leading
+  // dimensions. Each column must come out bitwise as in the whole call, for
+  // both A layouts (dX runs with A transposed) and a ragged last window.
+  const int64_t M = 70, K = 300, Y = 13, X = 13, Rc = 4, YX = Y * X;
   for (bool TransA : {false, true}) {
-    Rng R(31 + TransA);
+    Rng R(57 + TransA);
     int64_t LdA = TransA ? M : K;
     std::vector<float> A = randomMatrix(R, M * K);
-    std::vector<float> B = randomMatrix(R, K * N);
-    std::vector<float> Whole = randomMatrix(R, M * N);
-    std::vector<float> Blocked = Whole;
-    sgemm(TransA, false, M, N, K, A.data(), LdA, B.data(), N, Whole.data(), N,
-          true);
-    for (int64_t Row0 = 0; Row0 < M; Row0 += Block) {
-      int64_t Rows = std::min(Block, M - Row0);
-      sgemm(TransA, false, Rows, N, K, A.data() + (TransA ? Row0 : Row0 * LdA),
-            LdA, B.data(), N, Blocked.data() + Row0 * N, N, true);
+    std::vector<float> B = randomMatrix(R, K * YX);
+    std::vector<float> Whole = randomMatrix(R, M * YX);
+    std::vector<float> Windowed = randomMatrix(R, M * YX);
+    sgemm(TransA, false, M, YX, K, A.data(), LdA, B.data(), YX, Whole.data(),
+          YX, false);
+    for (int64_t Rb = 0; Rb < Y; Rb += Rc) {
+      int64_t Cols = std::min(Rc, Y - Rb) * X;
+      sgemm(TransA, false, M, Cols, K, A.data(), LdA, B.data() + Rb * X, YX,
+            Windowed.data() + Rb * X, YX, false);
     }
-    EXPECT_EQ(std::memcmp(Whole.data(), Blocked.data(),
+    EXPECT_EQ(std::memcmp(Whole.data(), Windowed.data(),
                           Whole.size() * sizeof(float)),
               0)
         << "TransA=" << TransA;
