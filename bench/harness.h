@@ -227,25 +227,11 @@ public:
     bool Ok = true;
     std::string Err;
     if (!Opts.JsonPath.empty()) {
-      // Per-task execution spans and counters from the profiler.
-      prof::Summary S = prof::Profiler::get().summary();
-      json::Value Tasks = json::Value::array();
-      for (const prof::SpanStat &St : S.Spans) {
-        json::Value E = json::Value::object();
-        E.set("phase", St.Phase);
-        E.set("name", St.Name);
-        E.set("count", St.Count);
-        E.set("total_sec", St.TotalSec);
-        Tasks.push(std::move(E));
-      }
-      Doc.set("tasks", std::move(Tasks));
-      json::Value PhaseCounters = json::Value::object();
-      for (const auto &PC : S.PhaseCounters)
-        PhaseCounters.set(PC.first.empty() ? std::string("(none)")
-                                           : PC.first,
-                          prof::countersJson(PC.second));
-      Doc.set("counters", std::move(PhaseCounters));
-      Doc.set("totals", prof::countersJson(S.Totals));
+      // The profiler summary: per-task spans (as "tasks"), per-phase
+      // counters and totals.
+      const json::Value Summary = prof::summaryJson();
+      for (const auto &[Key, V] : Summary.members())
+        Doc.set(Key == "spans" ? "tasks" : Key, V);
       if (prof::writeJsonFile(Opts.JsonPath, Doc, &Err)) {
         std::printf("\nwrote %s\n", Opts.JsonPath.c_str());
       } else {

@@ -74,14 +74,3 @@ std::string DiagnosticReport::render() const {
      << " note(s)";
   return OS.str();
 }
-
-void DiagnosticReport::merge(DiagnosticReport Other) {
-  for (Diagnostic &D : Other.Diags)
-    Diags.push_back(std::move(D));
-}
-
-void DiagnosticReport::tagTask(const std::string &Task) {
-  for (Diagnostic &D : Diags)
-    if (D.Task.empty())
-      D.Task = Task;
-}

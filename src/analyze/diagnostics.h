@@ -69,13 +69,6 @@ public:
   /// One rendered line per diagnostic plus a summary tail line.
   std::string render() const;
 
-  /// Appends all of \p Other's diagnostics.
-  void merge(DiagnosticReport Other);
-
-  /// Sets \p Task on every diagnostic that does not carry a task label yet
-  /// (used to attribute sub-analysis diagnostics to their unit).
-  void tagTask(const std::string &Task);
-
 private:
   std::vector<Diagnostic> Diags;
 };

@@ -253,22 +253,8 @@ KernelSignature analyze::kernelSignature(KernelKind K) {
     return {3, 2, 0, 0};
   case KernelKind::DropoutMask:
     return {1, 1, 0, 1};
-  case KernelKind::GradSyncHook:
-    return {1, 1, 0, 0};
   }
   return {0, 0, 0, 0};
-}
-
-bool analyze::kernelBufArgIsInt(KernelKind K, size_t BufIdx) {
-  switch (K) {
-  case KernelKind::Gather2D:
-  case KernelKind::ScatterAdd2D:
-  case KernelKind::MaxPoolFwdRows:
-  case KernelKind::MaxPoolBwdRows:
-    return BufIdx == 2;
-  default:
-    return false;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -375,13 +361,6 @@ void Collector::walk(const Stmt *S) {
       Bound[T->tileVar()] = Saved;
     else
       Bound.erase(T->tileVar());
-    return;
-  }
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    collectReads(If->cond());
-    walk(If->thenStmt());
-    walk(If->elseStmt());
     return;
   }
   case Stmt::Kind::Store: {
@@ -837,9 +816,6 @@ void Collector::kernelEffects(const KernelCallStmt *K) {
   }
   case KernelKind::DropoutMask:
     Acc(0, Zero, {}, IA[0], true, true, false, false);
-    return;
-  case KernelKind::GradSyncHook:
-    Acc(0, Zero, {}, IA[0], true, false, true, false);
     return;
   }
 }

@@ -198,10 +198,6 @@ struct KernelSignature {
 
 KernelSignature kernelSignature(ir::KernelKind K);
 
-/// True when buffer argument \p BufIdx of kernel \p K names an int32 buffer
-/// (gather/scatter index tables, max-pool argmax masks).
-bool kernelBufArgIsInt(ir::KernelKind K, size_t BufIdx);
-
 } // namespace analyze
 } // namespace latte
 

@@ -276,13 +276,6 @@ private:
         IntVars.erase(T->tileVar());
       return;
     }
-    case Stmt::Kind::If: {
-      const auto *If = cast<IfStmt>(S);
-      checkValueExpr(If->cond(), S);
-      walkStmt(If->thenStmt());
-      walkStmt(If->elseStmt());
-      return;
-    }
     case Stmt::Kind::Store: {
       const auto *St = cast<StoreStmt>(S);
       const BufferTable::FloatInfo *FI = Bufs.floatInfo(St->buffer());
@@ -338,9 +331,10 @@ private:
               S);
         return;
       }
+      const uint32_t IntMask = kernelIntBufMask(K->kernel());
       for (size_t I = 0; I < K->bufs().size(); ++I) {
         const KernelBufArg &B = K->bufs()[I];
-        bool WantInt = kernelBufArgIsInt(K->kernel(), I);
+        bool WantInt = (IntMask >> I) & 1u;
         bool Known = WantInt ? Bufs.intInfo(B.Buffer) != nullptr
                              : Bufs.floatInfo(B.Buffer) != nullptr;
         if (!Known)
@@ -659,12 +653,6 @@ void forEachKernelCall(const Stmt *S,
   case Stmt::Kind::TiledLoop:
     forEachKernelCall(cast<const TiledLoopStmt>(S)->body(), Fn);
     return;
-  case Stmt::Kind::If: {
-    const auto *I = cast<const IfStmt>(S);
-    forEachKernelCall(I->thenStmt(), Fn);
-    forEachKernelCall(I->elseStmt(), Fn);
-    return;
-  }
   default:
     return;
   }

@@ -334,22 +334,3 @@ double CaffeNet::lossValue() const {
     Sum += Out.Data.at(I);
   return Sum / static_cast<double>(Out.count());
 }
-
-double CaffeNet::accuracy() const {
-  const Tensor *ProbPtr = L.back()->probabilitiesOrNull();
-  if (!ProbPtr || !HasLabels)
-    return 0.0;
-  const Tensor &Prob = *ProbPtr;
-  int64_t Classes = Prob.numElements() / BatchSize;
-  int64_t Correct = 0;
-  for (int64_t I = 0; I < BatchSize; ++I) {
-    const float *Row = Prob.data() + I * Classes;
-    int64_t Best = 0;
-    for (int64_t C = 1; C < Classes; ++C)
-      if (Row[C] > Row[Best])
-        Best = C;
-    if (Best == static_cast<int64_t>(Labels.Data.at(I)))
-      ++Correct;
-  }
-  return static_cast<double>(Correct) / static_cast<double>(BatchSize);
-}

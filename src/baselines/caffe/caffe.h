@@ -70,8 +70,6 @@ public:
   virtual bool isInPlace() const { return false; }
   /// True for layers that take the label blob as a second bottom.
   virtual bool needsLabels() const { return false; }
-  /// Softmax probabilities, when the layer computes them.
-  virtual const Tensor *probabilitiesOrNull() const { return nullptr; }
 
 protected:
   std::string Name;
@@ -170,7 +168,6 @@ public:
 
   const Tensor &probabilities() const { return Prob; }
   bool needsLabels() const override { return true; }
-  const Tensor *probabilitiesOrNull() const override { return &Prob; }
 
 private:
   Tensor Prob;
@@ -204,7 +201,6 @@ public:
   void backward();
 
   double lossValue() const;
-  double accuracy() const;
 
   const std::vector<std::unique_ptr<Layer>> &layers() const { return L; }
 

@@ -30,7 +30,7 @@ namespace {
 // reproduce engine::Executor::evalFloat / evalInt / execStmt BITWISE, so
 // emission is two-context:
 //
-//  * Float context (store values, decl inits, if/select conditions,
+//  * Float context (store values, decl inits, select conditions,
 //    compare operands): every intermediate is float, IntConst and loop
 //    variables pass through an explicit (float) cast (evalFloat does the
 //    same static_cast), float constants are hex literals of the
@@ -286,16 +286,10 @@ bool JitEmitter::jittable(const Stmt *S) const {
     return jittable(cast<ForStmt>(S)->body());
   case Stmt::Kind::TiledLoop:
     return jittable(cast<TiledLoopStmt>(S)->body());
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return jittable(If->thenStmt()) && jittable(If->elseStmt());
-  }
   case Stmt::Kind::KernelCall: {
     const auto *K = cast<KernelCallStmt>(S);
-    // Dropout draws from the engine's RNG stream; the grad-sync hook needs
-    // the buffer's NAME, which the resolved trampoline ABI has dropped.
-    if (K->kernel() == KernelKind::DropoutMask ||
-        K->kernel() == KernelKind::GradSyncHook)
+    // Dropout draws from the engine's RNG stream.
+    if (K->kernel() == KernelKind::DropoutMask)
       return false;
     return K->bufs().size() <= static_cast<size_t>(jit::kMaxKernelBufs) &&
            K->exprArgs().size() <=
@@ -359,13 +353,6 @@ void JitEmitter::collectLoadStoreBuffers(const Stmt *S,
   case Stmt::Kind::TiledLoop:
     collectLoadStoreBuffers(cast<TiledLoopStmt>(S)->body(), Names);
     return;
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    collectExprBuffers(If->cond(), Names);
-    collectLoadStoreBuffers(If->thenStmt(), Names);
-    collectLoadStoreBuffers(If->elseStmt(), Names);
-    return;
-  }
   case Stmt::Kind::Store: {
     const auto *St = cast<StoreStmt>(S);
     Names.insert(St->buffer());
@@ -752,7 +739,7 @@ void JitEmitter::emitSpecBody(KernelKind Kind,
 }
 
 void JitEmitter::emitKernel(const KernelCallStmt *K, int Indent) {
-  uint32_t IntMask = jit::kernelIntBufMask(K->kernel());
+  uint32_t IntMask = kernelIntBufMask(K->kernel());
   line(Indent, "{");
   line(Indent + 1,
        "float *FB[" + std::to_string(jit::kMaxKernelBufs) +
@@ -940,21 +927,6 @@ void JitEmitter::emitStmt(const Stmt *S, int Indent) {
     Scopes.emplace_back();
     emitStmt(T->body(), Indent + 1);
     Scopes.pop_back();
-    line(Indent, "}");
-    return;
-  }
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    line(Indent, "if ((" + floatExpr(If->cond()) + ") != 0.0f) {");
-    Scopes.emplace_back();
-    emitStmt(If->thenStmt(), Indent + 1);
-    Scopes.pop_back();
-    if (If->elseStmt()) {
-      line(Indent, "} else {");
-      Scopes.emplace_back();
-      emitStmt(If->elseStmt(), Indent + 1);
-      Scopes.pop_back();
-    }
     line(Indent, "}");
     return;
   }
@@ -1264,8 +1236,7 @@ static void k_dropout_mask(float *Mask, int64_t N, float Keep) {
 )cpp";
 
 /// How the trampoline runs each kernel kind the task emitter does not
-/// clone, on the resolved arguments (layouts in ir/stmt.h). Gradient
-/// synchronization has nothing to synchronize with in one process.
+/// clone, on the resolved arguments (layouts in ir/stmt.h).
 const std::pair<KernelKind, const char *> kKernelCalls[] = {
     {KernelKind::MulInto, "k_mul_into(FB[0], FB[1], FB[2], IA[0])"},
     {KernelKind::MulAddTo, "k_mul_add_to(FB[0], FB[1], FB[2], IA[0])"},
@@ -1285,7 +1256,6 @@ const std::pair<KernelKind, const char *> kKernelCalls[] = {
     {KernelKind::SoftmaxBwd,
      "k_softmax_bwd(FB[0], FB[1], FB[2], IA[0], IA[1])"},
     {KernelKind::DropoutMask, "k_dropout_mask(FB[0], IA[0], (float)FA[0])"},
-    {KernelKind::GradSyncHook, ""},
 };
 
 /// The .ltd entry point: `./prog <in.ltd> <out.ltd> [fwd|fwdbwd]` loads
@@ -1425,10 +1395,7 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
         "double *FA, const int64_t *EA) {\n  switch (Kind) {\n";
   for (const auto &[Kind, Call] : kKernelCalls) {
     OS << "  case " << static_cast<int64_t>(Kind) << ": // "
-       << kernelKindName(Kind) << "\n";
-    if (*Call)
-      OS << "    " << Call << ";\n";
-    OS << "    return;\n";
+       << kernelKindName(Kind) << "\n    " << Call << ";\n    return;\n";
   }
   OS << "  }\n  std::fprintf(stderr, \"latte: no kernel body for kind "
         "%lld\\n\", (long long)Kind);\n  std::abort();\n}\n\n"

@@ -52,7 +52,7 @@ struct JitTaskInfo {
   /// Generated entry point ("latte_task_f3") — empty when not jittable.
   std::string Symbol;
   /// False when the unit needs the interpreter (dropout draws from the
-  /// engine's RNG; grad-sync hooks need the buffer name).
+  /// engine's RNG).
   bool Jittable = false;
 };
 

@@ -262,8 +262,6 @@ struct CompileOptions {
   /// benefit once the data fits in cache, and splitting library-kernel
   /// calls then only adds overhead).
   int64_t MinRowsToTile = 32;
-  bool GradSyncHooks = false; ///< emit async-allreduce hooks after each
-                              ///< ensemble's backward (§5.3)
   /// Run analyze::verifyProgram on the assembled program after every
   /// compile() — and therefore after every compileStaged() stage — and
   /// abort on Error diagnostics (LLVM's -verify-each discipline). Defaults

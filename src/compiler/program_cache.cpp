@@ -75,8 +75,7 @@ std::string ProgramCache::key(const models::ModelSpec &Spec,
   int64_t Bits = 0;
   for (bool B : {Opts.PatternMatchGemm, Opts.PatternMatchKernels, Opts.Tiling,
                  Opts.Fusion, Opts.Parallelize, Opts.VectorKernels,
-                 Opts.Recompute, Opts.Jit, Opts.Inference, Opts.EvalDropout,
-                 Opts.GradSyncHooks})
+                 Opts.Recompute, Opts.Jit, Opts.Inference, Opts.EvalDropout})
     Bits = (Bits << 1) | (B ? 1 : 0);
   F.i64(Bits);
   F.i64(Opts.TileSize);

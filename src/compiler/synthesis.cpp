@@ -131,9 +131,6 @@ private:
   std::vector<int32_t> buildGatherTable(Ensemble *E, const Connection &Conn,
                                         const ConnectionInfo &Info) const;
 
-  /// Appends grad-sync hooks for every param-grad buffer of \p E.
-  void appendGradHooks(Ensemble *E, EnsembleTask &Task);
-
   const Net &TheNet;
   const CompileOptions &Opts;
   Program &Prog;
@@ -433,21 +430,6 @@ Synthesizer::buildGatherTable(Ensemble *E, const Connection &Conn,
   return Table;
 }
 
-void Synthesizer::appendGradHooks(Ensemble *E, EnsembleTask &Task) {
-  if (!Opts.GradSyncHooks || !E->type())
-    return;
-  for (const FieldSpec &F : E->type()->fields()) {
-    if (!F.IsParam || !F.HasGrad)
-      continue;
-    std::string GradName = E->fieldBuffer("grad_" + F.Name);
-    const BufferInfo *B = Prog.findBuffer(GradName);
-    assert(B && "grad buffer must have been declared");
-    Task.Post.push_back(kernelCall(KernelKind::GradSyncHook,
-                                    bufArgs(KernelBufArg(GradName)),
-                                    {B->Dims.numElements()}));
-  }
-}
-
 void Synthesizer::handleNeuronEnsemble(Ensemble *E) {
   std::vector<ConnectionInfo> Infos;
   Infos.reserve(E->inputs().size());
@@ -596,7 +578,6 @@ bool Synthesizer::tryWeightedFc(Ensemble *E, const ConnectionInfo &Info) {
     };
     BwdTask.PerItem.push_back(std::move(Scatter));
   }
-  appendGradHooks(E, BwdTask);
 
   Prog.Report.MatchedGemmEnsembles.push_back(E->name());
   Fwd.push_back(std::move(FwdTask));
@@ -704,7 +685,6 @@ bool Synthesizer::tryWeightedTimeFc(Ensemble *E, const ConnectionInfo &Info) {
       bufArgs(KernelBufArg(E->fieldBuffer("grad_bias")),
               KernelBufArg(E->gradBuffer())),
       {M, D}));
-  appendGradHooks(E, BwdTask);
 
   Prog.Report.MatchedGemmEnsembles.push_back(E->name());
   Fwd.push_back(std::move(FwdTask));
@@ -921,7 +901,6 @@ bool Synthesizer::tryWeightedConv(Ensemble *E, const ConnectionInfo &Info) {
   BwdTask.PerItem.push_back(std::move(Scatter));
   BwdTask.PerItem.push_back(std::move(GwGemm));
   BwdTask.PerItem.push_back(std::move(GBias));
-  appendGradHooks(E, BwdTask);
 
   Prog.Report.MatchedGemmEnsembles.push_back(E->name());
   Fwd.push_back(std::move(FwdTask));
@@ -1420,7 +1399,6 @@ void Synthesizer::synthesizeInterpreted(
       BwdTask.PerItem.push_back(std::move(Scatter));
     }
   }
-  appendGradHooks(E, BwdTask);
 
   Prog.Report.InterpretedEnsembles.push_back(E->name());
   Fwd.push_back(std::move(FwdTask));

@@ -53,7 +53,7 @@ struct EnsembleTask {
   /// Per-batch-item row operations, executed inside the batch loop.
   std::vector<RowOp> PerItem;
   /// Whole-batch statements that must follow the per-item work (e.g. the
-  /// whole-batch FC GEMM after its per-item gathers; gradient-sync hooks).
+  /// whole-batch FC GEMM after its per-item gathers).
   std::vector<ir::StmtPtr> Post;
   /// Never fuse across this task (NormalizationEnsembles, §5.5).
   bool FusionBarrier = false;

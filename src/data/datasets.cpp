@@ -126,6 +126,13 @@ MemoryDataset data::readDatasetLtd(const std::string &Path) {
   }
   if (!HaveData || !HaveLabel)
     reportFatalError(Path + " does not contain 'data' and 'label' tensors");
+  if (Items.shape().rank() < 2)
+    reportFatalError(Path + ": 'data' must be (items, dims...), got shape " +
+                     Items.shape().str());
+  if (Labels.numElements() != Items.shape().dim(0))
+    reportFatalError(Path + ": " + std::to_string(Items.shape().dim(0)) +
+                     " items but " + std::to_string(Labels.numElements()) +
+                     " labels");
   return MemoryDataset(std::move(Items), std::move(Labels));
 }
 

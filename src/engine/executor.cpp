@@ -43,6 +43,16 @@ bool forkParallelLoops(const ExecOptions &Opts) {
 #endif
 }
 
+/// Labels reach the loss kernels from outside (dataset files, callers'
+/// writeBuffer): one outside [0, Classes), or NaN, would index past the
+/// probability row. Checked on the float, before the cast.
+int64_t checkedLabel(float Label, int64_t Classes) {
+  if (!(Label >= 0.0f && Label < static_cast<float>(Classes)))
+    reportFatalError("softmax loss: label " + std::to_string(Label) +
+                     " is outside [0, " + std::to_string(Classes) + ")");
+  return static_cast<int64_t>(Label);
+}
+
 } // namespace
 
 struct Executor::Env : EnvImpl {
@@ -690,14 +700,6 @@ void Executor::execStmt(const Stmt *S, Env &E) {
     E.IntVars.pop_back();
     return;
   }
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    if (evalFloat(If->cond(), E) != 0.0f)
-      execStmt(If->thenStmt(), E);
-    else
-      execStmt(If->elseStmt(), E);
-    return;
-  }
   case Stmt::Kind::Store: {
     const auto *St = cast<StoreStmt>(S);
     BufferRT &B = buffer(St->buffer());
@@ -834,19 +836,6 @@ void Executor::profileKernel(KernelKind Kind, const int64_t *IA) const {
 }
 
 void Executor::execKernel(const KernelCallStmt *K, Env &E) {
-  // GradSyncHook needs the buffer's NAME (the hook callback signature),
-  // which the resolved form below has dropped — handle it pre-resolution.
-  // Such units are never JIT-compiled, so the resolved path can't see it.
-  if (K->kernel() == KernelKind::GradSyncHook) {
-    if (ProfActive)
-      profileKernel(K->kernel(), K->intArgs().data());
-    if (Hook_) {
-      const KernelBufArg &A = K->bufs()[0];
-      int64_t Off = A.Offset ? evalInt(A.Offset.get(), E) : 0;
-      Hook_(A.Buffer, buffer(A.Buffer).Data + Off, K->intArgs()[0]);
-    }
-    return;
-  }
   // Resolve every argument eagerly, then run the shared dispatch — the
   // same entry the JIT's kernel trampoline calls, so both paths are one
   // code path from here on (bitwise identity by construction).
@@ -857,7 +846,7 @@ void Executor::execKernel(const KernelCallStmt *K, Env &E) {
          "kernel has more expr args than the resolved ABI carries");
   float *FB[jit::kMaxKernelBufs] = {nullptr, nullptr, nullptr, nullptr};
   int32_t *IB[jit::kMaxKernelBufs] = {nullptr, nullptr, nullptr, nullptr};
-  uint32_t IntMask = jit::kernelIntBufMask(K->kernel());
+  uint32_t IntMask = kernelIntBufMask(K->kernel());
   for (size_t I = 0; I < K->bufs().size(); ++I) {
     const KernelBufArg &A = K->bufs()[I];
     int64_t Off = A.Offset ? evalInt(A.Offset.get(), E) : 0;
@@ -1091,7 +1080,7 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
     for (int64_t R = 0; R < Rows; ++R) {
       kernels::softmaxFwd(Prob + R * Classes, Src + R * Classes, Classes);
       Loss[R] = kernels::crossEntropyLoss(Prob + R * Classes, Classes,
-                                          static_cast<int64_t>(Labels[R]));
+                                          checkedLabel(Labels[R], Classes));
     }
     return;
   }
@@ -1103,7 +1092,7 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
     const float *Labels = FloatArg(2);
     for (int64_t R = 0; R < Rows; ++R)
       kernels::softmaxLossBwd(Grad + R * Classes, Prob + R * Classes,
-                              Classes, static_cast<int64_t>(Labels[R]),
+                              Classes, checkedLabel(Labels[R], Classes),
                               Scale);
     return;
   }
@@ -1133,10 +1122,6 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
       Mask[I] = DropoutRng.uniform() < Keep ? Inv : 0.0f;
     return;
   }
-  case KernelKind::GradSyncHook:
-    // Needs the buffer name; execKernel intercepts it before resolution
-    // and the JIT never compiles units containing it.
-    return;
   }
   latteUnreachable("unknown kernel kind");
 }

@@ -19,7 +19,6 @@
 #include "support/tensor.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -63,12 +62,6 @@ struct ExecOptions {
   bool NoJit = false;
   uint64_t Seed = 0x5eed;
 };
-
-/// Callback invoked by GradSyncHook kernel calls: (buffer name, data,
-/// element count). Used by the distributed runtime to start asynchronous
-/// gradient reductions as soon as a gradient is ready (§5.3).
-using GradHook =
-    std::function<void(const std::string &, float *, int64_t)>;
 
 class Executor {
 public:
@@ -129,8 +122,6 @@ public:
   /// Top-1 accuracy of the probability buffer against the label buffer.
   double accuracy() const;
 
-  void setGradHook(GradHook Hook) { Hook_ = std::move(Hook); }
-
   // --- JIT backend --------------------------------------------------------
 
   /// True when a JIT module is loaded and at least one task dispatches
@@ -149,11 +140,10 @@ public:
   /// Kernel dispatch over pre-resolved arguments — the target the JIT's
   /// kernel trampoline re-enters (public for the bridge only). \p FB /
   /// \p IB are the float / int32 buffer pointers by argument position
-  /// (jit::kernelIntBufMask decides which side each position uses), \p IA
+  /// (ir::kernelIntBufMask decides which side each position uses), \p IA
   /// the static int args, \p FA the static float args, \p EA the evaluated
   /// index-expression args. Runs the exact same kernels as the
-  /// interpreter; GradSyncHook is handled before resolution and must not
-  /// reach here.
+  /// interpreter.
   void execKernelResolved(ir::KernelKind Kind, float *const *FB,
                           int32_t *const *IB, const int64_t *IA,
                           const double *FA, const int64_t *EA);
@@ -212,7 +202,6 @@ private:
   std::unordered_map<std::string, BufferRT> Buffers;
   std::unordered_map<std::string, std::vector<int32_t>> IntBuffers;
   Rng DropoutRng;
-  GradHook Hook_;
 
   // --- JIT state (all empty/false when the backend is off) ---------------
   bool JitActive = false;

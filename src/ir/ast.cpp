@@ -76,11 +76,6 @@ StmtPtr TiledLoopStmt::clone() const {
   return New;
 }
 
-StmtPtr IfStmt::clone() const {
-  return std::make_unique<IfStmt>(Cond->clone(), Then->clone(),
-                                  Else ? Else->clone() : nullptr);
-}
-
 StmtPtr StoreStmt::clone() const {
   return std::make_unique<StoreStmt>(Buffer, cloneAll(Indices), Op,
                                      Value->clone());
@@ -161,8 +156,6 @@ const char *latte::ir::kernelKindName(KernelKind K) {
     return "softmax_bwd";
   case KernelKind::DropoutMask:
     return "dropout_mask";
-  case KernelKind::GradSyncHook:
-    return "grad_sync_hook";
   }
   latteUnreachable("unknown kernel kind");
 }

@@ -91,11 +91,6 @@ inline StmtPtr forLoopFrom(std::string Var, ExprPtr Lo, int64_t Extent,
                                    std::move(Body));
 }
 
-inline StmtPtr ifStmt(ExprPtr Cond, StmtPtr Then, StmtPtr Else = nullptr) {
-  return std::make_unique<IfStmt>(std::move(Cond), std::move(Then),
-                                  std::move(Else));
-}
-
 inline StmtPtr store(std::string Buffer, std::vector<ExprPtr> Indices,
                      AccumKind Op, ExprPtr Value) {
   return std::make_unique<StoreStmt>(std::move(Buffer), std::move(Indices), Op,

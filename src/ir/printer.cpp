@@ -204,18 +204,6 @@ void printStmtImpl(const Stmt *S, int Indent, std::ostringstream &OS) {
     printStmtImpl(T->body(), Indent + 1, OS);
     return;
   }
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    indentTo(OS, Indent);
-    OS << "if " << printExpr(If->cond()) << "\n";
-    printStmtImpl(If->thenStmt(), Indent + 1, OS);
-    if (If->elseStmt()) {
-      indentTo(OS, Indent);
-      OS << "else\n";
-      printStmtImpl(If->elseStmt(), Indent + 1, OS);
-    }
-    return;
-  }
   case Stmt::Kind::Store: {
     const auto *St = cast<StoreStmt>(S);
     indentTo(OS, Indent);

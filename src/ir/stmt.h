@@ -1,8 +1,8 @@
 //===- ir/stmt.h - Latte IR statements -------------------------*- C++ -*-===//
 ///
 /// \file
-/// Statement nodes of the Latte IR: loop nests, stores, conditionals, plus
-/// the domain-specific nodes the paper introduces during compilation —
+/// Statement nodes of the Latte IR: loop nests, stores, local scalars,
+/// plus the domain-specific nodes the paper introduces during compilation —
 /// tiled loops carrying dependence-distance metadata (§5.4.1), fusion
 /// barriers for unfuseable ensembles (§5.5), and library-kernel calls
 /// produced by pattern matching (§5.4.1).
@@ -33,7 +33,6 @@ public:
     Block,
     For,
     TiledLoop,
-    If,
     Store,
     Decl,
     AssignVar,
@@ -175,32 +174,6 @@ private:
   LoopAnnotations Annotations;
 };
 
-/// Conditional; Else may be null.
-class IfStmt : public Stmt {
-public:
-  IfStmt(ExprPtr Cond, StmtPtr Then, StmtPtr Else = nullptr)
-      : Stmt(Kind::If), Cond(std::move(Cond)), Then(std::move(Then)),
-        Else(std::move(Else)) {
-    assert(this->Cond && this->Then && "if requires condition and then");
-  }
-
-  const Expr *cond() const { return Cond.get(); }
-  ExprPtr takeCond() { return std::move(Cond); }
-  void setCond(ExprPtr NewCond) { Cond = std::move(NewCond); }
-  const Stmt *thenStmt() const { return Then.get(); }
-  const Stmt *elseStmt() const { return Else.get(); }
-  Stmt *thenStmt() { return Then.get(); }
-  Stmt *elseStmt() { return Else.get(); }
-
-  StmtPtr clone() const override;
-
-  static bool classof(const Stmt *S) { return S->kind() == Kind::If; }
-
-private:
-  ExprPtr Cond;
-  StmtPtr Then, Else;
-};
-
 /// Update operators for stores and scalar assignments. MaxAssign/MinAssign
 /// exist because pooling reductions are first-class in this domain.
 enum class AccumKind { Assign, AddAssign, MulAssign, MaxAssign, MinAssign };
@@ -335,9 +308,23 @@ enum class KernelKind {
   SoftmaxBwd,     // bufs: {SrcGrad, OutGrad, Prob}; ints: {Rows, Classes}
                   //   SrcGrad[c] += Prob[c]*(OutGrad[c] - sum(OutGrad*Prob))
   DropoutMask,    // bufs: {Mask};       ints: {Count}; floats: {KeepProb}
-  GradSyncHook,   // bufs: {GradBuffer}; ints: {Count}
-                  //   runtime hook: initiate async reduction of the gradient
 };
+
+/// Bitmask of the buffer-argument positions of kernel \p K that name int32
+/// buffers (the Table of Gather2D / ScatterAdd2D, the Mask of max pooling)
+/// rather than float buffers. The engine, the emitter and the verifier all
+/// split a call's buffers by this one table.
+inline uint32_t kernelIntBufMask(KernelKind K) {
+  switch (K) {
+  case KernelKind::Gather2D:
+  case KernelKind::ScatterAdd2D:
+  case KernelKind::MaxPoolFwdRows:
+  case KernelKind::MaxPoolBwdRows:
+    return 1u << 2;
+  default:
+    return 0;
+  }
+}
 
 /// Activation op codes for ActFwdCols / ActBwdCols (IntArgs[0]).
 enum class ActOpKind : int64_t { Relu = 0, Sigmoid = 1, Tanh = 2 };

@@ -69,12 +69,6 @@ void ir::walkStmts(Stmt *S, const std::function<void(Stmt *)> &Fn) {
   case Stmt::Kind::TiledLoop:
     walkStmts(cast<TiledLoopStmt>(S)->body(), Fn);
     return;
-  case Stmt::Kind::If: {
-    auto *If = cast<IfStmt>(S);
-    walkStmts(If->thenStmt(), Fn);
-    walkStmts(If->elseStmt(), Fn);
-    return;
-  }
   case Stmt::Kind::Store:
   case Stmt::Kind::Decl:
   case Stmt::Kind::AssignVar:
@@ -83,47 +77,6 @@ void ir::walkStmts(Stmt *S, const std::function<void(Stmt *)> &Fn) {
     return;
   }
   latteUnreachable("unknown statement kind");
-}
-
-void ir::walkExprsInStmt(const Stmt *S,
-                         const std::function<void(const Expr *)> &Fn) {
-  walkStmts(S, [&Fn](const Stmt *Child) {
-    switch (Child->kind()) {
-    case Stmt::Kind::For:
-      walkExprs(cast<ForStmt>(Child)->lo(), Fn);
-      return;
-    case Stmt::Kind::If:
-      walkExprs(cast<IfStmt>(Child)->cond(), Fn);
-      return;
-    case Stmt::Kind::Store: {
-      const auto *St = cast<StoreStmt>(Child);
-      for (const ExprPtr &I : St->indices())
-        walkExprs(I.get(), Fn);
-      walkExprs(St->value(), Fn);
-      return;
-    }
-    case Stmt::Kind::Decl:
-      walkExprs(cast<DeclStmt>(Child)->init(), Fn);
-      return;
-    case Stmt::Kind::AssignVar:
-      walkExprs(cast<AssignVarStmt>(Child)->value(), Fn);
-      return;
-    case Stmt::Kind::KernelCall: {
-      const auto *K = cast<KernelCallStmt>(Child);
-      for (const KernelBufArg &B : K->bufs())
-        if (B.Offset)
-          walkExprs(B.Offset.get(), Fn);
-      for (const ExprPtr &E : K->exprArgs())
-        walkExprs(E.get(), Fn);
-      return;
-    }
-    case Stmt::Kind::Block:
-    case Stmt::Kind::TiledLoop:
-    case Stmt::Kind::Barrier:
-      return;
-    }
-    latteUnreachable("unknown statement kind");
-  });
 }
 
 ExprPtr ir::rewriteExpr(ExprPtr E,
@@ -199,11 +152,6 @@ void ir::rewriteExprsInStmt(Stmt *S,
       A->setValue(rewriteExpr(A->takeValue(), Fn));
       return;
     }
-    case Stmt::Kind::If: {
-      auto *If = cast<IfStmt>(Child);
-      If->setCond(rewriteExpr(If->takeCond(), Fn));
-      return;
-    }
     case Stmt::Kind::KernelCall: {
       auto *K = cast<KernelCallStmt>(Child);
       for (KernelBufArg &B : K->bufs())
@@ -219,81 +167,6 @@ void ir::rewriteExprsInStmt(Stmt *S,
       return;
     }
     latteUnreachable("unknown statement kind");
-  });
-}
-
-ExprPtr ir::substituteVarInExpr(ExprPtr E, const std::string &Name,
-                                const Expr &Replacement) {
-  return rewriteExpr(std::move(E), [&](const Expr *Node) -> ExprPtr {
-    if (const auto *V = dyn_cast<VarExpr>(Node))
-      if (V->name() == Name)
-        return Replacement.clone();
-    return nullptr;
-  });
-}
-
-void ir::substituteVar(Stmt *S, const std::string &Name,
-                       const Expr &Replacement) {
-  rewriteExprsInStmt(S, [&](const Expr *Node) -> ExprPtr {
-    if (const auto *V = dyn_cast<VarExpr>(Node))
-      if (V->name() == Name)
-        return Replacement.clone();
-    return nullptr;
-  });
-}
-
-ExprPtr ir::foldConstants(ExprPtr E) {
-  return rewriteExpr(std::move(E), [](const Expr *Node) -> ExprPtr {
-    const auto *B = dyn_cast<BinaryExpr>(Node);
-    if (!B)
-      return nullptr;
-    const auto *LC = dyn_cast<IntConstExpr>(B->lhs());
-    const auto *RC = dyn_cast<IntConstExpr>(B->rhs());
-    if (LC && RC) {
-      int64_t L = LC->value(), R = RC->value();
-      switch (B->op()) {
-      case BinaryOpKind::Add:
-        return intConst(L + R);
-      case BinaryOpKind::Sub:
-        return intConst(L - R);
-      case BinaryOpKind::Mul:
-        return intConst(L * R);
-      case BinaryOpKind::Div:
-        return R == 0 ? nullptr : intConst(L / R);
-      case BinaryOpKind::Min:
-        return intConst(std::min(L, R));
-      case BinaryOpKind::Max:
-        return intConst(std::max(L, R));
-      }
-    }
-    // Algebraic identities on one constant side.
-    auto IsConst = [](const Expr *X, int64_t V) {
-      const auto *C = dyn_cast<IntConstExpr>(X);
-      return C && C->value() == V;
-    };
-    switch (B->op()) {
-    case BinaryOpKind::Add:
-      if (IsConst(B->lhs(), 0))
-        return B->rhs()->clone();
-      if (IsConst(B->rhs(), 0))
-        return B->lhs()->clone();
-      break;
-    case BinaryOpKind::Sub:
-      if (IsConst(B->rhs(), 0))
-        return B->lhs()->clone();
-      break;
-    case BinaryOpKind::Mul:
-      if (IsConst(B->lhs(), 1))
-        return B->rhs()->clone();
-      if (IsConst(B->rhs(), 1))
-        return B->lhs()->clone();
-      if (IsConst(B->lhs(), 0) || IsConst(B->rhs(), 0))
-        return intConst(0);
-      break;
-    default:
-      break;
-    }
-    return nullptr;
   });
 }
 
@@ -330,58 +203,6 @@ bool ir::evalConstInt(const Expr *E, int64_t &Out) {
     }
   }
   return false;
-}
-
-bool ir::exprEquals(const Expr *A, const Expr *B) {
-  if (A == B)
-    return true;
-  if (!A || !B || A->kind() != B->kind())
-    return false;
-  switch (A->kind()) {
-  case Expr::Kind::IntConst:
-    return cast<IntConstExpr>(A)->value() == cast<IntConstExpr>(B)->value();
-  case Expr::Kind::FloatConst:
-    return cast<FloatConstExpr>(A)->value() ==
-           cast<FloatConstExpr>(B)->value();
-  case Expr::Kind::Var:
-    return cast<VarExpr>(A)->name() == cast<VarExpr>(B)->name();
-  case Expr::Kind::Load: {
-    const auto *LA = cast<LoadExpr>(A);
-    const auto *LB = cast<LoadExpr>(B);
-    if (LA->buffer() != LB->buffer() ||
-        LA->indices().size() != LB->indices().size())
-      return false;
-    for (size_t I = 0; I != LA->indices().size(); ++I)
-      if (!exprEquals(LA->indices()[I].get(), LB->indices()[I].get()))
-        return false;
-    return true;
-  }
-  case Expr::Kind::Binary: {
-    const auto *BA = cast<BinaryExpr>(A);
-    const auto *BB = cast<BinaryExpr>(B);
-    return BA->op() == BB->op() && exprEquals(BA->lhs(), BB->lhs()) &&
-           exprEquals(BA->rhs(), BB->rhs());
-  }
-  case Expr::Kind::Unary: {
-    const auto *UA = cast<UnaryExpr>(A);
-    const auto *UB = cast<UnaryExpr>(B);
-    return UA->op() == UB->op() && exprEquals(UA->operand(), UB->operand());
-  }
-  case Expr::Kind::Compare: {
-    const auto *CA = cast<CompareExpr>(A);
-    const auto *CB = cast<CompareExpr>(B);
-    return CA->op() == CB->op() && exprEquals(CA->lhs(), CB->lhs()) &&
-           exprEquals(CA->rhs(), CB->rhs());
-  }
-  case Expr::Kind::Select: {
-    const auto *SA = cast<SelectExpr>(A);
-    const auto *SB = cast<SelectExpr>(B);
-    return exprEquals(SA->cond(), SB->cond()) &&
-           exprEquals(SA->trueValue(), SB->trueValue()) &&
-           exprEquals(SA->falseValue(), SB->falseValue());
-  }
-  }
-  latteUnreachable("unknown expression kind");
 }
 
 namespace {
@@ -489,13 +310,6 @@ bool stmtEquiv(const Stmt *A, const Stmt *B, VarBijection &Vars) {
            TA->tileSize() == TB->tileSize() &&
            Vars.match(TA->tileVar(), TB->tileVar()) &&
            stmtEquiv(TA->body(), TB->body(), Vars);
-  }
-  case Stmt::Kind::If: {
-    const auto *IA = cast<IfStmt>(A);
-    const auto *IB = cast<IfStmt>(B);
-    return exprEquiv(IA->cond(), IB->cond(), Vars) &&
-           stmtEquiv(IA->thenStmt(), IB->thenStmt(), Vars) &&
-           stmtEquiv(IA->elseStmt(), IB->elseStmt(), Vars);
   }
   case Stmt::Kind::Store: {
     const auto *SA = cast<StoreStmt>(A);

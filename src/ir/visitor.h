@@ -26,11 +26,6 @@ void walkExprs(const Expr *E, const std::function<void(const Expr *)> &Fn);
 void walkStmts(const Stmt *S, const std::function<void(const Stmt *)> &Fn);
 void walkStmts(Stmt *S, const std::function<void(Stmt *)> &Fn);
 
-/// Visits every expression reachable from \p S (loop bounds, indices, store
-/// values, conditions, kernel-call offsets).
-void walkExprsInStmt(const Stmt *S,
-                     const std::function<void(const Expr *)> &Fn);
-
 /// Bottom-up expression rewriting: \p Fn is offered each node after its
 /// children were rewritten; returning a non-null ExprPtr replaces the node.
 ExprPtr rewriteExpr(ExprPtr E,
@@ -40,21 +35,9 @@ ExprPtr rewriteExpr(ExprPtr E,
 void rewriteExprsInStmt(Stmt *S,
                         const std::function<ExprPtr(const Expr *)> &Fn);
 
-/// Substitutes VarExpr(\p Name) with clones of \p Replacement throughout.
-void substituteVar(Stmt *S, const std::string &Name, const Expr &Replacement);
-ExprPtr substituteVarInExpr(ExprPtr E, const std::string &Name,
-                            const Expr &Replacement);
-
-/// Constant-folds integer arithmetic: Add/Sub/Mul/Div over IntConst
-/// operands, and the identities x+0, x*1, x*0, 0/x.
-ExprPtr foldConstants(ExprPtr E);
-
-/// Attempts to evaluate \p E as an integer constant (after folding).
-/// Returns true and sets \p Out on success.
+/// Attempts to evaluate \p E as an integer constant. Returns true and sets
+/// \p Out on success.
 bool evalConstInt(const Expr *E, int64_t &Out);
-
-/// Structural equality of expression trees.
-bool exprEquals(const Expr *A, const Expr *B);
 
 /// Alpha-equivalence of statement trees: structural equality modulo a
 /// consistent renaming of loop/local variables. This is the comparison the

@@ -31,8 +31,6 @@
 #ifndef LATTE_JIT_JIT_ABI_H
 #define LATTE_JIT_JIT_ABI_H
 
-#include "ir/stmt.h"
-
 #include <cstdint>
 #include <string>
 
@@ -80,21 +78,6 @@ inline std::string ctxStructSource() {
 
 #undef LATTE_JIT_STRINGIFY
 #undef LATTE_JIT_STRINGIFY_IMPL
-
-/// Bitmask of kernel buffer-argument positions that are int32 buffers
-/// (index tables / pooling masks) rather than float buffers. The code
-/// generator and the engine's resolved dispatch must agree on this split.
-inline uint32_t kernelIntBufMask(ir::KernelKind K) {
-  switch (K) {
-  case ir::KernelKind::Gather2D:
-  case ir::KernelKind::ScatterAdd2D:
-  case ir::KernelKind::MaxPoolFwdRows:
-  case ir::KernelKind::MaxPoolBwdRows:
-    return 1u << 2; // bufs[2] is the index table / argmax mask
-  default:
-    return 0;
-  }
-}
 
 } // namespace jit
 } // namespace latte

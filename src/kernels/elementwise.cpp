@@ -67,12 +67,6 @@ void kernels::scale(float *Dst, float Factor, int64_t Count) {
     Dst[I] *= Factor;
 }
 
-void kernels::axpy(float Factor, const float *Src, float *Dst,
-                   int64_t Count) {
-  for (int64_t I = 0; I < Count; ++I)
-    Dst[I] += Factor * Src[I];
-}
-
 void kernels::gather(float *Dst, const float *Src, const int32_t *Table,
                      int64_t Count) {
   for (int64_t I = 0; I < Count; ++I) {

@@ -47,9 +47,6 @@ void scale(float *Dst, float Factor, int64_t Count);
 /// Dst[i] += Value.
 void addScalar(float *Dst, float Value, int64_t Count);
 
-/// Dst[i] += Factor * Src[i].
-void axpy(float Factor, const float *Src, float *Dst, int64_t Count);
-
 /// Gather through an index table: Dst[i] = Table[i] >= 0 ? Src[Table[i]] : 0.
 /// Negative table entries encode out-of-bounds window positions (padding).
 void gather(float *Dst, const float *Src, const int32_t *Table,

@@ -165,12 +165,3 @@ ClusterResult runtime::simulateIteration(
   }
   return R;
 }
-
-double runtime::clusterThroughput(const std::vector<LayerProfile> &Layers,
-                                  const ClusterConfig &Config,
-                                  int64_t PerNodeBatch,
-                                  int64_t ProfileBatch) {
-  ClusterResult R =
-      simulateIteration(Layers, Config, PerNodeBatch, ProfileBatch);
-  return static_cast<double>(PerNodeBatch) * Config.Nodes / R.IterSeconds;
-}

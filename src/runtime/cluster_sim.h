@@ -86,11 +86,6 @@ ClusterResult simulateIteration(const std::vector<LayerProfile> &Layers,
                                 const ClusterConfig &Config,
                                 int64_t PerNodeBatch, int64_t ProfileBatch);
 
-/// Convenience: cluster throughput (items/sec) for the same arguments.
-double clusterThroughput(const std::vector<LayerProfile> &Layers,
-                         const ClusterConfig &Config, int64_t PerNodeBatch,
-                         int64_t ProfileBatch);
-
 } // namespace runtime
 } // namespace latte
 

@@ -144,11 +144,6 @@ void MicroBatcher::noteServiceTime(double Sec) {
       ServiceEwmaSec <= 0 ? Sec : 0.8 * ServiceEwmaSec + 0.2 * Sec;
 }
 
-size_t MicroBatcher::pending() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Queue.size();
-}
-
 BatcherStats MicroBatcher::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Stats;

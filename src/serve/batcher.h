@@ -119,7 +119,6 @@ public:
   /// slack is below the expected service time).
   void noteServiceTime(double Sec);
 
-  size_t pending() const;
   BatcherStats stats() const;
 
 private:

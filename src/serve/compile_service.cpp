@@ -23,7 +23,6 @@ void CompileService::enqueue(models::ModelSpec Spec,
     if (Stopped)
       return;
     Queue.push_back(Job{std::move(Spec), Opts, BatchSize, std::move(OnReady)});
-    ++St.Enqueued;
   }
   Cv.notify_one();
 }
@@ -35,7 +34,7 @@ void CompileService::workerLoop() {
       std::unique_lock<std::mutex> Lock(Mu);
       Cv.wait(Lock, [this] { return Stopped || !Queue.empty(); });
       if (Stopped)
-        return; // pending jobs are accounted as Dropped by stop()
+        return; // stop() drops the pending jobs
       J = std::move(Queue.front());
       Queue.pop_front();
     }
@@ -47,10 +46,6 @@ void CompileService::workerLoop() {
                                                         J.BatchSize);
     if (J.OnReady)
       J.OnReady(std::move(Prog));
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++St.Completed;
-    }
   }
 }
 
@@ -60,7 +55,6 @@ void CompileService::stop() {
     if (Stopped && Workers.empty())
       return;
     Stopped = true;
-    St.Dropped += static_cast<int64_t>(Queue.size());
     Queue.clear();
   }
   Cv.notify_all();
@@ -68,11 +62,4 @@ void CompileService::stop() {
     if (W.joinable())
       W.join();
   Workers.clear();
-}
-
-CompileService::Stats CompileService::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Stats S = St;
-  S.QueueDepth = static_cast<int64_t>(Queue.size());
-  return S;
 }

@@ -53,14 +53,6 @@ public:
   /// workers once their in-flight compiles finish. Idempotent.
   void stop();
 
-  struct Stats {
-    int64_t Enqueued = 0;
-    int64_t Completed = 0;
-    int64_t Dropped = 0;    ///< pending jobs discarded by stop()
-    int64_t QueueDepth = 0; ///< snapshot of jobs waiting for a worker
-  };
-  Stats stats() const;
-
 private:
   struct Job {
     models::ModelSpec Spec;
@@ -71,12 +63,11 @@ private:
 
   void workerLoop();
 
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::condition_variable Cv;
   std::deque<Job> Queue;
   std::vector<std::thread> Workers;
   bool Stopped = false;
-  Stats St;
 };
 
 } // namespace serve

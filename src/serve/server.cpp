@@ -12,6 +12,9 @@
 using namespace latte;
 using namespace latte::serve;
 
+/// Workers in each server's background compile pool.
+static constexpr int kCompileThreads = 2;
+
 Server::Server(const models::ModelSpec &Spec,
                const compiler::CompileOptions &CO, const ServeOptions &SO)
     : Spec(Spec), CompileOpts(CO), Opts(SO), BatchSizes(SO.BatchSizes) {
@@ -42,24 +45,11 @@ Server::Server(const models::ModelSpec &Spec,
   // batch size, with interpreted dispatch when the requested class wants
   // the JIT (a .so compile is exactly the latency we refuse to put on the
   // request path). Everything else is background work.
-  compiler::ProgramCache &Cache = compiler::ProgramCache::instance();
-  const bool Async = Opts.AsyncCompile;
-  const bool Jit = CompileOpts.Jit;
   compiler::CompileOptions InterpCO = CompileOpts;
   InterpCO.Jit = false;
-
-  compiler::ProgramCache::ProgramPtr Floor;
-  if (!Async) {
-    for (size_t BI = 0; BI < N; ++BI)
-      Programs[BI] = Cache.getOrCompile(Spec, CompileOpts, BatchSizes[BI]);
-    Floor = Programs.front();
-  } else if (Jit) {
-    InterpPrograms[0] = Cache.getOrCompile(Spec, InterpCO, BatchSizes[0]);
-    Floor = InterpPrograms[0];
-  } else {
-    Programs[0] = Cache.getOrCompile(Spec, CompileOpts, BatchSizes[0]);
-    Floor = Programs[0];
-  }
+  compiler::ProgramCache::ProgramPtr Floor =
+      compiler::ProgramCache::instance().getOrCompile(Spec, InterpCO,
+                                                      BatchSizes[0]);
 
   // The weight master: owns the parameter bytes every replica points at.
   // Any program of the family works (identical parameter declarations);
@@ -77,23 +67,14 @@ Server::Server(const models::ModelSpec &Spec,
     Rep.Execs.resize(N);
     Rep.InterpExecs.resize(N);
   }
-  if (!Async) {
-    for (size_t BI = 0; BI < N; ++BI)
-      installClass(BI, /*Interp=*/false, Programs[BI]);
-  } else if (Jit) {
-    installClass(0, /*Interp=*/true, InterpPrograms[0]);
-  } else {
-    installClass(0, /*Interp=*/false, Programs[0]);
-  }
+  installClass(0, /*Interp=*/CompileOpts.Jit, Floor);
 
   Batcher = std::make_unique<MicroBatcher>(
       BatchSizes.back(), std::chrono::microseconds(Opts.FlushDeadlineMicros),
       Opts.QueueCapacity);
 
-  if (Async) {
-    Compiles = std::make_unique<CompileService>(Opts.CompileThreads);
-    enqueueBackgroundCompiles();
-  }
+  Compiles = std::make_unique<CompileService>(kCompileThreads);
+  enqueueBackgroundCompiles();
 }
 
 void Server::enqueueBackgroundCompiles() {
@@ -172,8 +153,7 @@ void Server::stop() {
   Stopping.store(true, std::memory_order_release);
   // Compile workers first: after this join no install callback can run,
   // so the executor slots are quiescent while the serve workers drain.
-  if (Compiles)
-    Compiles->stop();
+  Compiles->stop();
   if (Batcher)
     Batcher->stop(); // fails queued requests with Status::Shutdown
   for (Replica &Rep : Replicas)

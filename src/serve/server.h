@@ -10,13 +10,13 @@
 /// batch loops never mix rows), so padded rows produce garbage in *their
 /// own* output rows only.
 ///
-/// Shape-class compilation is asynchronous (ServeOptions::AsyncCompile,
-/// on by default): only the *floor* program — the smallest batch size,
-/// interpreted dispatch when the requested option class includes the JIT
-/// — is compiled inline at construction; every other (options, batch
-/// size) class is enqueued on a background CompileService and installed
-/// atomically when ready. Until then, traffic degrades down an explicit
-/// ladder instead of blocking on a compile:
+/// Shape-class compilation is asynchronous: only the *floor* program — the
+/// smallest batch size, interpreted dispatch when the requested option
+/// class includes the JIT — is compiled inline at construction; every
+/// other (options, batch size) class is enqueued on a background
+/// CompileService (two workers) and installed atomically when ready;
+/// waitAllClassesReady blocks until all are. Until then, traffic degrades
+/// down an explicit ladder instead of blocking on a compile:
 ///
 ///   warm hit -> padded nearest warm batch size -> interpreted-dispatch
 ///   program (JIT variant still cold) -> chunked runs through the floor
@@ -82,13 +82,6 @@ struct ServeOptions {
   /// release speed.
   int64_t ClassDeadlineMicros[NumPriorities] = {100'000, 1'000'000,
                                                 10'000'000};
-  /// Background shape-class compilation (the cold-cache degradation
-  /// ladder). Off = every batch size compiles inline at construction,
-  /// the pre-async behavior the introspection-heavy tests rely on.
-  bool AsyncCompile = true;
-  /// Workers in the background compile pool (>= 1; only used when
-  /// AsyncCompile).
-  int CompileThreads = 2;
   /// Weight initialization seed (initParams on the weight master).
   uint64_t ParamSeed = 0x5eed;
   /// Engine options for every replica executor (Profile works — the
@@ -133,8 +126,7 @@ struct ServeStats {
 class Server {
 public:
   /// Compiles (or cache-hits) the floor program inline, enqueues every
-  /// other shape class on the background compile service (AsyncCompile)
-  /// or compiles them inline too (!AsyncCompile), and builds
+  /// other shape class on the background compile service, and builds
   /// Replicas x BatchSizes executor slots wired for weight sharing.
   /// Does not start worker threads — call start().
   Server(const models::ModelSpec &Spec, const compiler::CompileOptions &CO,
@@ -239,7 +231,7 @@ private:
 
   std::unique_ptr<engine::Executor> Master; ///< owns the weights
   std::vector<Replica> Replicas;
-  std::unique_ptr<CompileService> Compiles; ///< null when !AsyncCompile
+  std::unique_ptr<CompileService> Compiles;
   std::atomic<bool> Stopping{false};
 
   std::unique_ptr<MicroBatcher> Batcher;

@@ -71,9 +71,13 @@ latte::readLtdFile(const std::string &Path) {
   if (!readBytes(F.get(), Header, 4) || std::memcmp(Header, Magic, 4) != 0 ||
       !readBytes(F.get(), &Count, 4))
     reportFatalError(Path + " is not a valid .ltd file. Bad header");
+  // A record may not claim more payload than the file holds: it is
+  // checked before the tensor is allocated.
+  std::fseek(F.get(), 0, SEEK_END);
+  const int64_t FileBytes = std::ftell(F.get());
+  std::fseek(F.get(), 8, SEEK_SET);
 
   std::vector<std::pair<std::string, Tensor>> Result;
-  Result.reserve(Count);
   for (uint32_t I = 0; I != Count; ++I) {
     uint32_t NameLen = 0;
     if (!readBytes(F.get(), &NameLen, 4) || NameLen > (1u << 20))
@@ -85,9 +89,18 @@ latte::readLtdFile(const std::string &Path) {
       reportFatalError(Path + ": corrupt tensor record for entry " +
                        std::to_string(I));
     std::vector<int64_t> Dims(Rank);
-    for (uint32_t D = 0; D != Rank; ++D)
-      if (!readBytes(F.get(), &Dims[D], 8) || Dims[D] < 0)
+    int64_t N = 1;
+    for (uint32_t D = 0; D != Rank; ++D) {
+      if (!readBytes(F.get(), &Dims[D], 8) || Dims[D] < 0 ||
+          (Dims[D] > 0 && N > INT64_MAX / 4 / Dims[D]))
         reportFatalError(Path + ": corrupt dimension in " + Name);
+      N *= Dims[D];
+    }
+    const int64_t Left = FileBytes - std::ftell(F.get());
+    if (N * 4 > Left)
+      reportFatalError(Path + ": " + Name + " claims " +
+                       std::to_string(N * 4) + " bytes of data but only " +
+                       std::to_string(Left) + " remain");
     Tensor T((Shape(Dims)));
     if (!readBytes(F.get(), T.data(),
                    static_cast<size_t>(T.numElements()) * sizeof(float)))

@@ -46,16 +46,6 @@ int64_t Shape::linearize(const std::vector<int64_t> &Index) const {
   return Linear;
 }
 
-std::vector<int64_t> Shape::delinearize(int64_t Linear) const {
-  assert(Linear >= 0 && Linear < numElements() && "offset out of bounds");
-  std::vector<int64_t> Index(Dims.size());
-  for (int I = rank() - 1; I >= 0; --I) {
-    Index[I] = Linear % Dims[I];
-    Linear /= Dims[I];
-  }
-  return Index;
-}
-
 std::string Shape::str() const {
   std::ostringstream OS;
   OS << "(";

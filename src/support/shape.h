@@ -58,9 +58,6 @@ public:
   /// Converts a multi-index to its row-major linear offset.
   int64_t linearize(const std::vector<int64_t> &Index) const;
 
-  /// Converts a row-major linear offset back to a multi-index.
-  std::vector<int64_t> delinearize(int64_t Linear) const;
-
   /// Renders as e.g. "(64, 224, 224)".
   std::string str() const;
 

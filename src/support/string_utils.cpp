@@ -2,7 +2,6 @@
 
 #include "support/string_utils.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -17,38 +16,6 @@ std::string latte::join(const std::vector<std::string> &Parts,
     Result += Parts[I];
   }
   return Result;
-}
-
-std::vector<std::string> latte::split(const std::string &Text, char Sep) {
-  std::vector<std::string> Parts;
-  size_t Start = 0;
-  while (true) {
-    size_t Pos = Text.find(Sep, Start);
-    if (Pos == std::string::npos) {
-      Parts.push_back(Text.substr(Start));
-      return Parts;
-    }
-    Parts.push_back(Text.substr(Start, Pos - Start));
-    Start = Pos + 1;
-  }
-}
-
-bool latte::startsWith(const std::string &Text, const std::string &Prefix) {
-  return Text.size() >= Prefix.size() &&
-         Text.compare(0, Prefix.size(), Prefix) == 0;
-}
-
-bool latte::contains(const std::string &Text, const std::string &Needle) {
-  return Text.find(Needle) != std::string::npos;
-}
-
-std::string latte::trim(const std::string &Text) {
-  size_t Begin = 0, End = Text.size();
-  while (Begin < End && std::isspace(static_cast<unsigned char>(Text[Begin])))
-    ++Begin;
-  while (End > Begin && std::isspace(static_cast<unsigned char>(Text[End - 1])))
-    --End;
-  return Text.substr(Begin, End - Begin);
 }
 
 std::string latte::formatString(const char *Fmt, ...) {

@@ -18,18 +18,6 @@ namespace latte {
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);
 
-/// Splits \p Text on \p Sep; empty fields are preserved.
-std::vector<std::string> split(const std::string &Text, char Sep);
-
-/// Returns true when \p Text begins with \p Prefix.
-bool startsWith(const std::string &Text, const std::string &Prefix);
-
-/// Returns true when \p Text contains \p Needle.
-bool contains(const std::string &Text, const std::string &Needle);
-
-/// Strips leading and trailing ASCII whitespace.
-std::string trim(const std::string &Text);
-
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// A small fork-join pool used by the data-parallel runtime (worker replicas,
-/// gradient reduction) and by the engine when OpenMP is unavailable. Tasks
-/// are submitted as a parallel-for over an index range.
+/// gradient reduction). Tasks are submitted as a parallel-for over an index
+/// range. The engine does not use it: without OpenMP it runs every
+/// parallel-annotated loop serially (forkParallelLoops, engine/executor.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

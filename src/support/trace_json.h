@@ -10,8 +10,9 @@
 ///    one track per recording thread.
 ///
 ///  - a compact machine-readable summary (per-(phase,name) span aggregates
-///    and per-phase counters) consumed by the bench harness's
-///    `BENCH_<fig>.json` emitter and the CI regression gate.
+///    and per-phase counters), which the bench harness copies into every
+///    `BENCH_<fig>.json` (spans as "tasks"); the regression gate
+///    (bench/compare) does not read it.
 ///
 //===----------------------------------------------------------------------===//
 

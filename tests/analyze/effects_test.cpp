@@ -169,10 +169,11 @@ TEST(EffectsTest, KernelSignaturesMatchRuntimeLayouts) {
   EXPECT_EQ(kernelSignature(KernelKind::Im2ColRows).NumBufs, 2);
   EXPECT_EQ(kernelSignature(KernelKind::Im2ColRows).NumExprs, 1);
   EXPECT_EQ(kernelSignature(KernelKind::Scale).NumFloats, 1);
-  EXPECT_TRUE(kernelBufArgIsInt(KernelKind::Gather2D, 2));
-  EXPECT_FALSE(kernelBufArgIsInt(KernelKind::Gather2D, 0));
-  EXPECT_TRUE(kernelBufArgIsInt(KernelKind::MaxPoolBwdRows, 2));
-  EXPECT_FALSE(kernelBufArgIsInt(KernelKind::Sgemm, 2));
+  EXPECT_EQ(kernelIntBufMask(KernelKind::Gather2D), 1u << 2);
+  EXPECT_EQ(kernelIntBufMask(KernelKind::ScatterAdd2D), 1u << 2);
+  EXPECT_EQ(kernelIntBufMask(KernelKind::MaxPoolFwdRows), 1u << 2);
+  EXPECT_EQ(kernelIntBufMask(KernelKind::MaxPoolBwdRows), 1u << 2);
+  EXPECT_EQ(kernelIntBufMask(KernelKind::Sgemm), 0u);
 }
 
 TEST(EffectsTest, PaddedWindowReadIsInexactButBounded) {

@@ -1,9 +1,8 @@
 //===- tests/engine/engine_test.cpp ---------------------------*- C++ -*-===//
 ///
 /// Direct engine tests: hand-built Programs exercising each kernel-call
-/// kind, interpreter statement forms (If, local scalars, min/max
-/// accumulation), and the buffer-alias machinery, independent of the
-/// compiler front end.
+/// kind, interpreter forms (select, local scalars, min/max accumulation),
+/// and the buffer-alias machinery, independent of the compiler front end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +10,8 @@
 #include "ir/builder.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 using namespace latte;
 using namespace latte::compiler;
@@ -150,14 +151,14 @@ TEST(EngineTest, GatherScatterRoundTripThroughTable) {
   EXPECT_EQ(Ex.readBuffer("back").firstMismatch(Src, 1e-6f), -1);
 }
 
-TEST(EngineTest, InterpreterIfAndLocals) {
-  // for i in 0..4: let m = src[i]; if (m < 0) dst[i] = -m else dst[i] = m
+TEST(EngineTest, InterpreterSelectAndLocals) {
+  // for i in 0..4: let m = src[i]; dst[i] = select(m < 0, -m, m)
   std::vector<StmtPtr> Body;
   Body.push_back(decl("m", load("src", indexList(var("i")))));
-  Body.push_back(ifStmt(
-      compare(CompareOpKind::LT, var("m"), floatConst(0.0)),
-      storeAssign("dst", indexList(var("i")), neg(var("m"))),
-      storeAssign("dst", indexList(var("i")), var("m"))));
+  Body.push_back(storeAssign(
+      "dst", indexList(var("i")),
+      select(compare(CompareOpKind::LT, var("m"), floatConst(0.0)),
+             neg(var("m")), var("m"))));
   StmtPtr Loop = forLoop("i", 4, block(std::move(Body)));
   ProgramBuilder PB;
   PB.buffer("src", Shape{4}).buffer("dst", Shape{4});
@@ -237,6 +238,43 @@ TEST(EngineTest, TiledLoopExecutesAllTiles) {
   const float Expect[] = {0, 0, 1, 1, 2, 2};
   for (int I = 0; I < 6; ++I)
     EXPECT_FLOAT_EQ(Dst.at(I), Expect[I]) << I;
+}
+
+TEST(EngineDeathTest, SoftmaxLossLabelOutOfRangeIsFatal) {
+  // Each loss kernel alone over two rows of three classes, row 1 labelled
+  // \p Label. A label outside [0, 3), or NaN, would read past its
+  // probability row.
+  auto Run = [](KernelKind Kind, float Label) {
+    StmtPtr K =
+        Kind == KernelKind::SoftmaxLossFwd
+            ? kernelCall(Kind,
+                         bufArgs(KernelBufArg("prob"), KernelBufArg("src"),
+                                 KernelBufArg("label"), KernelBufArg("loss")),
+                         {2, 3})
+            : kernelCall(Kind,
+                         bufArgs(KernelBufArg("grad"), KernelBufArg("prob"),
+                                 KernelBufArg("label")),
+                         {2, 3}, {0.5});
+    ProgramBuilder PB;
+    PB.buffer("prob", Shape{2, 3})
+        .buffer("src", Shape{2, 3})
+        .buffer("grad", Shape{2, 3})
+        .buffer("label", Shape{2})
+        .buffer("loss", Shape{2});
+    Executor Ex = PB.build(std::move(K));
+    Tensor Labels(Shape{2});
+    Labels.at(1) = Label;
+    Ex.writeBuffer("label", Labels);
+    Ex.forward();
+  };
+  for (KernelKind Kind :
+       {KernelKind::SoftmaxLossFwd, KernelKind::SoftmaxLossBwd}) {
+    Run(Kind, 2.0f); // in range
+    for (float Bad : {3.0f, -1.0f, std::nanf("")})
+      EXPECT_DEATH(Run(Kind, Bad),
+                   "softmax loss: label .* is outside \\[0, 3\\)")
+          << kernelKindName(Kind) << " label " << Bad;
+  }
 }
 
 TEST(EngineDeathTest, UnknownBufferIsFatal) {

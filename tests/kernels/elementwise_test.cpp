@@ -43,7 +43,7 @@ TEST(ElementwiseTest, ReluBwdGatesOnValue) {
   EXPECT_FLOAT_EQ(DstGrad[2], 1.0f);  // value == 0 blocks
 }
 
-TEST(ElementwiseTest, AddToMulIntoScaleAxpy) {
+TEST(ElementwiseTest, AddToMulIntoScale) {
   std::vector<float> A = {1, 2, 3}, B = {4, 5, 6}, C(3);
   addTo(A.data(), B.data(), 3);
   EXPECT_FLOAT_EQ(A[2], 9.0f);
@@ -51,8 +51,6 @@ TEST(ElementwiseTest, AddToMulIntoScaleAxpy) {
   EXPECT_FLOAT_EQ(C[0], 20.0f);
   scale(C.data(), 0.5f, 3);
   EXPECT_FLOAT_EQ(C[0], 10.0f);
-  axpy(2.0f, B.data(), C.data(), 3);
-  EXPECT_FLOAT_EQ(C[0], 18.0f);
 }
 
 TEST(ElementwiseTest, GatherWithPadding) {

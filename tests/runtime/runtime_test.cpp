@@ -220,11 +220,11 @@ TEST(ClusterSimTest, WeakScalingNearLinear) {
   models::ModelSpec Spec = models::alexNet(0.5);
   std::vector<LayerProfile> P = estimateLayerProfiles(Spec, 64, 5.0, 10.0);
   ClusterConfig C;
-  C.Nodes = 1;
-  double T1 = clusterThroughput(P, C, 64, 64);
-  C.Nodes = 32;
-  double T32 = clusterThroughput(P, C, 64, 64);
-  EXPECT_GT(T32, 0.8 * 32 * T1);
+  auto Throughput = [&](int Nodes) {
+    C.Nodes = Nodes;
+    return Nodes * 64 / simulateIteration(P, C, 64, 64).IterSeconds;
+  };
+  EXPECT_GT(Throughput(32), 0.8 * 32 * Throughput(1));
 }
 
 //===----------------------------------------------------------------------===//

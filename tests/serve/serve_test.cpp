@@ -503,13 +503,16 @@ TEST(Server, ProgramCacheHitsOnSecondServer) {
   serve::ServeOptions SO;
   SO.Replicas = 1;
   SO.BatchSizes = {1, 2};
-  SO.AsyncCompile = false; // inline compiles keep the stats deterministic
   models::ModelSpec Spec = testSpec();
   Spec.Name = "LeNet-cache-test"; // private cache entries for this test
 
+  // Waiting for every class keeps the stats deterministic: the batch-2
+  // class compiles in the background.
   serve::Server A(Spec, {}, SO);
+  ASSERT_TRUE(A.waitAllClassesReady(60s));
   serve::ProgramCache::Stats S1 = Cache.stats();
   serve::Server B(Spec, {}, SO);
+  ASSERT_TRUE(B.waitAllClassesReady(60s));
   serve::ProgramCache::Stats S2 = Cache.stats();
   EXPECT_EQ(S2.Misses, S1.Misses);     // second server compiled nothing
   EXPECT_EQ(S2.Hits, S1.Hits + 2);     // both batch sizes reused
@@ -550,7 +553,6 @@ TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
       {"Jit", [](auto &C) { C.Jit ^= true; }},
       {"Inference", [](auto &C) { C.Inference ^= true; }},
       {"EvalDropout", [](auto &C) { C.EvalDropout ^= true; }},
-      {"GradSyncHooks", [](auto &C) { C.GradSyncHooks ^= true; }},
       {"TileSize", [](auto &C) { C.TileSize += 4; }},
       {"MinRowsToTile", [](auto &C) { C.MinRowsToTile += 8; }},
   };

@@ -6,6 +6,7 @@
 #include "engine/executor.h"
 #include "models/models.h"
 #include "solvers/solvers.h"
+#include "support/ltd_format.h"
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,20 @@ TEST(DatasetTest, LtdRoundTrip) {
   Tensor A(Ds.itemDims()), B(Loaded.itemDims());
   EXPECT_EQ(Ds.fillItem(3, A.data()), Loaded.fillItem(3, B.data()));
   EXPECT_EQ(A.firstMismatch(B, 0.0f), -1);
+  std::remove(Path.c_str());
+}
+
+TEST(DatasetDeathTest, LtdShapeMismatchIsFatal) {
+  // 10 items over 3 labels would read past the label tensor in fillItem.
+  std::string Path = testing::TempDir() + "/mislabeled.ltd";
+  ASSERT_TRUE(writeLtdFile(Path, {{"data", Tensor(Shape{10, 2})},
+                                  {"label", Tensor(Shape{3})}}));
+  EXPECT_DEATH(data::readDatasetLtd(Path),
+               "mislabeled.ltd: 10 items but 3 labels");
+  ASSERT_TRUE(writeLtdFile(Path, {{"data", Tensor(Shape{10})},
+                                  {"label", Tensor(Shape{10})}}));
+  EXPECT_DEATH(data::readDatasetLtd(Path),
+               "mislabeled.ltd: 'data' must be \\(items, dims...\\)");
   std::remove(Path.c_str());
 }
 

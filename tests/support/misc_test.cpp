@@ -21,27 +21,6 @@ TEST(StringUtilsTest, Join) {
   EXPECT_EQ(join({"x"}, ","), "x");
 }
 
-TEST(StringUtilsTest, Split) {
-  std::vector<std::string> Parts = split("a,b,,c", ',');
-  ASSERT_EQ(Parts.size(), 4u);
-  EXPECT_EQ(Parts[0], "a");
-  EXPECT_EQ(Parts[2], "");
-  EXPECT_EQ(Parts[3], "c");
-}
-
-TEST(StringUtilsTest, StartsWithAndContains) {
-  EXPECT_TRUE(startsWith("convolution", "conv"));
-  EXPECT_FALSE(startsWith("conv", "convolution"));
-  EXPECT_TRUE(contains("gemm('T','N')", "'T'"));
-  EXPECT_FALSE(contains("abc", "z"));
-}
-
-TEST(StringUtilsTest, Trim) {
-  EXPECT_EQ(trim("  hi \n"), "hi");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-}
-
 TEST(StringUtilsTest, FormatString) {
   EXPECT_EQ(formatString("%s=%d", "x", 42), "x=42");
   EXPECT_EQ(formatString("%.2f", 3.14159), "3.14");
@@ -113,4 +92,45 @@ TEST(LtdFormatDeathTest, RejectsGarbage) {
   std::fclose(F);
   EXPECT_DEATH({ readLtdFile(Path); }, "not a valid");
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// Writes a one-record .ltd file named "x" whose header claims \p Dims but
+/// which carries only \p PayloadFloats floats of data.
+std::string writeRawLtd(const std::string &File,
+                        const std::vector<int64_t> &Dims, int PayloadFloats) {
+  std::string Path = testing::TempDir() + "/" + File;
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  EXPECT_NE(F, nullptr);
+  const uint32_t Count = 1, NameLen = 1;
+  const uint32_t Rank = static_cast<uint32_t>(Dims.size());
+  std::fwrite("LTD1", 1, 4, F);
+  std::fwrite(&Count, 4, 1, F);
+  std::fwrite(&NameLen, 4, 1, F);
+  std::fwrite("x", 1, 1, F);
+  std::fwrite(&Rank, 4, 1, F);
+  std::fwrite(Dims.data(), 8, Dims.size(), F);
+  const std::vector<float> Payload(PayloadFloats, 1.0f);
+  if (!Payload.empty())
+    std::fwrite(Payload.data(), 4, Payload.size(), F);
+  std::fclose(F);
+  return Path;
+}
+
+} // namespace
+
+TEST(LtdFormatDeathTest, RejectsOverflowingAndOversizedRecords) {
+  // 2^32 * 2^32 * 2^32 elements wrap to 0 in int64 arithmetic: a shape
+  // that claims 2^96 elements over no storage.
+  const int64_t Big = int64_t{1} << 32;
+  std::string Wraps = writeRawLtd("wraps.ltd", {Big, Big, Big}, 0);
+  EXPECT_DEATH({ readLtdFile(Wraps); }, "corrupt dimension in x");
+  // 2^20 floats declared, 2 present: rejected before the 4 MiB tensor is
+  // allocated.
+  std::string Short = writeRawLtd("short.ltd", {1 << 20}, 2);
+  EXPECT_DEATH({ readLtdFile(Short); },
+               "x claims 4194304 bytes of data but only 8 remain");
+  std::remove(Wraps.c_str());
+  std::remove(Short.c_str());
 }

@@ -47,14 +47,6 @@ TEST(ShapeTest, StridesAreRowMajor) {
   EXPECT_EQ(Strides[2], 1);
 }
 
-TEST(ShapeTest, LinearizeDelinearizeRoundTrip) {
-  Shape S{3, 5, 7};
-  for (int64_t I = 0; I < S.numElements(); ++I) {
-    std::vector<int64_t> Index = S.delinearize(I);
-    EXPECT_EQ(S.linearize(Index), I);
-  }
-}
-
 TEST(ShapeTest, LinearizeMatchesStrides) {
   Shape S{4, 6};
   EXPECT_EQ(S.linearize({0, 0}), 0);
