@@ -17,7 +17,11 @@
 /// tight thresholds, then reruns without the filters (informationally)
 /// for the summary table.
 ///
-/// Exit codes: 0 = within threshold, 1 = regression, 2 = usage/parse error.
+/// A row named in `--rows` must be present in both files; a missing one
+/// fails the gate like a regression.
+///
+/// Exit codes: 0 = within threshold, 1 = regression or missing named row,
+/// 2 = usage/parse error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,7 +100,7 @@ int main(int argc, char **argv) {
   std::fputs(Markdown ? bench::formatCompareMarkdown(R, Threshold).c_str()
                       : bench::formatCompareReport(R, Threshold).c_str(),
              stdout);
-  if (R.Compared.empty()) {
+  if (R.Compared.empty() && R.MissingRows.empty()) {
     std::fprintf(stderr, "no comparable metrics found\n");
     return 2;
   }

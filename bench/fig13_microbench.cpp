@@ -8,10 +8,10 @@
 ///
 /// This harness reproduces the ablation structure: the Caffe baseline
 /// (static per-layer kernels, im2col + GEMM), Latte without cross-layer
-/// optimizations, Latte with tiling+fusion, and Latte additionally without
-/// vectorized kernels (isolating the vectorization term). The
-/// parallelization factor scales with the machine's cores (the paper had
-/// 36; see EXPERIMENTS.md).
+/// optimizations, and Latte with tiling+fusion — the paper's two Latte
+/// configurations. The vectorized-vs-naive GEMM pair is measured per
+/// shape by bench/kernels_gemm. The parallelization factor scales with the
+/// machine's cores (the paper had 36; see EXPERIMENTS.md).
 ///
 /// `--json BENCH_fig13.json` additionally emits the machine-readable
 /// summary (timing rows, per-pass compile times, per-task execution spans,
@@ -48,10 +48,6 @@ int main(int argc, char **argv) {
   Full.TileSize = 8;
   PassTimes LatteFull = timeLatte(Spec, BO.Batch, Full, BO.Reps);
 
-  CompileOptions NoVec = Full; // ablate vectorized kernels
-  NoVec.VectorKernels = false;
-  PassTimes LatteNoVec = timeLatte(Spec, BO.Batch, NoVec, BO.Reps);
-
   CompileOptions FullJit = Full; // + in-process JIT dispatch (src/jit)
   FullJit.Jit = true;
   bool JitActive = false;
@@ -78,10 +74,7 @@ int main(int argc, char **argv) {
               LatteBase.total() * 1e3);
   std::printf("%-44s %10.1f ms\n", "Latte, tiling+fusion",
               LatteFull.total() * 1e3);
-  std::printf("%-44s %10.1f ms\n", "Latte, tiling+fusion, scalar kernels",
-              LatteNoVec.total() * 1e3);
-  std::printf("\nvectorization gain: %.2fx; cross-layer gain: %.2fx\n",
-              LatteNoVec.total() / LatteFull.total(),
+  std::printf("\ncross-layer gain: %.2fx\n",
               LatteBase.total() / LatteFull.total());
 
   std::printf("\n-- interpreter vs in-process JIT (full stack, fwd+bwd) --\n");
@@ -110,7 +103,6 @@ int main(int argc, char **argv) {
     R.addRow("caffe", Caffe);
     R.addRow("latte_no_crosslayer", LatteBase);
     R.addRow("latte_full", LatteFull);
-    R.addRow("latte_full_scalar", LatteNoVec);
     // Informational row (bench/compare treats rows present on only one
     // side as non-gating): absent when the JIT could not engage, so a CI
     // runner without a working system compiler never fails the gate.

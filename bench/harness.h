@@ -274,7 +274,6 @@ inline PassTimes timeLatte(const models::ModelSpec &Spec, int64_t Batch,
   core::Net Net(Batch);
   models::buildLatte(Net, Spec, /*WithLoss=*/true);
   engine::ExecOptions EO;
-  EO.VectorKernels = Opts.VectorKernels;
   EO.Parallel = Opts.Parallelize;
   // When the harness was asked for --json/--trace output, record per-task
   // spans and counters during the timed reps (top-of-task granularity —

@@ -188,7 +188,7 @@ int main(int argc, char **argv) {
 
   // --- the server (before any other compile: cold means cold) ------------
   if (O.Cold)
-    serve::ProgramCache::instance().clear();
+    compiler::ProgramCache::instance().clear();
   serve::ServeOptions SO;
   SO.Replicas = O.Replicas;
   SO.BatchSizes = O.BatchSizes;
@@ -266,7 +266,9 @@ int main(int argc, char **argv) {
   engine::ExecOptions SeqEO;
   SeqEO.Seed = ParamSeed;
   engine::Executor Seq(
-      serve::ProgramCache::instance().getOrCompile(Spec, InferCO, 1)->clone(),
+      compiler::ProgramCache::instance()
+          .getOrCompile(Spec, InferCO, 1)
+          ->clone(),
       SeqEO);
   Seq.setInput(Pool[0]);
   Seq.forward(); // warmup (JIT load, lazy zero schedule)

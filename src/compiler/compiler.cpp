@@ -155,7 +155,6 @@ std::vector<PassStage> compiler::compileStaged(const core::Net &Net,
   Cur.Tiling = false;
   Cur.Fusion = false;
   Cur.Parallelize = false;
-  Cur.VectorKernels = false;
   Cur.Recompute = false;
 
   struct Switch {
@@ -163,7 +162,6 @@ std::vector<PassStage> compiler::compileStaged(const core::Net &Net,
     bool CompileOptions::*Member;
   };
   static constexpr Switch Pipeline[] = {
-      {"+vector-kernels", &CompileOptions::VectorKernels},
       {"+gemm", &CompileOptions::PatternMatchGemm},
       {"+kernels", &CompileOptions::PatternMatchKernels},
       {"+tiling", &CompileOptions::Tiling},

@@ -46,11 +46,12 @@ struct PassStage {
 };
 
 /// Compiles \p Net once per pipeline stage, cumulatively enabling the
-/// optimization switches that are on in \p Opts (canonical order: vector
-/// kernels, GEMM pattern matching, kernel pattern matching, tiling, fusion,
-/// parallelization, recompute). The first stage is always the fully-unoptimized
-/// baseline; the last equals compile(Net, Opts). Switches disabled in
-/// \p Opts contribute no stage.
+/// optimization switches that are on in \p Opts (canonical order: GEMM
+/// pattern matching, kernel pattern matching, tiling, fusion,
+/// parallelization, recompute). The first stage is always the
+/// fully-unoptimized baseline; the last equals compile(Net, Opts).
+/// Switches disabled in \p Opts contribute no stage; Jit is not a pass
+/// and rides along unchanged on every stage.
 std::vector<PassStage> compileStaged(const core::Net &Net,
                                      const CompileOptions &Opts = {});
 

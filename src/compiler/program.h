@@ -229,16 +229,15 @@ struct CompileOptions {
   bool Tiling = true;              ///< loop tiling (§5.4.1)
   bool Fusion = true;              ///< cross-layer fusion (§5.4.2)
   bool Parallelize = true;         ///< batch x tile parallel loops (§5.4.3)
-  bool VectorKernels = true; ///< engine uses vectorized kernel variants
   /// Rematerialize pure-gather buffers in backward instead of retaining
   /// them across the forward/backward boundary (compiler/recompute.h) —
   /// the sublinear-memory trade: less arena, a re-gather per backward.
   bool Recompute = true;
   /// Execute tasks through the in-process JIT backend (src/jit): generated
   /// loop nests compiled to a shared object, kernels still dispatched into
-  /// the engine, per-task interpreter fallback. Lattice bit 7 in the
-  /// verification sweep. Off by default — purely a steady-state speed
-  /// lever, bitwise-identical results either way.
+  /// the engine, per-task interpreter fallback. The top bit of the
+  /// verification lattice (verify::kJitMask). Off by default — purely a
+  /// steady-state speed lever, bitwise-identical results either way.
   bool Jit = false;
   /// Inference mode (compileForward): assemble the forward program only,
   /// then strip everything backward-owned — backward tasks, gradient and

@@ -892,9 +892,8 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
     return;
   case KernelKind::Sgemm: {
     // ints: {M, N, K, LdA, LdB, LdC, TransA, TransB, Accumulate}
-    auto Gemm = Opts.VectorKernels ? kernels::sgemm : kernels::sgemmNaive;
-    Gemm(IA[6] != 0, IA[7] != 0, IA[0], IA[1], IA[2], FloatArg(0), IA[3],
-         FloatArg(1), IA[4], FloatArg(2), IA[5], IA[8] != 0);
+    kernels::sgemm(IA[6] != 0, IA[7] != 0, IA[0], IA[1], IA[2], FloatArg(0),
+                   IA[3], FloatArg(1), IA[4], FloatArg(2), IA[5], IA[8] != 0);
     return;
   }
   case KernelKind::Gather2D: {
@@ -903,10 +902,8 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
     float *Dst = FloatArg(0);
     const float *Src = FloatArg(1);
     const int32_t *Table = IntArg(2);
-    auto GatherFn =
-        Opts.VectorKernels ? kernels::gather : kernels::gatherScalar;
     for (int64_t R = 0; R < Rows; ++R)
-      GatherFn(Dst + R * Cols + Cb, Src, Table + R * Cols + Cb, Cnt);
+      kernels::gather(Dst + R * Cols + Cb, Src, Table + R * Cols + Cb, Cnt);
     return;
   }
   case KernelKind::ScatterAdd2D: {
@@ -930,8 +927,7 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
       const float *Sp = Src + R * Cols + Cb;
       switch (Op) {
       case ActOpKind::Relu:
-        (Opts.VectorKernels ? kernels::reluFwd : kernels::reluFwdScalar)(
-            D, Sp, Cnt);
+        kernels::reluFwd(D, Sp, Cnt);
         break;
       case ActOpKind::Sigmoid:
         kernels::sigmoidFwd(D, Sp, Cnt);
@@ -962,8 +958,7 @@ void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
           for (int64_t I = 0; I < Cnt; ++I)
             Dg[I] = V[I] > 0.0f ? Og[I] : 0.0f;
         } else {
-          (Opts.VectorKernels ? kernels::reluBwd
-                              : kernels::reluBwdScalar)(Dg, Og, V, Cnt);
+          kernels::reluBwd(Dg, Og, V, Cnt);
         }
         break;
       case ActOpKind::Sigmoid:

@@ -29,9 +29,6 @@ namespace engine {
 
 /// Runtime options (the engine-side halves of the compile-time switches).
 struct ExecOptions {
-  /// Use the vectorized kernel variants (GEMM blocking, vector gathers).
-  /// Off = the scalar reference kernels, for the Figure 13 ablation.
-  bool VectorKernels = true;
   /// Honor parallel loop annotations with OpenMP (when it can run more
   /// than one thread; results are the same either way).
   bool Parallel = true;

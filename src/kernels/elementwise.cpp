@@ -21,21 +21,8 @@ void kernels::reluFwd(float *Dst, const float *Src, int64_t Count) {
     Dst[I] = Src[I] > 0.0f ? Src[I] : 0.0f;
 }
 
-__attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize"))) void
-kernels::reluFwdScalar(float *Dst, const float *Src, int64_t Count) {
-  for (int64_t I = 0; I < Count; ++I)
-    Dst[I] = Src[I] > 0.0f ? Src[I] : 0.0f;
-}
-
 void kernels::reluBwd(float *DstGrad, const float *OutGrad,
                       const float *Value, int64_t Count) {
-  for (int64_t I = 0; I < Count; ++I)
-    DstGrad[I] += Value[I] > 0.0f ? OutGrad[I] : 0.0f;
-}
-
-__attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize"))) void
-kernels::reluBwdScalar(float *DstGrad, const float *OutGrad,
-                       const float *Value, int64_t Count) {
   for (int64_t I = 0; I < Count; ++I)
     DstGrad[I] += Value[I] > 0.0f ? OutGrad[I] : 0.0f;
 }
@@ -69,15 +56,6 @@ void kernels::scale(float *Dst, float Factor, int64_t Count) {
 
 void kernels::gather(float *Dst, const float *Src, const int32_t *Table,
                      int64_t Count) {
-  for (int64_t I = 0; I < Count; ++I) {
-    int32_t Idx = Table[I];
-    Dst[I] = Idx >= 0 ? Src[Idx] : 0.0f;
-  }
-}
-
-__attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize"))) void
-kernels::gatherScalar(float *Dst, const float *Src, const int32_t *Table,
-                      int64_t Count) {
   for (int64_t I = 0; I < Count; ++I) {
     int32_t Idx = Table[I];
     Dst[I] = Idx >= 0 ? Src[Idx] : 0.0f;

@@ -3,8 +3,6 @@
 /// \file
 /// The elementwise and data-movement kernels Latte's code generator emits
 /// for matched neuron bodies and synthesized copy tasks (paper §5.3, §5.4).
-/// Each hot kernel also has a `...Scalar` variant with vectorization
-/// suppressed for the Figure 13 ablation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,13 +22,10 @@ void copy(float *Dst, const float *Src, int64_t Count);
 
 /// Dst[i] = max(Src[i], 0).
 void reluFwd(float *Dst, const float *Src, int64_t Count);
-void reluFwdScalar(float *Dst, const float *Src, int64_t Count);
 
 /// DstGrad[i] += OutGrad[i] * (Value[i] > 0).
 void reluBwd(float *DstGrad, const float *OutGrad, const float *Value,
              int64_t Count);
-void reluBwdScalar(float *DstGrad, const float *OutGrad, const float *Value,
-                   int64_t Count);
 
 /// Dst[i] += Src[i].
 void addTo(float *Dst, const float *Src, int64_t Count);
@@ -51,8 +46,6 @@ void addScalar(float *Dst, float Value, int64_t Count);
 /// Negative table entries encode out-of-bounds window positions (padding).
 void gather(float *Dst, const float *Src, const int32_t *Table,
             int64_t Count);
-void gatherScalar(float *Dst, const float *Src, const int32_t *Table,
-                  int64_t Count);
 
 /// Scatter-accumulate (the adjoint of gather):
 /// if Table[i] >= 0 then Dst[Table[i]] += Src[i].

@@ -13,9 +13,10 @@
 ///   A[k * LdA + i]).
 /// - Accumulate=false overwrites C; true adds into it.
 ///
-/// Two implementations exist so the vectorization ablation (Figure 13) is
-/// meaningful: sgemm (packed panels and a register-blocked micro-kernel)
-/// and sgemmNaive (plain triple loop compiled with vectorization disabled).
+/// Two implementations exist: sgemm (packed panels and a register-blocked
+/// micro-kernel), which the engine calls, and sgemmNaive (plain triple loop
+/// compiled with vectorization disabled) — the reference sgemm is tested
+/// against, the Mocha baseline's GEMM, and bench/kernels_gemm's naive rows.
 ///
 /// Invariant: both kernels run the same multiply-add chain per C element,
 /// c = (Accumulate ? c : +0), then c += op(A)[i,k] * op(B)[k,j] for k

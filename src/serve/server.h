@@ -58,11 +58,6 @@
 namespace latte {
 namespace serve {
 
-/// The compile cache moved to the compiler layer (it memoizes compiles,
-/// not serving state); the alias keeps the historical serve:: spelling
-/// working.
-using ProgramCache = compiler::ProgramCache;
-
 struct ServeOptions {
   /// Executor replicas (worker threads). Each owns one arena per batch
   /// size; weights are shared with the master, never copied.

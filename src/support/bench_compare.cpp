@@ -27,6 +27,16 @@ const json::Value *findRow(const json::Value &Doc,
   return nullptr;
 }
 
+/// Whether \p Doc carries the row \p Label; the pseudo-label "serve"
+/// names the serving counters object.
+bool hasRow(const json::Value &Doc, const std::string &Label) {
+  if (Label == "serve") {
+    const json::Value *Srv = Doc.find("serve");
+    return Srv && Srv->isObject();
+  }
+  return findRow(Doc, Label) != nullptr;
+}
+
 } // namespace
 
 CompareResult bench::compareBenchJson(const json::Value &Old,
@@ -52,6 +62,17 @@ CompareResult bench::compareBenchJson(const json::Value &Old,
     return false;
   };
 
+  // A named row is a gate: if either side lacks it, the gate fails rather
+  // than passing on whatever else it happened to compare.
+  if (OnlyRows)
+    for (const std::string &L : *OnlyRows) {
+      bool InOld = hasRow(Old, L), InNew = hasRow(New, L);
+      if (InOld && InNew)
+        continue;
+      const char *Side = InOld ? "new file" : InNew ? "old file" : "both files";
+      R.MissingRows.push_back("row '" + L + "' missing from " + Side);
+    }
+
   std::string OldFig = Old.stringAt("figure"), NewFig = New.stringAt("figure");
   if (!OldFig.empty() && !NewFig.empty() && OldFig != NewFig)
     R.Notes.push_back("figure mismatch: old is '" + OldFig + "', new is '" +
@@ -70,7 +91,8 @@ CompareResult bench::compareBenchJson(const json::Value &Old,
       continue;
     const json::Value *NewRow = findRow(New, Label);
     if (!NewRow) {
-      R.Notes.push_back("row '" + Label + "' missing from new file");
+      if (!OnlyRows) // a named row is already in MissingRows
+        R.Notes.push_back("row '" + Label + "' missing from new file");
       continue;
     }
     for (const char *Metric : Metrics) {
@@ -205,12 +227,12 @@ CompareResult bench::compareBenchJson(const json::Value &Old,
       R.Compared.push_back(D);
     }
 
-  // Rows only in the new file are informational too.
+  // Unfiltered, rows only in the new file are informational too.
   const json::Value *NewRows = New.find("rows");
-  if (NewRows && NewRows->isArray())
+  if (!OnlyRows && NewRows && NewRows->isArray())
     for (const json::Value &NewRow : NewRows->items()) {
       std::string Label = NewRow.stringAt("label");
-      if (RowSelected(Label) && !findRow(Old, Label))
+      if (!findRow(Old, Label))
         R.Notes.push_back("row '" + Label + "' is new (no baseline)");
     }
   return R;
@@ -249,6 +271,8 @@ std::string bench::formatCompareReport(const CompareResult &R,
     Line(D, "REGRESSED");
   for (const MetricDelta &D : R.Improvements)
     Line(D, "improved");
+  for (const std::string &M : R.MissingRows)
+    Out += "  MISSING    " + M + "\n";
   for (const std::string &N : R.Notes)
     Out += "  note: " + N + "\n";
   return Out;
@@ -298,9 +322,11 @@ std::string bench::formatCompareMarkdown(const CompareResult &R,
            " | " + Cell(D, D.NewSec) + " | " + Buf + " | " + Status(D) +
            " |\n";
   }
+  for (const std::string &M : R.MissingRows)
+    Out += "\n:red_circle: **missing:** " + M;
   for (const std::string &N : R.Notes)
     Out += "\n_note: " + N + "_";
-  if (!R.Notes.empty())
+  if (!R.MissingRows.empty() || !R.Notes.empty())
     Out += "\n";
   return Out;
 }

@@ -39,7 +39,6 @@ std::vector<std::string> comparisonBuffers(const Program &Prog,
 
 ExecOptions execOptionsFor(const CompileOptions &Opts, uint64_t EngineSeed) {
   ExecOptions E;
-  E.VectorKernels = Opts.VectorKernels;
   E.Parallel = Opts.Parallelize;
   E.Deterministic = true;
   // The oracle inspects every Value/Grad/ParamGrad buffer after the run;
@@ -142,37 +141,36 @@ std::vector<unsigned> verify::sweepMasks() {
   std::vector<unsigned> Masks;
   Masks.push_back(0); // the reference point, always first
   if (deepTier()) {
-    for (unsigned M = 1; M < (1u << kNumLatticeSwitches); ++M)
+    for (unsigned M = 1; M <= kAllMask; ++M)
       Masks.push_back(M);
     return Masks;
   }
   // Per-PR tier: the full Recompute-on sub-lattice (the shipping default
-  // for every switch combination underneath it) plus the everything-but-
-  // recompute point — 66 masks, about the cost of the old 2^6 sweep — and
-  // three JIT probes (JIT alone, JIT over the recompute default,
-  // everything on). The full JIT sub-lattice is deep-tier only; the
-  // dedicated jit_diff_test sweeps all 64 base masks per PR.
-  for (unsigned M = 64; M < 128; ++M)
-    Masks.push_back(M);
-  Masks.push_back(0x3f);
-  Masks.push_back(0x80);
-  Masks.push_back(0xC0);
-  Masks.push_back(0xFF);
+  // for every switch combination underneath it), the everything-but-
+  // recompute point, and three JIT probes (JIT alone, JIT over the
+  // recompute default, everything on). The full JIT sub-lattice is
+  // deep-tier only; the dedicated jit_diff_test sweeps every
+  // recompute-free base mask per PR.
+  for (unsigned Base = 0; Base < kRecomputeMask; ++Base)
+    Masks.push_back(Base | kRecomputeMask);
+  Masks.push_back(kAllMask & ~(kRecomputeMask | kJitMask));
+  Masks.push_back(kJitMask);
+  Masks.push_back(kJitMask | kRecomputeMask);
+  Masks.push_back(kAllMask);
   return Masks;
 }
 
 CompileOptions verify::optionsForMask(unsigned Mask,
                                       const LatticeOptions &O) {
-  assert(Mask < (1u << kNumLatticeSwitches) && "mask out of lattice range");
+  assert(Mask <= kAllMask && "mask out of lattice range");
   CompileOptions C;
-  C.PatternMatchGemm = (Mask & 1u) != 0;
-  C.PatternMatchKernels = (Mask & 2u) != 0;
-  C.Tiling = (Mask & 4u) != 0;
-  C.Fusion = (Mask & 8u) != 0;
-  C.Parallelize = (Mask & 16u) != 0;
-  C.VectorKernels = (Mask & 32u) != 0;
-  C.Recompute = (Mask & 64u) != 0;
-  C.Jit = (Mask & 128u) != 0;
+  C.PatternMatchGemm = (Mask & kGemmMask) != 0;
+  C.PatternMatchKernels = (Mask & kKernelsMask) != 0;
+  C.Tiling = (Mask & kTilingMask) != 0;
+  C.Fusion = (Mask & kFusionMask) != 0;
+  C.Parallelize = (Mask & kParallelizeMask) != 0;
+  C.Recompute = (Mask & kRecomputeMask) != 0;
+  C.Jit = (Mask & kJitMask) != 0;
   C.TileSize = O.TileSize;
   C.MinRowsToTile = O.MinRowsToTile;
   C.VerifyEach = O.VerifyEach;
@@ -184,8 +182,7 @@ std::string verify::flagString(const CompileOptions &Opts) {
   Os << "gemm=" << Opts.PatternMatchGemm
      << " kernels=" << Opts.PatternMatchKernels << " tiling=" << Opts.Tiling
      << " fusion=" << Opts.Fusion << " parallel=" << Opts.Parallelize
-     << " vector=" << Opts.VectorKernels << " recompute=" << Opts.Recompute
-     << " jit=" << Opts.Jit;
+     << " recompute=" << Opts.Recompute << " jit=" << Opts.Jit;
   return Os.str();
 }
 

@@ -4,10 +4,8 @@
 /// The differential oracle at the heart of the verification subsystem: one
 /// core::Net is compiled under every combination of the CompileOptions
 /// optimization switches (PatternMatchGemm, PatternMatchKernels, Tiling,
-/// Fusion, Parallelize, VectorKernels, Recompute, Jit — 2^8 lattice
-/// points),
-/// each variant runs the same seeded inputs/labels/parameters
-/// deterministically, and
+/// Fusion, Parallelize, Recompute, Jit — 2^7 lattice points), each variant
+/// runs the same seeded inputs/labels/parameters deterministically, and
 /// forward outputs plus all parameter gradients must agree with the
 /// fully-unoptimized interpreter (mask 0) within tolerance. A failing
 /// point reports the first divergent buffer by name with max-abs/rel
@@ -34,21 +32,33 @@ namespace latte {
 namespace verify {
 
 /// Number of swept switches; the lattice has 2^kNumLatticeSwitches points.
-constexpr unsigned kNumLatticeSwitches = 8;
+constexpr unsigned kNumLatticeSwitches = 7;
+
+/// Each switch's lattice bit (optionsForMask's decoding). Tests and tools
+/// build masks from these names, never from literals, so a renumbering
+/// cannot silently move a test to a different point.
+constexpr unsigned kGemmMask = 1u << 0;        ///< PatternMatchGemm
+constexpr unsigned kKernelsMask = 1u << 1;     ///< PatternMatchKernels
+constexpr unsigned kTilingMask = 1u << 2;      ///< Tiling
+constexpr unsigned kFusionMask = 1u << 3;      ///< Fusion
+constexpr unsigned kParallelizeMask = 1u << 4; ///< Parallelize
+constexpr unsigned kRecomputeMask = 1u << 5;   ///< Recompute
+constexpr unsigned kJitMask = 1u << 6;         ///< Jit
+/// Every switch on: the largest valid mask.
+constexpr unsigned kAllMask = (1u << kNumLatticeSwitches) - 1;
 
 /// True when the deep verification tier is requested (LATTE_DEEP=1 in the
 /// environment — set by the nightly CI pipeline). Deep-tier consumers
 /// sweep all 2^kNumLatticeSwitches masks and run more epochs; the per-PR
-/// tier covers a curated subset of equal cost to the pre-recompute
-/// lattice.
+/// tier covers the curated subset sweepMasks() lists.
 bool deepTier();
 
 /// The lattice masks to sweep at the current tier. Per-PR: the reference
 /// point, the full Recompute-on sub-lattice (the shipping default), the
 /// all-but-recompute point, and three JIT probes (JIT alone, JIT over the
-/// recompute default, everything on) — 69 masks, about the cost of the
-/// old 2^6 sweep. Deep tier (LATTE_DEEP=1): all 2^kNumLatticeSwitches
-/// masks. Mask 0 (the reference) is always first.
+/// recompute default, everything on) — 37 masks. Deep tier (LATTE_DEEP=1):
+/// all 2^kNumLatticeSwitches masks. Mask 0 (the reference) is always
+/// first.
 std::vector<unsigned> sweepMasks();
 
 struct LatticeOptions {
@@ -106,14 +116,13 @@ struct LatticeReport {
   std::string summary() const;
 };
 
-/// Decodes a lattice point: bit 0 = PatternMatchGemm, 1 =
-/// PatternMatchKernels, 2 = Tiling, 3 = Fusion, 4 = Parallelize, 5 =
-/// VectorKernels, 6 = Recompute, 7 = Jit. Tile geometry comes from \p O.
+/// Decodes a lattice point: one switch per bit, as named by kGemmMask ..
+/// kJitMask above. Tile geometry comes from \p O.
 compiler::CompileOptions optionsForMask(unsigned Mask,
                                         const LatticeOptions &O = {});
 
 /// Renders options as "gemm=1 kernels=0 tiling=1 fusion=0 parallel=0
-/// vector=1 recompute=0 jit=0" for failure messages.
+/// recompute=0 jit=0" for failure messages.
 std::string flagString(const compiler::CompileOptions &Opts);
 
 /// Runs the full lattice over \p Net. The net must end in a loss ensemble

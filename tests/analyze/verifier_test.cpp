@@ -196,8 +196,8 @@ TEST(VerifierTest, CheckTogglesDisableBoundsAndRaces) {
 
 TEST(VerifierTest, CompiledMlpVerifiesCleanAcrossKeyMasks) {
   // The compiler's own output must verify with zero errors — fully
-  // unoptimized (mask 0), all passes but recompute (mask 63), and fully
-  // optimized including recompute (mask 127).
+  // unoptimized (mask 0), all passes but recompute, and all passes
+  // including recompute (JIT off throughout).
   core::Net Net(3);
   using namespace latte::layers;
   core::Ensemble *Data = DataLayer(Net, "data", Shape{12});
@@ -207,7 +207,9 @@ TEST(VerifierTest, CompiledMlpVerifiesCleanAcrossKeyMasks) {
   core::Ensemble *Labels = LabelLayer(Net, "labels");
   SoftmaxLossLayer(Net, "loss", Fc2, Labels);
 
-  for (unsigned Mask : {0u, 63u, 127u}) {
+  using verify::kAllMask, verify::kJitMask, verify::kRecomputeMask;
+  for (unsigned Mask : {0u, kAllMask & ~(kRecomputeMask | kJitMask),
+                        kAllMask & ~kJitMask}) {
     verify::LatticeOptions LO;
     CompileOptions Copts = verify::optionsForMask(Mask, LO);
     Copts.VerifyEach = false; // exercised via verifyProgram directly

@@ -10,6 +10,7 @@
 #include "compiler/compiler.h"
 #include "core/layers/layers.h"
 #include "engine/executor.h"
+#include "verify/lattice.h"
 
 #include <gtest/gtest.h>
 
@@ -205,7 +206,6 @@ TEST(CompileExecTest, OptimizationLevelsAgree) {
     SoftmaxLossLayer(Net, "loss", Fc, Labels);
 
     ExecOptions EO;
-    EO.VectorKernels = Opts.VectorKernels;
     EO.Parallel = Opts.Parallelize;
     Executor Ex(compile(Net, Opts), EO);
     Ex.initParams(1234);
@@ -229,15 +229,16 @@ TEST(CompileExecTest, OptimizationLevelsAgree) {
   Ref.Tiling = false;
   Ref.Fusion = false;
   Ref.Parallelize = false;
-  Ref.VectorKernels = false;
   auto [RefProb, RefGrad] = BuildAndRun(Ref);
 
-  for (int Mask = 0; Mask < 16; ++Mask) {
+  // Every combination of the four switches below Parallelize's lattice bit;
+  // Parallelize and Recompute keep their defaults.
+  for (unsigned Mask = 0; Mask < verify::kParallelizeMask; ++Mask) {
     CompileOptions O;
-    O.PatternMatchGemm = Mask & 1;
-    O.PatternMatchKernels = Mask & 2;
-    O.Tiling = Mask & 4;
-    O.Fusion = Mask & 8;
+    O.PatternMatchGemm = Mask & verify::kGemmMask;
+    O.PatternMatchKernels = Mask & verify::kKernelsMask;
+    O.Tiling = Mask & verify::kTilingMask;
+    O.Fusion = Mask & verify::kFusionMask;
     O.TileSize = 4;
     O.MinRowsToTile = 2;
     auto [Prob, Grad] = BuildAndRun(O);

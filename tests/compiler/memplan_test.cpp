@@ -235,7 +235,11 @@ TEST(MemPlanTest, FusedVgg16ArenaSavesAtLeast6Percent) {
 }
 
 TEST(MemPlanTest, ArenaNeverExceedsEagerPlusAlignmentSlack) {
-  for (unsigned Mask : {0x00u, 0x0fu, 0x33u, 0x3fu}) {
+  using verify::kFusionMask, verify::kParallelizeMask, verify::kTilingMask;
+  const unsigned Matched = verify::kGemmMask | verify::kKernelsMask;
+  for (unsigned Mask :
+       {0u, Matched | kTilingMask | kFusionMask, Matched | kParallelizeMask,
+        Matched | kTilingMask | kFusionMask | kParallelizeMask}) {
     CompileOptions Opts = verify::optionsForMask(Mask);
     for (const models::ModelSpec &Spec :
          {models::lenet(), models::mlp(16, {32}, 4),

@@ -23,14 +23,30 @@ TEST(ElementwiseTest, ReluFwd) {
   EXPECT_FLOAT_EQ(Dst[3], 3.0f);
 }
 
-TEST(ElementwiseTest, ReluScalarVariantMatchesVectorized) {
+TEST(ElementwiseTest, ReluMatchesDefinitionOnLongInput) {
+  // 1001 elements: long enough to run the vector loop body many times,
+  // and odd, so the scalar tail runs too.
   Rng R(4);
-  std::vector<float> Src(1001), A(1001), B(1001);
+  const int64_t N = 1001;
+  std::vector<float> Src(N), OutGrad(N), DstGrad(N);
   for (float &V : Src)
     V = static_cast<float>(R.uniform(-1.0, 1.0));
-  reluFwd(A.data(), Src.data(), 1001);
-  reluFwdScalar(B.data(), Src.data(), 1001);
-  EXPECT_EQ(A, B);
+  for (float &V : OutGrad)
+    V = static_cast<float>(R.uniform(-1.0, 1.0));
+  for (float &V : DstGrad)
+    V = static_cast<float>(R.uniform(-1.0, 1.0));
+
+  std::vector<float> Fwd(N), WantFwd(N);
+  reluFwd(Fwd.data(), Src.data(), N);
+  for (int64_t I = 0; I < N; ++I)
+    WantFwd[I] = Src[I] > 0.0f ? Src[I] : 0.0f;
+  EXPECT_EQ(Fwd, WantFwd);
+
+  std::vector<float> Bwd = DstGrad, WantBwd = DstGrad;
+  reluBwd(Bwd.data(), OutGrad.data(), Src.data(), N);
+  for (int64_t I = 0; I < N; ++I)
+    WantBwd[I] += Src[I] > 0.0f ? OutGrad[I] : 0.0f;
+  EXPECT_EQ(Bwd, WantBwd);
 }
 
 TEST(ElementwiseTest, ReluBwdGatesOnValue) {

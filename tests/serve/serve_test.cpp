@@ -58,9 +58,11 @@ bool bitwiseEqual(const Tensor &A, const Tensor &B) {
 /// fatal assertion.
 struct ObserverGuard {
   explicit ObserverGuard(std::function<void(const std::string &)> Fn) {
-    serve::ProgramCache::setCompileObserverForTests(std::move(Fn));
+    compiler::ProgramCache::setCompileObserverForTests(std::move(Fn));
   }
-  ~ObserverGuard() { serve::ProgramCache::setCompileObserverForTests(nullptr); }
+  ~ObserverGuard() {
+    compiler::ProgramCache::setCompileObserverForTests(nullptr);
+  }
 };
 
 } // namespace
@@ -205,12 +207,12 @@ TEST(MicroBatcher, BlockedConsumerWakesOnEnqueue) {
 // --- ProgramCache ----------------------------------------------------------
 
 TEST(ProgramCache, ConcurrentMissesOnOneKeyCompileOnce) {
-  serve::ProgramCache &Cache = serve::ProgramCache::instance();
+  compiler::ProgramCache &Cache = compiler::ProgramCache::instance();
   models::ModelSpec Spec = testSpec();
   Spec.Name = "LeNet-singleflight-test"; // private cold key
   compiler::CompileOptions CO;
   constexpr int N = 6;
-  serve::ProgramCache::Stats S0 = Cache.stats();
+  compiler::ProgramCache::Stats S0 = Cache.stats();
   // The leader's compile is held open until all N threads have missed, so
   // the followers demonstrably coalesce instead of racing past a warm key.
   ObserverGuard Guard([&](const std::string &) {
@@ -218,14 +220,14 @@ TEST(ProgramCache, ConcurrentMissesOnOneKeyCompileOnce) {
     while (Cache.stats().Misses - S0.Misses < N && Wall.seconds() < 10.0)
       std::this_thread::sleep_for(1ms);
   });
-  std::vector<serve::ProgramCache::ProgramPtr> Got(N);
+  std::vector<compiler::ProgramCache::ProgramPtr> Got(N);
   std::vector<std::thread> Threads;
   for (int I = 0; I < N; ++I)
     Threads.emplace_back(
         [&, I] { Got[I] = Cache.getOrCompile(Spec, CO, 4); });
   for (std::thread &T : Threads)
     T.join();
-  serve::ProgramCache::Stats S1 = Cache.stats();
+  compiler::ProgramCache::Stats S1 = Cache.stats();
   EXPECT_EQ(S1.Compiles - S0.Compiles, 1) << "single-flight violated";
   EXPECT_EQ(S1.Misses - S0.Misses, N);
   EXPECT_EQ(S1.Coalesced - S0.Coalesced, N - 1);
@@ -236,7 +238,7 @@ TEST(ProgramCache, ConcurrentMissesOnOneKeyCompileOnce) {
 }
 
 TEST(ProgramCache, DistinctKeysCompileInParallel) {
-  serve::ProgramCache &Cache = serve::ProgramCache::instance();
+  compiler::ProgramCache &Cache = compiler::ProgramCache::instance();
   models::ModelSpec Spec = testSpec();
   Spec.Name = "LeNet-parallel-compile-test";
   compiler::CompileOptions CO;
@@ -261,15 +263,15 @@ TEST(ProgramCache, DistinctKeysCompileInParallel) {
 }
 
 TEST(ProgramCache, LookupNeverCompiles) {
-  serve::ProgramCache &Cache = serve::ProgramCache::instance();
+  compiler::ProgramCache &Cache = compiler::ProgramCache::instance();
   models::ModelSpec Spec = testSpec();
   Spec.Name = "LeNet-lookup-test";
   compiler::CompileOptions CO;
-  serve::ProgramCache::Stats S0 = Cache.stats();
+  compiler::ProgramCache::Stats S0 = Cache.stats();
   EXPECT_EQ(Cache.lookup(Spec, CO, 2), nullptr);
-  serve::ProgramCache::Stats S1 = Cache.stats();
+  compiler::ProgramCache::Stats S1 = Cache.stats();
   EXPECT_EQ(S1.Compiles, S0.Compiles);
-  serve::ProgramCache::ProgramPtr P = Cache.getOrCompile(Spec, CO, 2);
+  compiler::ProgramCache::ProgramPtr P = Cache.getOrCompile(Spec, CO, 2);
   EXPECT_EQ(Cache.lookup(Spec, CO, 2).get(), P.get());
 }
 
@@ -383,7 +385,7 @@ TEST(Server, ColdClassesServeChunkedViaFloorUntilInstalled) {
   compiler::CompileOptions CO;
   compiler::CompileOptions ServerCO = CO;
   ServerCO.Inference = true; // what Server compiles under the hood
-  const std::string FloorKey = serve::ProgramCache::key(Spec, ServerCO, 1);
+  const std::string FloorKey = compiler::ProgramCache::key(Spec, ServerCO, 1);
   ObserverGuard Guard([&](const std::string &K) {
     if (K != FloorKey) // only delay the background batch-8 compile
       std::this_thread::sleep_for(300ms);
@@ -442,7 +444,7 @@ TEST(Server, InterpretedFallbackServesWhileJitClassCold) {
   ObserverGuard Guard([&](const std::string &K) {
     // Delay exactly the JIT'd shape classes; interp variants fly.
     for (int64_t BS : {int64_t(1), int64_t(2)})
-      if (K == serve::ProgramCache::key(Spec, JitCO, BS))
+      if (K == compiler::ProgramCache::key(Spec, JitCO, BS))
         std::this_thread::sleep_for(300ms);
   });
 
@@ -499,7 +501,7 @@ TEST(Server, StopFailsQueuedRequestsWithShutdown) {
 }
 
 TEST(Server, ProgramCacheHitsOnSecondServer) {
-  serve::ProgramCache &Cache = serve::ProgramCache::instance();
+  compiler::ProgramCache &Cache = compiler::ProgramCache::instance();
   serve::ServeOptions SO;
   SO.Replicas = 1;
   SO.BatchSizes = {1, 2};
@@ -510,22 +512,22 @@ TEST(Server, ProgramCacheHitsOnSecondServer) {
   // class compiles in the background.
   serve::Server A(Spec, {}, SO);
   ASSERT_TRUE(A.waitAllClassesReady(60s));
-  serve::ProgramCache::Stats S1 = Cache.stats();
+  compiler::ProgramCache::Stats S1 = Cache.stats();
   serve::Server B(Spec, {}, SO);
   ASSERT_TRUE(B.waitAllClassesReady(60s));
-  serve::ProgramCache::Stats S2 = Cache.stats();
+  compiler::ProgramCache::Stats S2 = Cache.stats();
   EXPECT_EQ(S2.Misses, S1.Misses);     // second server compiled nothing
   EXPECT_EQ(S2.Hits, S1.Hits + 2);     // both batch sizes reused
   EXPECT_EQ(&A.program(1), &B.program(1)); // same shared compilation
 
   // A different shape class or option class is a different cache key.
   compiler::CompileOptions CO;
-  EXPECT_NE(serve::ProgramCache::key(Spec, CO, 1),
-            serve::ProgramCache::key(Spec, CO, 2));
+  EXPECT_NE(compiler::ProgramCache::key(Spec, CO, 1),
+            compiler::ProgramCache::key(Spec, CO, 2));
   compiler::CompileOptions NoFusion = CO;
   NoFusion.Fusion = false;
-  EXPECT_NE(serve::ProgramCache::key(Spec, CO, 1),
-            serve::ProgramCache::key(Spec, NoFusion, 1));
+  EXPECT_NE(compiler::ProgramCache::key(Spec, CO, 1),
+            compiler::ProgramCache::key(Spec, NoFusion, 1));
 }
 
 TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
@@ -536,7 +538,7 @@ TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
   models::ModelSpec Spec = testSpec();
   const compiler::CompileOptions Base;
   auto K = [&](const compiler::CompileOptions &CO) {
-    return serve::ProgramCache::key(Spec, CO, 2);
+    return compiler::ProgramCache::key(Spec, CO, 2);
   };
   struct FieldFlip {
     const char *Name;
@@ -548,7 +550,6 @@ TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
       {"Tiling", [](auto &C) { C.Tiling ^= true; }},
       {"Fusion", [](auto &C) { C.Fusion ^= true; }},
       {"Parallelize", [](auto &C) { C.Parallelize ^= true; }},
-      {"VectorKernels", [](auto &C) { C.VectorKernels ^= true; }},
       {"Recompute", [](auto &C) { C.Recompute ^= true; }},
       {"Jit", [](auto &C) { C.Jit ^= true; }},
       {"Inference", [](auto &C) { C.Inference ^= true; }},
@@ -565,16 +566,16 @@ TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
   // Graph-structure fields of the spec are program-shaping too.
   models::ModelSpec Tied = Spec;
   Tied.Layers[0].ShareWith = "conv0";
-  EXPECT_NE(serve::ProgramCache::key(Spec, Base, 2),
-            serve::ProgramCache::key(Tied, Base, 2));
+  EXPECT_NE(compiler::ProgramCache::key(Spec, Base, 2),
+            compiler::ProgramCache::key(Tied, Base, 2));
   models::ModelSpec Edged = Spec;
   Edged.Layers[0].Inputs.push_back("data");
-  EXPECT_NE(serve::ProgramCache::key(Spec, Base, 2),
-            serve::ProgramCache::key(Edged, Base, 2));
+  EXPECT_NE(compiler::ProgramCache::key(Spec, Base, 2),
+            compiler::ProgramCache::key(Edged, Base, 2));
   models::ModelSpec Timed = Spec;
   Timed.Layers[0].TimeIndex = 1;
-  EXPECT_NE(serve::ProgramCache::key(Spec, Base, 2),
-            serve::ProgramCache::key(Timed, Base, 2));
+  EXPECT_NE(compiler::ProgramCache::key(Spec, Base, 2),
+            compiler::ProgramCache::key(Timed, Base, 2));
 }
 
 TEST(Server, SequenceModelsServeBitwiseLikeTraining) {
@@ -649,7 +650,6 @@ TEST(InferenceCompile, ForwardBitwiseIdenticalToTrainingAcrossLattice) {
   for (unsigned Mask : verify::sweepMasks()) {
     compiler::CompileOptions CO = verify::optionsForMask(Mask, LO);
     engine::ExecOptions EO;
-    EO.VectorKernels = CO.VectorKernels;
     EO.Parallel = CO.Parallelize;
     EO.Deterministic = true;
     EO.NoMemPlan = true;

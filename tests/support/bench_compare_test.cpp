@@ -97,6 +97,23 @@ TEST(BenchCompare, MissingAndNewRowsAreNotes) {
   EXPECT_FALSE(R.Notes.empty());
 }
 
+TEST(BenchCompare, NamedRowMissingFailsGate) {
+  // A row named in the filter is a gate: dropping it from either file must
+  // fail, not pass on the rows that happened to be compared.
+  json::Value Old = benchDoc({{"a", 0.010}, {"b", 0.020}});
+  json::Value New = benchDoc({{"a", 0.010}});
+  std::vector<std::string> Rows = {"a", "b"};
+  bench::CompareResult R =
+      bench::compareBenchJson(Old, New, 1.5, 1e-4, &Rows);
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Compared.size(), 3u); // row a is still compared
+  std::string Report = bench::formatCompareReport(R, 1.5);
+  EXPECT_NE(Report.find("'b'"), std::string::npos) << Report;
+  EXPECT_FALSE(bench::compareBenchJson(New, Old, 1.5, 1e-4, &Rows).ok());
+  // Unfiltered, the same files still pass with a note.
+  EXPECT_TRUE(bench::compareBenchJson(Old, New, 1.5).ok());
+}
+
 TEST(BenchCompare, FigureMismatchNoted) {
   json::Value Old = benchDoc({{"a", 0.010}}, "fig13");
   json::Value New = benchDoc({{"a", 0.010}}, "fig14");

@@ -80,7 +80,6 @@ TEST(CodegenDiffTest, RandomNetUnoptimized) {
   C.Tiling = false;
   C.Fusion = false;
   C.Parallelize = false;
-  C.VectorKernels = false;
   codegenDiff(21, C);
 }
 

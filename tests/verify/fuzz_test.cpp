@@ -3,7 +3,7 @@
 /// Random-network fuzzing of the whole compiler: seeded generator graphs
 /// (conv/pool/FC/activation/dropout/branch/custom blocks with randomized
 /// geometry) are swept through the tier's optimization-lattice masks
-/// (verify::sweepMasks — all 2^8 at the deep tier, JIT bit included). Every
+/// (verify::sweepMasks — all 2^7 at the deep tier, JIT bit included). Every
 /// failure message carries the generator seed and the flag combination —
 /// that pair reproduces the exact net and compile.
 ///

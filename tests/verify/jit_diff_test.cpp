@@ -1,8 +1,8 @@
 //===- tests/verify/jit_diff_test.cpp -------------------------*- C++ -*-===//
 ///
 /// Differential verification of the in-process JIT backend: for every base
-/// point of the 2^7 non-JIT optimization lattice, run the same program
-/// twice — once at mask m|0x80 (tasks dispatched through the dlopen'd
+/// point of the 2^6 non-JIT optimization lattice, run the same program
+/// twice — once at mask m|kJitMask (tasks dispatched through the dlopen'd
 /// module src/jit compiled from the generated C++) and once at mask m
 /// (pure interpreter) — and require weights, gradients and every other
 /// commonly-retained root to be BITWISE identical. The JIT is purely a
@@ -17,8 +17,8 @@
 ///
 /// Both executors run with ExecOptions::Deterministic, making bitwise
 /// equality a sound expectation even on the Parallelize points. The per-PR
-/// tier sweeps the 64 recompute-free base masks; the nightly deep tier
-/// (LATTE_DEEP=1) sweeps all 128 base points of the full lattice and
+/// tier sweeps the 32 recompute-free base masks; the nightly deep tier
+/// (LATTE_DEEP=1) sweeps all 64 base points of the non-JIT lattice and
 /// doubles the epoch count.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,7 +51,7 @@ Program compileSpec(const models::ModelSpec &Spec, int64_t Batch,
 void diffOneBaseMask(const models::ModelSpec &Spec, int64_t Batch,
                      unsigned BaseMask) {
   verify::LatticeOptions LO; // tiny-net tile geometry so tiling triggers
-  CompileOptions On = verify::optionsForMask(BaseMask | 0x80u, LO);
+  CompileOptions On = verify::optionsForMask(BaseMask | verify::kJitMask, LO);
   CompileOptions Off = verify::optionsForMask(BaseMask, LO);
   ASSERT_TRUE(On.Jit);
   ASSERT_FALSE(Off.Jit);
@@ -118,9 +118,11 @@ void diffOneBaseMask(const models::ModelSpec &Spec, int64_t Batch,
 void diffAllBaseMasks(const models::ModelSpec &Spec, int64_t Batch) {
   if (!jit::available())
     GTEST_SKIP() << "JIT backend unavailable in this build/environment";
-  // Per-PR: the 64 recompute-free base points. Deep tier: all 128 base
-  // points of the full non-JIT lattice (JIT x recompute interplay).
-  const unsigned Limit = verify::deepTier() ? 128u : 64u;
+  // Per-PR: the 32 recompute-free base points (every switch below
+  // Recompute's bit). Deep tier: all 64 base points of the non-JIT lattice
+  // (JIT x recompute interplay).
+  const unsigned Limit =
+      verify::deepTier() ? verify::kJitMask : verify::kRecomputeMask;
   for (unsigned Base = 0; Base < Limit; ++Base)
     diffOneBaseMask(Spec, Batch, Base);
 }

@@ -1,7 +1,7 @@
 //===- tests/verify/lattice_test.cpp --------------------------*- C++ -*-===//
 ///
 /// The optimization-lattice differential oracle: the swept combinations of
-/// the eight CompileOptions switches (all 2^8 = 256 points at the deep
+/// the seven CompileOptions switches (all 2^7 = 128 points at the deep
 /// tier, the curated verify::sweepMasks() subset per-PR) must produce the
 /// same forward outputs and parameter gradients as the fully-unoptimized
 /// interpreter, on three hand-built nets covering the GEMM path, the
@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 
 using namespace latte;
 using namespace latte::compiler;
@@ -81,50 +83,73 @@ void buildCustomNet(Net &Net) {
 } // namespace
 
 TEST(LatticeTest, OptionsForMaskCoversAllSwitches) {
-  EXPECT_EQ(verify::kNumLatticeSwitches, 8u);
+  EXPECT_EQ(verify::kNumLatticeSwitches, 7u);
+  EXPECT_EQ(verify::kAllMask, (1u << verify::kNumLatticeSwitches) - 1);
   CompileOptions None = verify::optionsForMask(0);
   EXPECT_FALSE(None.PatternMatchGemm || None.PatternMatchKernels ||
                None.Tiling || None.Fusion || None.Parallelize ||
-               None.VectorKernels || None.Recompute || None.Jit);
-  CompileOptions All = verify::optionsForMask(255);
+               None.Recompute || None.Jit);
+  CompileOptions All = verify::optionsForMask(verify::kAllMask);
   EXPECT_TRUE(All.PatternMatchGemm && All.PatternMatchKernels && All.Tiling &&
-              All.Fusion && All.Parallelize && All.VectorKernels &&
-              All.Recompute && All.Jit);
-  // Each bit flips exactly one switch.
-  for (unsigned Bit = 0; Bit < verify::kNumLatticeSwitches; ++Bit) {
-    CompileOptions C = verify::optionsForMask(1u << Bit);
+              All.Fusion && All.Parallelize && All.Recompute && All.Jit);
+  // Each named mask flips exactly its own switch, and together they cover
+  // every bit of the lattice.
+  struct Named {
+    unsigned Mask;
+    bool CompileOptions::*Switch;
+  };
+  const Named Switches[] = {
+      {verify::kGemmMask, &CompileOptions::PatternMatchGemm},
+      {verify::kKernelsMask, &CompileOptions::PatternMatchKernels},
+      {verify::kTilingMask, &CompileOptions::Tiling},
+      {verify::kFusionMask, &CompileOptions::Fusion},
+      {verify::kParallelizeMask, &CompileOptions::Parallelize},
+      {verify::kRecomputeMask, &CompileOptions::Recompute},
+      {verify::kJitMask, &CompileOptions::Jit},
+  };
+  ASSERT_EQ(std::size(Switches), verify::kNumLatticeSwitches);
+  unsigned Covered = 0;
+  for (const Named &N : Switches) {
+    Covered |= N.Mask;
+    CompileOptions C = verify::optionsForMask(N.Mask);
     int On = C.PatternMatchGemm + C.PatternMatchKernels + C.Tiling +
-             C.Fusion + C.Parallelize + C.VectorKernels + C.Recompute +
-             C.Jit;
-    EXPECT_EQ(On, 1) << "bit " << Bit;
+             C.Fusion + C.Parallelize + C.Recompute + C.Jit;
+    EXPECT_EQ(On, 1) << "mask 0x" << std::hex << N.Mask;
+    EXPECT_TRUE(C.*N.Switch) << "mask 0x" << std::hex << N.Mask;
   }
+  EXPECT_EQ(Covered, verify::kAllMask);
   std::string S = verify::flagString(All);
   EXPECT_NE(S.find("gemm=1"), std::string::npos);
-  EXPECT_NE(S.find("vector=1"), std::string::npos);
   EXPECT_NE(S.find("recompute=1"), std::string::npos);
   EXPECT_NE(S.find("jit=1"), std::string::npos);
 }
 
 TEST(LatticeTest, SweepMasksCoverTier) {
+  using verify::kAllMask, verify::kJitMask, verify::kRecomputeMask;
   std::vector<unsigned> Masks = verify::sweepMasks();
   ASSERT_FALSE(Masks.empty());
   EXPECT_EQ(Masks.front(), 0u); // the reference point leads
-  if (verify::deepTier()) {
-    EXPECT_EQ(Masks.size(), 1u << verify::kNumLatticeSwitches);
-  } else {
-    // Per-PR tier: reference + full recompute-on sub-lattice + the
-    // all-but-recompute point + three JIT probes, at roughly the
-    // pre-recompute sweep cost (the full JIT x base cross product lives in
-    // jit_diff_test and the deep tier).
-    EXPECT_EQ(Masks.size(), 69u);
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x7fu), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x3fu), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0x80u), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0xC0u), Masks.end());
-    EXPECT_NE(std::find(Masks.begin(), Masks.end(), 0xFFu), Masks.end());
-  }
+  EXPECT_EQ(std::set<unsigned>(Masks.begin(), Masks.end()).size(),
+            Masks.size()); // no point swept twice
   for (unsigned M : Masks)
-    EXPECT_LT(M, 1u << verify::kNumLatticeSwitches);
+    EXPECT_LE(M, kAllMask);
+  if (verify::deepTier()) {
+    EXPECT_EQ(Masks.size(), 128u);
+    return;
+  }
+  // Per-PR tier: reference + the 32-point recompute-on sub-lattice + the
+  // all-but-recompute point + three JIT probes (the full JIT x base cross
+  // product lives in jit_diff_test and the deep tier).
+  EXPECT_EQ(Masks.size(), 37u);
+  auto Has = [&](unsigned M) {
+    return std::find(Masks.begin(), Masks.end(), M) != Masks.end();
+  };
+  for (unsigned Base = 0; Base < kRecomputeMask; ++Base)
+    EXPECT_TRUE(Has(Base | kRecomputeMask)) << "base " << Base;
+  EXPECT_TRUE(Has(kAllMask & ~(kRecomputeMask | kJitMask)));
+  EXPECT_TRUE(Has(kJitMask));
+  EXPECT_TRUE(Has(kJitMask | kRecomputeMask));
+  EXPECT_TRUE(Has(kAllMask));
 }
 
 TEST(LatticeTest, MlpLattice) {
@@ -204,10 +229,11 @@ TEST(LatticeTest, SummaryCarriesReproductionSeeds) {
 TEST(LatticeTest, CompileStagedSnapshotsPipeline) {
   Net Net(2);
   buildMlp(Net);
-  CompileOptions All = verify::optionsForMask(127);
+  CompileOptions All =
+      verify::optionsForMask(verify::kAllMask & ~verify::kJitMask);
   std::vector<PassStage> Stages = compileStaged(Net, All);
-  // baseline + one stage per enabled switch.
-  ASSERT_EQ(Stages.size(), 8u);
+  // baseline + one stage per enabled pass (Jit is not a pass).
+  ASSERT_EQ(Stages.size(), 7u);
   EXPECT_EQ(Stages.front().Name, "baseline");
   EXPECT_EQ(Stages.back().Name, "+recompute");
   for (const PassStage &S : Stages) {
@@ -217,7 +243,7 @@ TEST(LatticeTest, CompileStagedSnapshotsPipeline) {
   // Disabling a switch drops its stage.
   CompileOptions NoTiling = All;
   NoTiling.Tiling = false;
-  EXPECT_EQ(compileStaged(Net, NoTiling).size(), 7u);
+  EXPECT_EQ(compileStaged(Net, NoTiling).size(), 6u);
 
   // Snapshots change as passes land: the baseline and fully-optimized
   // forward IR must differ (GEMM calls replace loop nests).
@@ -229,8 +255,8 @@ TEST(LatticeTest, LocalizeDivergenceCleanOnCorrectCompiler) {
   // the lattice's verdict.
   Net Net(2);
   buildConvNet(Net);
-  verify::StageDivergence D =
-      verify::localizeDivergence(Net, verify::optionsForMask(127), {});
+  verify::StageDivergence D = verify::localizeDivergence(
+      Net, verify::optionsForMask(verify::kAllMask & ~verify::kJitMask), {});
   EXPECT_FALSE(D.Found) << "stage " << D.Stage << " diverged on buffer "
                         << D.Divergence.Buffer;
 }

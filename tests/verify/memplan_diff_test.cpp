@@ -15,9 +15,10 @@
 /// Values, parameters, parameter gradients and the data gradient are all
 /// retained, so the comparison covers everything training observes.
 ///
-/// Both executors run with ExecOptions::Deterministic (serialized gradient
-/// accumulation, reseeded dropout), which makes bitwise equality a sound
-/// expectation even on the Parallelize lattice points.
+/// Both executors run with ExecOptions::Deterministic (reseeded dropout);
+/// parallel loops, backward included, are race-free and independent of
+/// the thread count, so bitwise equality is a sound expectation even on
+/// the Parallelize lattice points.
 ///
 //===----------------------------------------------------------------------===//
 

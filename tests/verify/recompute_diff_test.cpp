@@ -1,16 +1,16 @@
 //===- tests/verify/recompute_diff_test.cpp -------------------*- C++ -*-===//
 ///
 /// Differential verification of the recompute (rematerialization) pass:
-/// for every base point of the 2^6 non-recompute optimization lattice, run
-/// the same program twice — once at mask m|0x40 (recompute on, gather
-/// buffers re-produced in backward) and once at mask m (recompute off,
-/// gathers retained across the forward/backward boundary) — and require
-/// weights, gradients and every other commonly-retained root to be BITWISE
-/// identical. Recompute trades memory for data movement; it must never
-/// change a value: the clone re-gathers from retained Value/Data sources
-/// whose bytes are exactly what forward produced, so any difference at all
-/// is a legality bug (a non-pure clone, a clobbered source, a bad
-/// insertion point).
+/// for every base point of the 2^5 lattice below Recompute's bit (JIT off),
+/// run the same program twice — once at mask m|kRecomputeMask (recompute
+/// on, gather buffers re-produced in backward) and once at mask m
+/// (recompute off, gathers retained across the forward/backward
+/// boundary) — and require weights, gradients and every other
+/// commonly-retained root to be BITWISE identical. Recompute trades memory
+/// for data movement; it must never change a value: the clone re-gathers
+/// from retained Value/Data sources whose bytes are exactly what forward
+/// produced, so any difference at all is a legality bug (a non-pure clone,
+/// a clobbered source, a bad insertion point).
 ///
 /// Comparability: the recompute-on plan no longer retains the
 /// rematerialized gather roots at exit, so the comparison covers the roots
@@ -51,7 +51,8 @@ Program compileSpec(const models::ModelSpec &Spec, int64_t Batch,
 void diffOneBaseMask(const models::ModelSpec &Spec, int64_t Batch,
                      unsigned BaseMask) {
   verify::LatticeOptions LO; // tiny-net tile geometry so tiling triggers
-  CompileOptions On = verify::optionsForMask(BaseMask | 0x40u, LO);
+  CompileOptions On =
+      verify::optionsForMask(BaseMask | verify::kRecomputeMask, LO);
   CompileOptions Off = verify::optionsForMask(BaseMask, LO);
   ASSERT_TRUE(On.Recompute);
   ASSERT_FALSE(Off.Recompute);
@@ -110,7 +111,7 @@ void diffOneBaseMask(const models::ModelSpec &Spec, int64_t Batch,
 }
 
 void diffAllBaseMasks(const models::ModelSpec &Spec, int64_t Batch) {
-  for (unsigned Base = 0; Base < 64u; ++Base)
+  for (unsigned Base = 0; Base < verify::kRecomputeMask; ++Base)
     diffOneBaseMask(Spec, Batch, Base);
 }
 

@@ -5,9 +5,8 @@
 /// which runs analyze::verifyProgram on each compiled program and aborts
 /// on any Error diagnostic. A passing lattice run therefore certifies
 /// that the verifier accepts everything the compiler legitimately emits —
-/// across pattern matching, tiling, fusion, parallelization, vector
-/// kernels, and recompute, on both a GEMM-heavy MLP and a padded
-/// conv/pool net.
+/// across pattern matching, tiling, fusion, parallelization, recompute and
+/// the JIT probes, on both a GEMM-heavy MLP and a padded conv/pool net.
 ///
 //===----------------------------------------------------------------------===//
 

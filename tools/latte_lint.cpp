@@ -3,7 +3,7 @@
 /// \file
 /// latte-lint: compiles a shipped model (src/models/) at a chosen
 /// CompileOptions lattice point (or the tier's sweep of them —
-/// verify::sweepMasks, all 2^8 under LATTE_DEEP=1), runs the static
+/// verify::sweepMasks, all 2^7 under LATTE_DEEP=1), runs the static
 /// verifier + race detector, and prints structured diagnostics, optionally
 /// with per-task effect-set dumps (--dump-effects). --inference lints the
 /// compileForward() program instead of the training compile — the
@@ -170,7 +170,8 @@ void corruptCrossIterationWrite(compiler::Program &Prog) {
     }
   std::fprintf(stderr,
                "latte-lint: no parallel batch loop to corrupt (compile with "
-               "a parallelize mask bit, e.g. --mask 0x10)\n");
+               "a parallelize mask bit, e.g. --mask %#x)\n",
+               verify::kParallelizeMask);
   std::exit(2);
 }
 
@@ -222,7 +223,8 @@ void corruptRecomputeAfterUse(compiler::Program &Prog) {
     std::fprintf(stderr,
                  "latte-lint: no recomputed buffer to corrupt (compile a "
                  "conv model with the recompute bit set, e.g. --mask "
-                 "0x40)\n");
+                 "%#x)\n",
+                 verify::kRecomputeMask);
     std::exit(2);
   }
   const compiler::RecomputeInfo &RI = Prog.Recomputes.front();
@@ -376,12 +378,11 @@ int main(int Argc, char **Argv) {
     else if (A == "--mask") {
       const char *Text = Next();
       int64_t Mask = parseInt(A, Text);
-      const int64_t Points = int64_t{1} << verify::kNumLatticeSwitches;
-      if (Mask < 0 || Mask >= Points)
+      if (Mask < 0 || Mask > verify::kAllMask)
         usageError("--mask " + std::string(Text) + " is out of range: " +
                    std::to_string(verify::kNumLatticeSwitches) +
                    " lattice switches allow masks 0 to " +
-                   std::to_string(Points - 1));
+                   std::to_string(verify::kAllMask));
       Opt.Mask = static_cast<int>(Mask);
     } else if (A == "--all-masks")
       AllMasks = true;
@@ -413,7 +414,7 @@ int main(int Argc, char **Argv) {
       return usage();
   }
   if (Opt.Mask < 0 && !AllMasks && !Opt.Corrupt.empty())
-    Opt.Mask = (1 << verify::kNumLatticeSwitches) - 1; // corrupt: one point
+    Opt.Mask = verify::kAllMask; // corrupt: one point
 
   std::vector<std::string> Models;
   if (Opt.Model == "all")
