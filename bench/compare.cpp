@@ -21,15 +21,18 @@
 /// fails the gate like a regression.
 ///
 /// Exit codes: 0 = within threshold, 1 = regression or missing named row,
-/// 2 = usage/parse error.
+/// 2 = usage/parse error — a `--threshold` that is not wholly a finite
+/// number above 1 ("2.5x", "nan", "inf") included.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/bench_compare.h"
+#include "support/string_utils.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +45,13 @@ int main(int argc, char **argv) {
   std::vector<std::string> Rows, Metrics;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--threshold") == 0 && I + 1 < argc) {
-      Threshold = std::atof(argv[++I]);
+      std::optional<double> V = parseNumber(argv[++I]);
+      if (!V) {
+        std::fprintf(stderr, "--threshold expects a finite number, got '%s'\n",
+                     argv[I]);
+        return 2;
+      }
+      Threshold = *V;
     } else if (std::strcmp(argv[I], "--markdown") == 0) {
       Markdown = true;
     } else if ((std::strcmp(argv[I], "--rows") == 0 ||

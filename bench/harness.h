@@ -25,13 +25,16 @@
 #include "models/models.h"
 #include "support/json.h"
 #include "support/profile.h"
+#include "support/string_utils.h"
 #include "support/timer.h"
 #include "support/trace_json.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -83,6 +86,41 @@ struct BenchOptions {
   bool profiling() const { return !JsonPath.empty() || !TracePath.empty(); }
 };
 
+/// Parses all of \p Text, the value of \p Flag, as a finite number
+/// (support/string_utils.h); anything else — "2.5x", "abc", "nan" — is a
+/// usage error (exit 2).
+inline double numberArg(const char *Flag, const char *Text) {
+  std::optional<double> V = parseNumber(Text);
+  if (!V) {
+    std::fprintf(stderr, "%s expects a finite number, got '%s'\n", Flag, Text);
+    std::exit(2);
+  }
+  return *V;
+}
+
+/// Parses all of \p Text, the value of \p Flag, as an integer (exit 2
+/// otherwise).
+inline int64_t intArg(const char *Flag, const char *Text) {
+  std::optional<int64_t> V = parseInt(Text);
+  if (!V) {
+    std::fprintf(stderr, "%s expects an integer, got '%s'\n", Flag, Text);
+    std::exit(2);
+  }
+  return *V;
+}
+
+/// Parses \p Text, the value of \p Flag, as a count that fits an int:
+/// 1 to INT_MAX (exit 2 otherwise, rather than wrapping).
+inline int countArg(const char *Flag, const char *Text) {
+  int64_t V = intArg(Flag, Text);
+  if (V < 1 || V > INT_MAX) {
+    std::fprintf(stderr, "%s must be from 1 to %d, got '%s'\n", Flag,
+                 INT_MAX, Text);
+    std::exit(2);
+  }
+  return static_cast<int>(V);
+}
+
 inline BenchOptions parseBenchArgs(int Argc, char **Argv, double DefScale,
                                    int64_t DefBatch, int DefReps = 3) {
   BenchOptions O;
@@ -97,12 +135,13 @@ inline BenchOptions parseBenchArgs(int Argc, char **Argv, double DefScale,
     return Argv[I + 1];
   };
   for (int I = 1; I < Argc; ++I) {
+    const char *Flag = Argv[I];
     if (std::strcmp(Argv[I], "--scale") == 0)
-      O.Scale = std::atof(NeedValue(I++));
+      O.Scale = numberArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--batch") == 0)
-      O.Batch = std::atoll(NeedValue(I++));
+      O.Batch = intArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--reps") == 0)
-      O.Reps = std::atoi(NeedValue(I++));
+      O.Reps = countArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--json") == 0)
       O.JsonPath = NeedValue(I++);
     else if (std::strcmp(Argv[I], "--trace") == 0)

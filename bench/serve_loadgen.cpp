@@ -92,10 +92,11 @@ LoadgenOptions parseArgs(int Argc, char **Argv) {
     return Argv[I + 1];
   };
   for (int I = 1; I < Argc; ++I) {
+    const char *Flag = Argv[I];
     if (std::strcmp(Argv[I], "--scale") == 0)
-      O.Scale = std::atof(NeedValue(I++));
+      O.Scale = numberArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--replicas") == 0)
-      O.Replicas = std::atoi(NeedValue(I++));
+      O.Replicas = countArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--batch-sizes") == 0) {
       O.BatchSizes.clear();
       std::string List = NeedValue(I++);
@@ -105,15 +106,16 @@ LoadgenOptions parseArgs(int Argc, char **Argv) {
         if (Comma == std::string::npos)
           Comma = List.size();
         if (Comma > Pos)
-          O.BatchSizes.push_back(std::atoll(List.substr(Pos).c_str()));
+          O.BatchSizes.push_back(
+              intArg("--batch-sizes", List.substr(Pos, Comma - Pos).c_str()));
         Pos = Comma + 1;
       }
     } else if (std::strcmp(Argv[I], "--deadline-us") == 0)
-      O.DeadlineUs = std::atoll(NeedValue(I++));
+      O.DeadlineUs = intArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--duration") == 0)
-      O.DurationSec = std::atof(NeedValue(I++));
+      O.DurationSec = numberArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--rate-frac") == 0)
-      O.RateFrac = std::atof(NeedValue(I++));
+      O.RateFrac = numberArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--jit") == 0)
       O.Jit = true;
     else if (std::strcmp(Argv[I], "--cold") == 0)
@@ -125,11 +127,11 @@ LoadgenOptions parseArgs(int Argc, char **Argv) {
     else if (std::strcmp(Argv[I], "--trace") == 0)
       O.TracePath = NeedValue(I++);
     else if (std::strcmp(Argv[I], "--check-speedup") == 0)
-      O.CheckSpeedup = std::atof(NeedValue(I++));
+      O.CheckSpeedup = numberArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--check-cold") == 0)
       O.CheckCold = true;
     else if (std::strcmp(Argv[I], "--check-deadline-misses") == 0)
-      O.CheckDeadlineMisses = std::atoll(NeedValue(I++));
+      O.CheckDeadlineMisses = intArg(Flag, NeedValue(I++));
     else if (std::strcmp(Argv[I], "--help") == 0) {
       std::printf("usage: serve_loadgen [--scale S] [--replicas N] "
                   "[--batch-sizes 1,4,16] [--deadline-us U] "

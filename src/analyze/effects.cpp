@@ -206,8 +206,8 @@ BufferTable::intInfo(const std::string &Name) const {
 //===----------------------------------------------------------------------===//
 
 KernelSignature analyze::kernelSignature(KernelKind K) {
-  // Argument layouts mirror engine::Executor::execKernel (the runtime is
-  // authoritative; KernelKind's doc comments predate the expr-arg split).
+  // Argument layouts mirror engine::Executor::execKernelResolved and
+  // KernelKind's doc comments (ir/stmt.h).
   switch (K) {
   case KernelKind::Zero:
     return {1, 1, 0, 0};

@@ -255,9 +255,21 @@ private:
       IntVars.insert(F->var());
       bool SavedParallel = InParallel;
       InParallel |= A.Parallel;
-      ++LoopDepth;
+      // The loop forks where the engine and the emitted pragma do: the
+      // outermost parallel loop with more than one iteration (or a
+      // collapsed batch x tile loop). Locals declared before it are shared
+      // by its iterations.
+      bool Forks = A.Parallel && !InForkedLoop &&
+                   (A.Collapse == 2 || F->extent() > 1);
+      if (Forks) {
+        OuterLocals = FloatVars;
+        InForkedLoop = true;
+      }
       walkStmt(F->body());
-      --LoopDepth;
+      if (Forks) {
+        OuterLocals.clear();
+        InForkedLoop = false;
+      }
       InParallel = SavedParallel;
       if (!Shadowed)
         IntVars.erase(F->var());
@@ -269,9 +281,7 @@ private:
         error("ir.loop", "tiled loop has negative tile geometry", S);
       bool Shadowed = IntVars.count(T->tileVar()) != 0;
       IntVars.insert(T->tileVar());
-      ++LoopDepth;
       walkStmt(T->body());
-      --LoopDepth;
       if (!Shadowed)
         IntVars.erase(T->tileVar());
       return;
@@ -307,6 +317,14 @@ private:
       if (!FloatVars.count(A->name()))
         error("ir.var-use",
               "assignment to undeclared local '" + A->name() + "'", S);
+      // The interpreter's parallel path gives each iteration a private copy
+      // of such a local and its serial path shares one, so the two already
+      // disagree; the emitted loop would race on it.
+      if (InForkedLoop && OuterLocals.count(A->name()))
+        error("race.local",
+              "parallel loop assigns float local '" + A->name() +
+                  "' declared outside it",
+              S);
       checkValueExpr(A->value(), S);
       return;
     }
@@ -369,8 +387,10 @@ private:
   const std::string &Task;
   DiagnosticReport &R;
   std::set<std::string> IntVars, FloatVars;
-  int LoopDepth = 0;
+  /// Float locals declared before the enclosing forked loop.
+  std::set<std::string> OuterLocals;
   bool InParallel = false;
+  bool InForkedLoop = false;
 };
 
 //===----------------------------------------------------------------------===//

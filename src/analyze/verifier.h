@@ -29,7 +29,8 @@
 ///   - barriers only appear between top-level units (ir.barrier-placement)
 ///   - every exact effect footprint stays inside its buffer (ir.bounds)
 ///   - parallel loops are race-free modulo the declared §6 lossy
-///     accumulation (race.* — see analyze/races.h)
+///     accumulation (race.* — see analyze/races.h), and a parallel loop
+///     assigns no float local declared outside it (race.local)
 ///   - the compiler's arena memory plan, when present: every alias root is
 ///     placed (plan.offset-missing) with an aligned (plan.align),
 ///     in-bounds, extent-covering byte range (plan.bounds); no two

@@ -2,6 +2,7 @@
 
 #include "compiler/codegen_cpp.h"
 
+#include "ir/visitor.h"
 #include "jit/jit_abi.h"
 #include "support/error.h"
 #include "support/string_utils.h"
@@ -41,16 +42,16 @@ namespace {
 //  * Int context (indices, offsets, loop bounds, kernel expr args):
 //    int64_t arithmetic; C integer division matches evalInt.
 //
-// Parallel-annotated loops split into an explicit `if (LJ->par != 0)`
-// branch pair because the interpreter's two paths differ observably: the
-// parallel path copies the environment per iteration (outer float locals
-// become per-iteration private copies whose writes are discarded), the
-// serial path shares it. The parallel branch therefore snapshots every
-// in-scope float local before the pragma and re-declares it inside the
-// loop body — exact Env-copy semantics with or without OpenMP — while the
-// serial branch reuses the enclosing locals directly. Loops nested inside
-// a parallel branch are emitted serial outright, mirroring the
-// interpreter's AllowParallel=false propagation.
+// A parallel-annotated loop is emitted once, under `#pragma omp parallel
+// for schedule(static, 1) if (LJ->par != 0)`: the engine sets par to 0
+// exactly when its interpreter would not fork, and the loop then runs on
+// a team of one in serial order. A collapse(2) loop is always flattened
+// (batch x tile), which visits the nested serial order. The one form is
+// exact because the verifier rejects a parallel loop body that assigns a
+// float local declared outside it (race.local): every local a parallel
+// iteration writes is its own, as in both interpreter paths. Loops nested
+// inside a parallel body are emitted serial, mirroring the interpreter's
+// AllowParallel=false propagation.
 //
 // Kernel calls normally dispatch through the ctx trampoline: into the
 // engine's library kernels in the JIT (the exact functions the interpreter
@@ -73,11 +74,7 @@ namespace {
 
 class JitEmitter {
 public:
-  /// \p AllUnits emits a task for every unit, including the ones the JIT
-  /// leaves to the engine; the standalone program has no engine to fall
-  /// back to.
-  JitEmitter(const Program &Prog, bool AllUnits)
-      : Prog(Prog), AllUnits(AllUnits) {
+  explicit JitEmitter(const Program &Prog) : Prog(Prog) {
     for (size_t I = 0; I < Prog.Buffers.size(); ++I)
       BufIndex[Prog.Buffers[I].Name] = I;
     for (size_t I = 0; I < Prog.IntBuffers.size(); ++I)
@@ -90,10 +87,6 @@ private:
   void prologue();
   void emitPass(const Stmt *Root, char PassTag, std::vector<JitTaskInfo> &Out);
   void emitTask(const Stmt *Unit, const std::string &Symbol);
-  bool jittable(const Stmt *S) const;
-  void collectLoadStoreBuffers(const Stmt *S,
-                               std::set<std::string> &Names) const;
-  void collectExprBuffers(const Expr *E, std::set<std::string> &Names) const;
 
   void emitStmt(const Stmt *S, int Indent);
   void emitFor(const ForStmt *F, int Indent);
@@ -105,13 +98,6 @@ private:
   std::string elemRef(const std::string &Buffer,
                       const std::vector<ExprPtr> &Indices) const;
 
-  std::vector<std::string> visibleLocals() const {
-    std::vector<std::string> Out;
-    for (const std::vector<std::string> &Scope : Scopes)
-      Out.insert(Out.end(), Scope.begin(), Scope.end());
-    return Out;
-  }
-
   void line(int Indent, const std::string &Text) {
     for (int I = 0; I < Indent; ++I)
       OS << "  ";
@@ -119,7 +105,6 @@ private:
   }
 
   const Program &Prog;
-  const bool AllUnits;
   std::ostringstream OS;
   /// Specialized kernel clones: (kind, int args) signature -> emitted
   /// function name. SpecOS accumulates their definitions in first-use
@@ -129,11 +114,9 @@ private:
   int SpecCounter = 0;
   std::unordered_map<std::string, size_t> BufIndex;
   std::unordered_map<std::string, size_t> IntBufIndex;
-  /// C-visible float locals, one vector per open brace scope.
-  std::vector<std::vector<std::string>> Scopes;
-  /// True while emitting inside either branch of a parallel split: inner
-  /// parallel annotations are ignored (interpreter: AllowParallel=false in
-  /// parallel iterations; and in the serial branch par is 0 at runtime).
+  /// True while emitting a parallel loop's body: inner parallel
+  /// annotations are emitted serial, as the interpreter runs them
+  /// (AllowParallel=false inside a parallel iteration).
   bool InParallelBody = false;
   int Counter = 0;
 };
@@ -271,117 +254,6 @@ std::string JitEmitter::floatExpr(const Expr *E) const {
   }
   }
   latteUnreachable("unknown expression kind");
-}
-
-bool JitEmitter::jittable(const Stmt *S) const {
-  if (!S)
-    return true;
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const StmtPtr &Child : cast<BlockStmt>(S)->stmts())
-      if (!jittable(Child.get()))
-        return false;
-    return true;
-  case Stmt::Kind::For:
-    return jittable(cast<ForStmt>(S)->body());
-  case Stmt::Kind::TiledLoop:
-    return jittable(cast<TiledLoopStmt>(S)->body());
-  case Stmt::Kind::KernelCall: {
-    const auto *K = cast<KernelCallStmt>(S);
-    // Dropout draws from the engine's RNG stream.
-    if (K->kernel() == KernelKind::DropoutMask)
-      return false;
-    return K->bufs().size() <= static_cast<size_t>(jit::kMaxKernelBufs) &&
-           K->exprArgs().size() <=
-               static_cast<size_t>(jit::kMaxKernelExprArgs);
-  }
-  case Stmt::Kind::Store:
-  case Stmt::Kind::Decl:
-  case Stmt::Kind::AssignVar:
-  case Stmt::Kind::Barrier:
-    return true;
-  }
-  latteUnreachable("unknown statement kind");
-}
-
-void JitEmitter::collectExprBuffers(const Expr *E,
-                                    std::set<std::string> &Names) const {
-  switch (E->kind()) {
-  case Expr::Kind::Load: {
-    const auto *L = cast<LoadExpr>(E);
-    Names.insert(L->buffer());
-    for (const ExprPtr &I : L->indices())
-      collectExprBuffers(I.get(), Names);
-    return;
-  }
-  case Expr::Kind::Binary:
-    collectExprBuffers(cast<BinaryExpr>(E)->lhs(), Names);
-    collectExprBuffers(cast<BinaryExpr>(E)->rhs(), Names);
-    return;
-  case Expr::Kind::Unary:
-    collectExprBuffers(cast<UnaryExpr>(E)->operand(), Names);
-    return;
-  case Expr::Kind::Compare:
-    collectExprBuffers(cast<CompareExpr>(E)->lhs(), Names);
-    collectExprBuffers(cast<CompareExpr>(E)->rhs(), Names);
-    return;
-  case Expr::Kind::Select:
-    collectExprBuffers(cast<SelectExpr>(E)->cond(), Names);
-    collectExprBuffers(cast<SelectExpr>(E)->trueValue(), Names);
-    collectExprBuffers(cast<SelectExpr>(E)->falseValue(), Names);
-    return;
-  default:
-    return;
-  }
-}
-
-void JitEmitter::collectLoadStoreBuffers(const Stmt *S,
-                                         std::set<std::string> &Names) const {
-  if (!S)
-    return;
-  switch (S->kind()) {
-  case Stmt::Kind::Block:
-    for (const StmtPtr &Child : cast<BlockStmt>(S)->stmts())
-      collectLoadStoreBuffers(Child.get(), Names);
-    return;
-  case Stmt::Kind::For: {
-    const auto *F = cast<ForStmt>(S);
-    collectExprBuffers(F->lo(), Names);
-    collectLoadStoreBuffers(F->body(), Names);
-    return;
-  }
-  case Stmt::Kind::TiledLoop:
-    collectLoadStoreBuffers(cast<TiledLoopStmt>(S)->body(), Names);
-    return;
-  case Stmt::Kind::Store: {
-    const auto *St = cast<StoreStmt>(S);
-    Names.insert(St->buffer());
-    for (const ExprPtr &I : St->indices())
-      collectExprBuffers(I.get(), Names);
-    collectExprBuffers(St->value(), Names);
-    return;
-  }
-  case Stmt::Kind::Decl:
-    collectExprBuffers(cast<DeclStmt>(S)->init(), Names);
-    return;
-  case Stmt::Kind::AssignVar:
-    collectExprBuffers(cast<AssignVarStmt>(S)->value(), Names);
-    return;
-  case Stmt::Kind::KernelCall: {
-    // Kernel buffer args go through LJ->bufs indices, not named aliases;
-    // only offset / expr-arg expressions could name buffers via loads.
-    const auto *K = cast<KernelCallStmt>(S);
-    for (const KernelBufArg &A : K->bufs())
-      if (A.Offset)
-        collectExprBuffers(A.Offset.get(), Names);
-    for (const ExprPtr &E : K->exprArgs())
-      collectExprBuffers(E.get(), Names);
-    return;
-  }
-  case Stmt::Kind::Barrier:
-    return;
-  }
-  latteUnreachable("unknown statement kind");
 }
 
 /// Returns the name of the specialized clone for \p K, emitting its
@@ -739,6 +611,11 @@ void JitEmitter::emitSpecBody(KernelKind Kind,
 }
 
 void JitEmitter::emitKernel(const KernelCallStmt *K, int Indent) {
+  if (K->bufs().size() > static_cast<size_t>(jit::kMaxKernelBufs) ||
+      K->exprArgs().size() > static_cast<size_t>(jit::kMaxKernelExprArgs))
+    reportFatalError(std::string("codegen: kernel '") +
+                     kernelKindName(K->kernel()) +
+                     "' has more arguments than the kernel ABI carries");
   uint32_t IntMask = kernelIntBufMask(K->kernel());
   line(Indent, "{");
   line(Indent + 1,
@@ -806,12 +683,9 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
   std::string Lo = "_lo" + std::to_string(Id);
   line(Indent, "const int64_t " + Lo + " = " + intExpr(F->lo()) + ";");
   std::string Var = F->var();
-  std::string Bound =
-      Lo + " + (int64_t)" + std::to_string(F->extent());
-  auto SerialHeader = [&](int Ind) {
-    line(Ind, "for (int64_t " + Var + " = " + Lo + "; " + Var + " < " +
-                  Bound + "; ++" + Var + ") {");
-  };
+  std::string Header = "for (int64_t " + Var + " = " + Lo + "; " + Var +
+                       " < " + Lo + " + (int64_t)" +
+                       std::to_string(F->extent()) + "; ++" + Var + ") {";
 
   bool Par = F->annotations().Parallel && !InParallelBody;
   const TiledLoopStmt *Collapsed = nullptr;
@@ -820,86 +694,35 @@ void JitEmitter::emitFor(const ForStmt *F, int Indent) {
       if (Body->stmts().size() == 1)
         Collapsed = dyn_cast<TiledLoopStmt>(Body->stmts()[0].get());
 
-  auto EmitBody = [&](const Stmt *Body, int Ind) {
-    bool Saved = InParallelBody;
-    InParallelBody = InParallelBody || Par;
-    Scopes.emplace_back();
-    emitStmt(Body, Ind);
-    Scopes.pop_back();
-    InParallelBody = Saved;
-  };
-  // Opens the `LJ->par != 0` branch: snapshots every in-scope float local
-  // ahead of the pragma; Privatize re-declares them inside the parallel
-  // loop (the interpreter's Env copy).
-  std::vector<std::string> Snaps;
-  auto OpenParallel = [&]() {
-    Snaps = visibleLocals();
-    line(Indent, "if (LJ->par != 0) {");
-    for (const std::string &V : Snaps)
-      line(Indent + 1, "const float _snap" + std::to_string(Id) + "_" + V +
-                           " = " + V + ";");
-    line(Indent + 1, "#pragma omp parallel for schedule(static, 1)");
-  };
-  auto Privatize = [&](int Ind) {
-    for (const std::string &V : Snaps)
-      line(Ind,
-           "float " + V + " = _snap" + std::to_string(Id) + "_" + V + ";");
-  };
+  if (!Par || (!Collapsed && F->extent() <= 1)) {
+    line(Indent, Header);
+    emitStmt(F->body(), Indent + 1);
+    line(Indent, "}");
+    return;
+  }
 
-  if (Par && Collapsed) {
-    // Interpreter collapsed path: flatten batch x tile; iteration order of
-    // the flattened loop equals the nested serial order, so the serial
-    // branch below keeps the nested form.
+  line(Indent,
+       "#pragma omp parallel for schedule(static, 1) if (LJ->par != 0)");
+  InParallelBody = true;
+  if (Collapsed) {
+    // Batch x tile flattened into one loop; its iteration order is the
+    // nested serial order.
     int64_t Tiles = Collapsed->numTiles();
-    int64_t Total = F->extent() * Tiles;
     std::string Lf = "_lf" + std::to_string(Id);
-    OpenParallel();
-    line(Indent + 1, "for (int64_t " + Lf + " = 0; " + Lf + " < (int64_t)" +
-                         std::to_string(Total) + "; ++" + Lf + ") {");
-    line(Indent + 2, "int64_t " + Var + " = " + Lo + " + " + Lf +
+    line(Indent, "for (int64_t " + Lf + " = 0; " + Lf + " < (int64_t)" +
+                     std::to_string(F->extent() * Tiles) + "; ++" + Lf +
+                     ") {");
+    line(Indent + 1, "int64_t " + Var + " = " + Lo + " + " + Lf +
                          " / (int64_t)" + std::to_string(Tiles) + ";");
-    line(Indent + 2, "int64_t " + Collapsed->tileVar() + " = " + Lf +
+    line(Indent + 1, "int64_t " + Collapsed->tileVar() + " = " + Lf +
                          " % (int64_t)" + std::to_string(Tiles) + ";");
-    // Per-iteration Env copy: fresh private float locals each iteration.
-    Privatize(Indent + 2);
-    line(Indent + 2, "{");
-    EmitBody(Collapsed->body(), Indent + 3);
-    line(Indent + 2, "}");
-    line(Indent + 1, "}");
-    line(Indent, "} else {");
-    SerialHeader(Indent + 1);
-    line(Indent + 2, "for (int64_t " + Collapsed->tileVar() + " = 0; " +
-                         Collapsed->tileVar() + " < (int64_t)" +
-                         std::to_string(Tiles) + "; ++" +
-                         Collapsed->tileVar() + ") {");
-    EmitBody(Collapsed->body(), Indent + 3);
-    line(Indent + 2, "}");
-    line(Indent + 1, "}");
-    line(Indent, "}");
-    return;
+    emitStmt(Collapsed->body(), Indent + 1);
+  } else {
+    line(Indent, Header);
+    emitStmt(F->body(), Indent + 1);
   }
-
-  if (Par && F->extent() > 1) {
-    OpenParallel();
-    SerialHeader(Indent + 1);
-    Privatize(Indent + 2);
-    line(Indent + 2, "{");
-    EmitBody(F->body(), Indent + 3);
-    line(Indent + 2, "}");
-    line(Indent + 1, "}");
-    line(Indent, "} else {");
-    SerialHeader(Indent + 1);
-    EmitBody(F->body(), Indent + 2);
-    line(Indent + 1, "}");
-    line(Indent, "}");
-    return;
-  }
-
-  SerialHeader(Indent);
-  Scopes.emplace_back();
-  emitStmt(F->body(), Indent + 1);
-  Scopes.pop_back();
   line(Indent, "}");
+  InParallelBody = false;
 }
 
 void JitEmitter::emitStmt(const Stmt *S, int Indent) {
@@ -924,9 +747,7 @@ void JitEmitter::emitStmt(const Stmt *S, int Indent) {
     line(Indent, "for (int64_t " + T->tileVar() + " = 0; " + T->tileVar() +
                      " < (int64_t)" + std::to_string(T->numTiles()) + "; ++" +
                      T->tileVar() + ") {");
-    Scopes.emplace_back();
     emitStmt(T->body(), Indent + 1);
-    Scopes.pop_back();
     line(Indent, "}");
     return;
   }
@@ -958,8 +779,6 @@ void JitEmitter::emitStmt(const Stmt *S, int Indent) {
   case Stmt::Kind::Decl: {
     const auto *D = cast<DeclStmt>(S);
     line(Indent, "float " + D->name() + " = " + floatExpr(D->init()) + ";");
-    if (!Scopes.empty())
-      Scopes.back().push_back(D->name());
     return;
   }
   case Stmt::Kind::AssignVar: {
@@ -1000,16 +819,39 @@ void JitEmitter::emitTask(const Stmt *Unit, const std::string &Symbol) {
   OS << "extern \"C\" void " << Symbol << "(LatteJitCtx *LJ) {\n"
      << "  (void)LJ;\n";
   // Named aliases for the buffers this unit loads/stores directly, in
-  // Program declaration order (deterministic).
+  // Program declaration order (deterministic). Kernel buffer args go
+  // through LJ->bufs indices instead; only their offset and expr-arg
+  // expressions could load.
   std::set<std::string> Referenced;
-  collectLoadStoreBuffers(Unit, Referenced);
+  auto Loads = [&](const Expr *E) {
+    walkExprs(E, [&](const Expr *Node) {
+      if (const auto *L = dyn_cast<LoadExpr>(Node))
+        Referenced.insert(L->buffer());
+    });
+  };
+  walkStmts(Unit, [&](const Stmt *S) {
+    if (const auto *F = dyn_cast<ForStmt>(S)) {
+      Loads(F->lo());
+    } else if (const auto *St = dyn_cast<StoreStmt>(S)) {
+      Referenced.insert(St->buffer());
+      for (const ExprPtr &I : St->indices())
+        Loads(I.get());
+      Loads(St->value());
+    } else if (const auto *D = dyn_cast<DeclStmt>(S)) {
+      Loads(D->init());
+    } else if (const auto *A = dyn_cast<AssignVarStmt>(S)) {
+      Loads(A->value());
+    } else if (const auto *K = dyn_cast<KernelCallStmt>(S)) {
+      for (const KernelBufArg &Arg : K->bufs())
+        Loads(Arg.Offset.get());
+      for (const ExprPtr &E : K->exprArgs())
+        Loads(E.get());
+    }
+  });
   for (const BufferInfo &B : Prog.Buffers)
     if (Referenced.count(B.Name))
       OS << "  float *" << B.Name << " = LJ->bufs[" << BufIndex.at(B.Name)
          << "]; // " << B.Dims.str() << "\n";
-  Scopes.clear();
-  Scopes.emplace_back();
-  InParallelBody = false;
   emitStmt(Unit, 1);
   OS << "}\n\n";
 }
@@ -1042,12 +884,8 @@ void JitEmitter::emitPass(const Stmt *Root, char PassTag,
     return;
   for (size_t I = 0; I < B->stmts().size(); ++I) {
     JitTaskInfo Info;
-    if (AllUnits || jittable(B->stmts()[I].get())) {
-      Info.Jittable = true;
-      Info.Symbol =
-          std::string("latte_task_") + PassTag + std::to_string(I);
-      emitTask(B->stmts()[I].get(), Info.Symbol);
-    }
+    Info.Symbol = std::string("latte_task_") + PassTag + std::to_string(I);
+    emitTask(B->stmts()[I].get(), Info.Symbol);
     Out.push_back(std::move(Info));
   }
 }
@@ -1445,12 +1283,12 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
 } // namespace
 
 std::string compiler::generateCpp(const Program &Prog) {
-  JitSource JS = JitEmitter(Prog, /*AllUnits=*/true).run();
+  JitSource JS = JitEmitter(Prog).run();
   return JS.Source + standaloneDriver(Prog, JS);
 }
 
 JitSource compiler::generateJitSource(const Program &Prog) {
-  return JitEmitter(Prog, /*AllUnits=*/false).run();
+  return JitEmitter(Prog).run();
 }
 
 bool compiler::writeGeneratedProgram(const Program &Prog,

@@ -248,13 +248,6 @@ struct CompileOptions {
   /// live ranges, shrinking the per-replica serving arena. Recompute is
   /// vacuous without a backward program and is skipped.
   bool Inference = false;
-  /// Expectation-scaled dropout for inference (only meaningful with
-  /// Inference): instead of sampling a mask, copy the input scaled by
-  /// KeepProb — the standard eval-mode dropout. Off by default so that
-  /// compileForward stays bitwise identical to the training forward pass
-  /// (the serving parity contract); opt in per deployment when an
-  /// expectation-mode forward is wanted instead of a sampled one.
-  bool EvalDropout = false;
   int64_t TileSize = 8;      ///< target tile extent along y
   /// Cost-model threshold: layers whose spatial row extent is below this
   /// are left untiled (the paper's §7.1.2 observation — tiling loses its

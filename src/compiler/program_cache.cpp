@@ -65,7 +65,6 @@ std::string ProgramCache::key(const models::ModelSpec &Spec,
     F.i64(L.Stride);
     F.i64(L.Pad);
     F.i64(L.TimeIndex);
-    F.f64(L.KeepProb);
   }
   // Every switch that changes the assembled program. VerifyEach is a
   // checking knob, not a program-shaping one, and is deliberately absent.
@@ -75,7 +74,7 @@ std::string ProgramCache::key(const models::ModelSpec &Spec,
   int64_t Bits = 0;
   for (bool B : {Opts.PatternMatchGemm, Opts.PatternMatchKernels, Opts.Tiling,
                  Opts.Fusion, Opts.Parallelize, Opts.Recompute, Opts.Jit,
-                 Opts.Inference, Opts.EvalDropout})
+                 Opts.Inference})
     Bits = (Bits << 1) | (B ? 1 : 0);
   F.i64(Bits);
   F.i64(Opts.TileSize);

@@ -283,21 +283,6 @@ void Synthesizer::handleNorm(Ensemble *E) {
   }
   case NormOpKind::Dropout: {
     double Keep = E->normParams().empty() ? 0.5 : E->normParams()[0];
-    // Expectation-scaled eval mode (inference opt-in): out = KeepProb * in
-    // with no mask RNG and no mask buffer. The default keeps the sampled
-    // mask so compileForward stays bitwise identical to the training-mode
-    // forward pass; backward never runs under Inference.
-    if (Opts.Inference && Opts.EvalDropout) {
-      FwdTask.Pre.push_back(kernelCall(
-          KernelKind::Copy,
-          bufArgs(KernelBufArg(E->valueBuffer()),
-                  KernelBufArg(Src->valueBuffer())),
-          {Count}));
-      FwdTask.Pre.push_back(kernelCall(KernelKind::Scale,
-                                       bufArgs(KernelBufArg(E->valueBuffer())),
-                                       {Count}, {Keep}));
-      break;
-    }
     std::string MaskBuf = E->name() + "_mask";
     declareBuffer(MaskBuf, E->dims().withPrefix(Batch), BufferRole::Scratch);
     FwdTask.Pre.push_back(kernelCall(KernelKind::DropoutMask,

@@ -10,7 +10,9 @@
 #include "support/error.h"
 #include "support/profile.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #ifdef LATTE_HAVE_OPENMP
 #include <omp.h>
@@ -51,6 +53,96 @@ int64_t checkedLabel(float Label, int64_t Classes) {
     reportFatalError("softmax loss: label " + std::to_string(Label) +
                      " is outside [0, " + std::to_string(Classes) + ")");
   return static_cast<int64_t>(Label);
+}
+
+/// Adds \p Trips calls of kernel \p Kind with int args \p IA to the
+/// library-kernel counters in \p Out.
+void addKernelCost(KernelKind Kind, const int64_t *IA, uint64_t Trips,
+                   prof::CounterSet &Out) {
+  using prof::Counter;
+  Out.add(Counter::KernelCalls, Trips);
+  uint64_t Bytes = 0;
+  switch (Kind) {
+  case KernelKind::Sgemm:
+    // ints: {M, N, K, ...} — one multiply-add per inner-product element.
+    Out.add(Counter::GemmCalls, Trips);
+    Out.add(Counter::Flops, Trips * 2 * static_cast<uint64_t>(IA[0]) *
+                                static_cast<uint64_t>(IA[1]) *
+                                static_cast<uint64_t>(IA[2]));
+    return;
+  case KernelKind::Zero:
+    Bytes = 4ull * IA[0];
+    break;
+  case KernelKind::Copy: // read + write
+  case KernelKind::Scale:
+    Bytes = 8ull * IA[0];
+    break;
+  case KernelKind::AddTo: // 2 reads + write
+  case KernelKind::MulInto:
+    Bytes = 12ull * IA[0];
+    break;
+  case KernelKind::MulAddTo: // 3 reads + write
+    Bytes = 16ull * IA[0];
+    break;
+  case KernelKind::Gather2D: // ints: {Rows, Cols, ColCount}
+  case KernelKind::BiasAddCols:
+    // value + index (bias) read, write per cell
+    Bytes = 12ull * IA[0] * IA[2];
+    break;
+  case KernelKind::ScatterAdd2D:
+    Bytes = 16ull * IA[0] * IA[2];
+    break;
+  case KernelKind::ActFwdCols: // ints: {Op, Rows, Cols, ColCount}
+    Bytes = 8ull * IA[1] * IA[3];
+    break;
+  case KernelKind::ActBwdCols:
+    Bytes = 16ull * IA[1] * IA[3];
+    break;
+  default:
+    break;
+  }
+  Out.add(Counter::BytesMoved, Trips * Bytes);
+}
+
+/// Adds \p Trips runs of \p S to \p Out: every kernel's int args and
+/// every loop's extent are compile-time constants, so a unit's counters
+/// are each kernel's cost times the trip counts of its enclosing loops.
+void addStmtCost(const Stmt *S, uint64_t Trips, prof::CounterSet &Out) {
+  auto TripsOf = [Trips](int64_t N) {
+    return Trips * static_cast<uint64_t>(std::max<int64_t>(N, 0));
+  };
+  if (!S)
+    return;
+  switch (S->kind()) {
+  case Stmt::Kind::Block:
+    for (const StmtPtr &Child : cast<BlockStmt>(S)->stmts())
+      addStmtCost(Child.get(), Trips, Out);
+    return;
+  case Stmt::Kind::For:
+    addStmtCost(cast<ForStmt>(S)->body(),
+                TripsOf(cast<ForStmt>(S)->extent()), Out);
+    return;
+  case Stmt::Kind::TiledLoop:
+    addStmtCost(cast<TiledLoopStmt>(S)->body(),
+                TripsOf(cast<TiledLoopStmt>(S)->numTiles()), Out);
+    return;
+  case Stmt::Kind::KernelCall: {
+    const auto *K = cast<KernelCallStmt>(S);
+    addKernelCost(K->kernel(), K->intArgs().data(), Trips, Out);
+    return;
+  }
+  default:
+    return;
+  }
+}
+
+/// Kernel counters per unit of \p Root, in execProgram's unit order.
+std::vector<prof::CounterSet> unitCounters(const Stmt *Root) {
+  const auto *B = dyn_cast_if_present<const BlockStmt>(Root);
+  std::vector<prof::CounterSet> Out(B ? B->stmts().size() : Root ? 1 : 0);
+  for (size_t I = 0; I < Out.size(); ++I)
+    addStmtCost(B ? B->stmts()[I].get() : Root, 1, Out[I]);
+  return Out;
 }
 
 } // namespace
@@ -170,6 +262,10 @@ Executor::Executor(Program TheProg, ExecOptions Opts)
   };
   CheckLabels(Prog.Forward.get(), Prog.ForwardTasks, "forward");
   CheckLabels(Prog.Backward.get(), Prog.BackwardTasks, "backward");
+  if (Opts.Profile) {
+    FwdCounters = unitCounters(Prog.Forward.get());
+    BwdCounters = unitCounters(Prog.Backward.get());
+  }
   setupJit();
   initParams(Opts.Seed);
 }
@@ -205,8 +301,9 @@ void Executor::setupJit() {
   auto Resolve = [&](const std::vector<compiler::JitTaskInfo> &Infos,
                      std::vector<jit::TaskFn> &Out) {
     for (const compiler::JitTaskInfo &Info : Infos)
-      // A jittable task whose symbol is somehow absent falls back too.
-      Out.push_back(Info.Jittable ? JitMod->symbol(Info.Symbol) : nullptr);
+      // A task whose symbol is somehow absent falls back to the
+      // interpreter.
+      Out.push_back(JitMod->symbol(Info.Symbol));
   };
   Resolve(JS.Forward, JitFwd);
   Resolve(JS.Backward, JitBwd);
@@ -218,20 +315,9 @@ void Executor::setupJit() {
     CtxBufs.push_back(Buffers.at(B.Name).Data);
   for (const IntBufferInfo &B : Prog.IntBuffers)
     CtxIbufs.push_back(IntBuffers.at(B.Name).data());
-  for (jit::TaskFn Fn : JitFwd)
-    JitActive |= Fn != nullptr;
-  for (jit::TaskFn Fn : JitBwd)
-    JitActive |= Fn != nullptr;
+  JitActive = jitTaskCount() > 0;
   if (!JitActive && JitDiag.empty())
-    JitDiag = "no jittable tasks in this program";
-}
-
-void Executor::refreshJitCtx() {
-  JitCtx.self = this;
-  JitCtx.bufs = CtxBufs.data();
-  JitCtx.ibufs = CtxIbufs.data();
-  JitCtx.par = 0;
-  JitCtx.kernel = &latteJitKernelBridge;
+    JitDiag = "no tasks in this program's JIT module";
 }
 
 int Executor::jitTaskCount() const {
@@ -244,14 +330,9 @@ int Executor::jitTaskCount() const {
 }
 
 int Executor::jitFallbackCount() const {
-  if (!JitActive)
-    return 0;
-  int N = 0;
-  for (jit::TaskFn Fn : JitFwd)
-    N += Fn == nullptr;
-  for (jit::TaskFn Fn : JitBwd)
-    N += Fn == nullptr;
-  return N;
+  return JitActive ? static_cast<int>(JitFwd.size() + JitBwd.size()) -
+                         jitTaskCount()
+                   : 0;
 }
 
 const Executor::BufferRT &Executor::buffer(const std::string &Name) const {
@@ -380,26 +461,8 @@ void Executor::forward() {
       if (B.ZeroOnForward)
         kernels::zero(buffer(B.Name).Data, buffer(B.Name).Count);
   }
-  Env E;
-  E.AllowParallel = forkParallelLoops(Opts);
-  const std::vector<jit::TaskFn> *Fns = JitActive ? &JitFwd : nullptr;
-  if (JitActive)
-    refreshJitCtx();
-  if (Opts.Profile && prof::enabled()) {
-    prof::ScopedPhase Phase("forward");
-    prof::ScopedTimer Whole("forward");
-    ProfActive = true;
-    execProgram(Prog.Forward.get(), Prog.ForwardTasks, E, /*Profiled=*/true,
-                /*GlobalBase=*/0, Fns);
-    ProfActive = false;
-    return;
-  }
-  if (PlanActive || JitActive) {
-    execProgram(Prog.Forward.get(), Prog.ForwardTasks, E, /*Profiled=*/false,
-                /*GlobalBase=*/0, Fns);
-    return;
-  }
-  execStmt(Prog.Forward.get(), E);
+  execProgram("forward", Prog.Forward.get(), Prog.ForwardTasks,
+              /*GlobalBase=*/0, JitFwd, FwdCounters);
 }
 
 void Executor::backward() {
@@ -418,31 +481,12 @@ void Executor::backward() {
         kernels::zero(buffer(B.Name).Data, buffer(B.Name).Count);
   }
   // Seed the loss gradient path: SoftmaxLossBwd reads probabilities
-  // directly, so nothing to do here beyond zeroing.
-  Env E;
-  // Parallel backward loops are race-free: the compiler partitions
-  // parameter-gradient accumulation by output row (compiler/gradpart.h),
-  // so synchronized summation is parallel and bitwise deterministic.
-  E.AllowParallel = forkParallelLoops(Opts);
-  const int Base = Prog.Plan.NumForwardUnits;
-  const std::vector<jit::TaskFn> *Fns = JitActive ? &JitBwd : nullptr;
-  if (JitActive)
-    refreshJitCtx();
-  if (Opts.Profile && prof::enabled()) {
-    prof::ScopedPhase Phase("backward");
-    prof::ScopedTimer Whole("backward");
-    ProfActive = true;
-    execProgram(Prog.Backward.get(), Prog.BackwardTasks, E,
-                /*Profiled=*/true, /*GlobalBase=*/Base, Fns);
-    ProfActive = false;
-    return;
-  }
-  if (PlanActive || JitActive) {
-    execProgram(Prog.Backward.get(), Prog.BackwardTasks, E,
-                /*Profiled=*/false, /*GlobalBase=*/Base, Fns);
-    return;
-  }
-  execStmt(Prog.Backward.get(), E);
+  // directly, so nothing to do here beyond zeroing. Parallel backward loops
+  // are race-free: the compiler partitions parameter-gradient accumulation
+  // by output row (compiler/gradpart.h), so synchronized summation is
+  // parallel and bitwise deterministic.
+  execProgram("backward", Prog.Backward.get(), Prog.BackwardTasks,
+              /*GlobalBase=*/Prog.Plan.NumForwardUnits, JitBwd, BwdCounters);
 }
 
 double Executor::lossValue() const {
@@ -734,20 +778,29 @@ void Executor::execStmt(const Stmt *S, Env &E) {
   latteUnreachable("unknown statement kind");
 }
 
-void Executor::execProgram(const Stmt *Root,
+void Executor::execProgram(const char *Pass, const Stmt *Root,
                            const std::vector<compiler::TaskLabel> &Labels,
-                           Env &E, bool Profiled, int GlobalBase,
-                           const std::vector<jit::TaskFn> *Fns) {
-  const auto *B = dyn_cast_if_present<const BlockStmt>(Root);
-  if (!B) {
-    if (Root)
-      execStmt(Root, E);
-    return;
+                           int GlobalBase, const std::vector<jit::TaskFn> &Fns,
+                           const std::vector<prof::CounterSet> &Counters) {
+  Env E;
+  E.AllowParallel = forkParallelLoops(Opts);
+  // Repointed per pass so moved executors stay valid; par is 0 exactly
+  // when the interpreter would not fork.
+  if (JitActive)
+    JitCtx = {this, CtxBufs.data(), CtxIbufs.data(), E.AllowParallel ? 1 : 0,
+              &latteJitKernelBridge};
+  const bool Profiled = Opts.Profile && prof::enabled();
+  std::optional<prof::ScopedPhase> Phase;
+  std::optional<prof::ScopedTimer> Whole;
+  if (Profiled) {
+    Phase.emplace(Pass);
+    Whole.emplace(Pass);
   }
-  if (Fns)
-    JitCtx.par = E.AllowParallel ? 1 : 0;
-  const std::vector<StmtPtr> &Stmts = B->stmts();
-  for (size_t I = 0; I < Stmts.size(); ++I) {
+  // A non-block root (a hand-built program) is one unit, as the memory
+  // plan counts it.
+  const auto *B = dyn_cast_if_present<const BlockStmt>(Root);
+  const size_t NumUnits = B ? B->stmts().size() : Root ? 1 : 0;
+  for (size_t I = 0; I < NumUnits; ++I) {
     if (PlanActive) {
       // Lazy zeroing: interval-allocated ZeroOn* roots are cleared right
       // before their first referencing unit. Any buffer previously sharing
@@ -761,77 +814,24 @@ void Executor::execProgram(const Stmt *Root,
     }
     // JIT dispatch table: a non-null entry replaces interpretation of
     // this unit (kernels still run engine-side via the trampoline).
-    jit::TaskFn Fn = Fns && I < Fns->size() ? (*Fns)[I] : nullptr;
-    if (!Profiled) {
-      if (Fn)
-        Fn(&JitCtx);
-      else
-        execStmt(Stmts[I].get(), E);
-      continue;
-    }
+    jit::TaskFn Fn = I < Fns.size() ? Fns[I] : nullptr;
     // Hand-built programs (engine tests) carry no labels; fall back to the
     // unit index.
-    std::string Name = I < Labels.size() && !Labels[I].Name.empty()
-                           ? Labels[I].Name
-                           : "task#" + std::to_string(I);
-    prof::ScopedTimer T(std::move(Name));
+    std::optional<prof::ScopedTimer> T;
+    if (Profiled)
+      T.emplace(I < Labels.size() && !Labels[I].Name.empty()
+                    ? Labels[I].Name
+                    : "task#" + std::to_string(I));
     if (Fn)
       Fn(&JitCtx);
     else
-      execStmt(Stmts[I].get(), E);
+      execStmt(B ? B->stmts()[I].get() : Root, E);
+    if (!Profiled)
+      continue;
     prof::count(prof::Counter::TasksExecuted, 1);
-  }
-}
-
-void Executor::profileKernel(KernelKind Kind, const int64_t *IA) const {
-  using prof::Counter;
-  prof::count(Counter::KernelCalls, 1);
-  switch (Kind) {
-  case KernelKind::Sgemm: {
-    // ints: {M, N, K, ...} — one multiply-add per inner-product element.
-    uint64_t MNK = static_cast<uint64_t>(IA[0]) *
-                   static_cast<uint64_t>(IA[1]) *
-                   static_cast<uint64_t>(IA[2]);
-    prof::count(Counter::GemmCalls, 1);
-    prof::count(Counter::Flops, 2 * MNK);
-    return;
-  }
-  case KernelKind::Zero:
-    prof::count(Counter::BytesMoved, 4ull * IA[0]);
-    return;
-  case KernelKind::Copy:
-    prof::count(Counter::BytesMoved, 8ull * IA[0]); // read + write
-    return;
-  case KernelKind::AddTo:
-  case KernelKind::MulInto:
-    prof::count(Counter::BytesMoved, 12ull * IA[0]); // 2 reads + write
-    return;
-  case KernelKind::MulAddTo:
-    prof::count(Counter::BytesMoved, 16ull * IA[0]); // 3 reads + write
-    return;
-  case KernelKind::Scale:
-    prof::count(Counter::BytesMoved, 8ull * IA[0]);
-    return;
-  case KernelKind::Gather2D:
-    // ints: {Rows, Cols, ColCount} — value + index read, write per cell.
-    prof::count(Counter::BytesMoved, 12ull * IA[0] * IA[2]);
-    return;
-  case KernelKind::ScatterAdd2D:
-    prof::count(Counter::BytesMoved, 16ull * IA[0] * IA[2]);
-    return;
-  case KernelKind::ActFwdCols:
-    // ints: {Op, Rows, Cols, ColCount} — read + write per cell.
-    prof::count(Counter::BytesMoved, 8ull * IA[1] * IA[3]);
-    return;
-  case KernelKind::ActBwdCols:
-    prof::count(Counter::BytesMoved, 16ull * IA[1] * IA[3]);
-    return;
-  case KernelKind::BiasAddCols:
-    // ints: {Rows, Cols, ColCount} — value read + bias read + write.
-    prof::count(Counter::BytesMoved, 12ull * IA[0] * IA[2]);
-    return;
-  default:
-    return;
+    for (int C = 0; C < prof::NumCounters; ++C)
+      if (uint64_t V = Counters[I].Values[C])
+        prof::count(static_cast<prof::Counter>(C), V);
   }
 }
 
@@ -865,8 +865,6 @@ void Executor::execKernel(const KernelCallStmt *K, Env &E) {
 void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
                                   int32_t *const *IB, const int64_t *IA,
                                   const double *FA, const int64_t *EA) {
-  if (ProfActive)
-    profileKernel(Kind, IA);
   auto FloatArg = [&](size_t I) -> float * { return FB[I]; };
   auto IntArg = [&](size_t I) -> int32_t * { return IB[I]; };
   auto ExprArg = [&](size_t I) -> int64_t { return EA[I]; };

@@ -15,6 +15,7 @@
 
 #include "compiler/program.h"
 #include "jit/jit_backend.h"
+#include "support/profile.h"
 #include "support/rng.h"
 #include "support/tensor.h"
 
@@ -159,25 +160,21 @@ private:
 
   void execStmt(const ir::Stmt *S, Env &E);
   void execKernel(const ir::KernelCallStmt *K, Env &E);
-  /// Unit-at-a-time driver for the top-level block: interleaves the memory
-  /// plan's lazy zero schedule between units (arena mode) and, when
-  /// \p Profiled, wraps each unit in a ScopedTimer named by the compiler's
-  /// TaskLabels. \p GlobalBase maps local unit indices onto the plan's
-  /// global timeline (0 for forward, NumForwardUnits for backward).
-  /// \p Fns, when non-null, is the JIT dispatch table parallel to the
-  /// units: a non-null entry runs instead of interpreting that unit.
-  void execProgram(const ir::Stmt *Root,
-                   const std::vector<compiler::TaskLabel> &Labels, Env &E,
-                   bool Profiled, int GlobalBase,
-                   const std::vector<jit::TaskFn> *Fns);
-  /// Attributes one kernel call to the profiler's counters.
-  void profileKernel(ir::KernelKind Kind, const int64_t *IA) const;
+  /// Runs pass \p Pass ("forward" / "backward") one top-level unit at a
+  /// time: interleaves the memory plan's lazy zero schedule between units
+  /// (arena mode) and, when profiling, wraps the pass and each unit in
+  /// ScopedTimers named by the compiler's TaskLabels and adds the unit's
+  /// \p Counters. \p GlobalBase maps local unit indices onto the plan's
+  /// global timeline (0 for forward, NumForwardUnits for backward). \p Fns
+  /// is the JIT dispatch table parallel to the units (empty when the JIT is
+  /// off): a non-null entry runs instead of interpreting that unit.
+  void execProgram(const char *Pass, const ir::Stmt *Root,
+                   const std::vector<compiler::TaskLabel> &Labels,
+                   int GlobalBase, const std::vector<jit::TaskFn> &Fns,
+                   const std::vector<prof::CounterSet> &Counters);
   /// Compiles/loads the JIT module and builds the dispatch tables; any
   /// failure leaves JitActive false with the reason in JitDiag.
   void setupJit();
-  /// Repoints JitCtx at this object (self / buffer tables / trampoline);
-  /// called at the top of each pass so moved Executors stay valid.
-  void refreshJitCtx();
   float evalFloat(const ir::Expr *Ex, Env &E) const;
   int64_t evalInt(const ir::Expr *Ex, Env &E) const;
 
@@ -187,9 +184,9 @@ private:
 
   compiler::Program Prog;
   ExecOptions Opts;
-  /// True only while a profiled forward/backward is in flight (gates the
-  /// per-kernel counter hooks so the default path pays nothing).
-  bool ProfActive = false;
+  /// Library-kernel counters one run of each unit adds (forward /
+  /// backward; computed at construction when Opts.Profile is set).
+  std::vector<prof::CounterSet> FwdCounters, BwdCounters;
   /// True when buffers are views into Arena (a valid plan and the option
   /// allows it); false = eager per-root Storage.
   bool PlanActive = false;

@@ -264,7 +264,9 @@ private:
 /// kernels the Latte code generator emits for copy tasks and matched
 /// neuron bodies. "Cols" kernels operate on a column range of a row-major
 /// Rows x Cols matrix so the tiling pass can split them per tile
-/// (Figures 10/12).
+/// (Figures 10/12). A range's origin (ColBegin / RowBegin) is an expr arg,
+/// evaluated per call; every int arg is a compile-time constant. These
+/// layouts are analyze::kernelSignature's and the engine's.
 enum class KernelKind {
   Zero,           // bufs: {Dst};        ints: {Count}
   Copy,           // bufs: {Dst, Src};   ints: {Count}
@@ -274,18 +276,19 @@ enum class KernelKind {
   Scale,          // bufs: {Dst};        ints: {Count};  floats: {Factor}
   Sgemm,          // bufs: {A, B, C};    ints: {M, N, K, LdA, LdB, LdC,
                   //                            TransA, TransB, Accumulate}
-  Gather2D,       // bufs: {Dst, Src, Table}; ints: {Rows, Cols, ColBegin,
-                  //                                 ColCount}
+  Gather2D,       // bufs: {Dst, Src, Table}; ints: {Rows, Cols, ColCount};
+                  //   exprs: {ColBegin}
                   //   Dst[r,c] = Table[r,c] >= 0 ? Src[Table[r,c]] : 0
-  ScatterAdd2D,   // bufs: {Dst, Src, Table}; ints: {Rows, Cols, ColBegin,
-                  //                                 ColCount}
+  ScatterAdd2D,   // bufs: {Dst, Src, Table}; ints: {Rows, Cols, ColCount};
+                  //   exprs: {ColBegin}
                   //   if Table[r,c] >= 0: Dst[Table[r,c]] += Src[r,c]
-  ActFwdCols,     // bufs: {Dst, Src};   ints: {Op, Rows, Cols, ColBegin,
-                  //                            ColCount}
+  ActFwdCols,     // bufs: {Dst, Src};   ints: {Op, Rows, Cols, ColCount};
+                  //                            exprs: {ColBegin}
   ActBwdCols,     // bufs: {DstGrad, OutGrad, Value}; ints: {Op, Rows, Cols,
-                  //                            ColBegin, ColCount}
-  BiasAddCols,    // bufs: {Dst, Bias};  ints: {Rows, Cols, ColBegin,
-                  //                            ColCount}  Dst[r,c] += Bias[r]
+                  //   ColCount, InPlace}; exprs: {ColBegin}
+                  //   DstGrad = (InPlace ? 0 : DstGrad) + OutGrad * act'
+  BiasAddCols,    // bufs: {Dst, Bias};  ints: {Rows, Cols, ColCount};
+                  //   exprs: {ColBegin}  Dst[r,c] += Bias[r]
   BiasAddPerRow,  // bufs: {Dst, Bias};  ints: {Rows, Cols}
                   //                            Dst[r,c] += Bias[c]
   RowSumAdd,      // bufs: {Dst, Src};   ints: {Rows, Cols}  Dst[r] += sum_c
@@ -296,11 +299,11 @@ enum class KernelKind {
   Col2ImRows,     // bufs: {Image, Col}; ints/exprs as Im2ColRows
                   //   adjoint: accumulate columns back into the image
   MaxPoolFwdRows, // bufs: {Out, In, Mask}; ints: {C, InH, InW, K, S, Pad,
-                  //                               RowBegin, RowCount}
-  MaxPoolBwdRows, // bufs: {InGrad, OutGrad, Mask}; ints: same as fwd
+                  //                   RowCount}; exprs: {RowBegin}
+  MaxPoolBwdRows, // bufs: {InGrad, OutGrad, Mask}; ints/exprs as fwd
   AvgPoolFwdRows, // bufs: {Out, In};    ints: {C, InH, InW, K, S, Pad,
-                  //                            RowBegin, RowCount}
-  AvgPoolBwdRows, // bufs: {InGrad, OutGrad}; ints: same as fwd
+                  //                   RowCount}; exprs: {RowBegin}
+  AvgPoolBwdRows, // bufs: {InGrad, OutGrad}; ints/exprs as fwd
   SoftmaxFwd,     // bufs: {Prob, Src};  ints: {Rows, Classes}
   SoftmaxLossFwd, // bufs: {Prob, Src, Labels, Loss}; ints: {Rows, Classes}
   SoftmaxLossBwd, // bufs: {SrcGrad, Prob, Labels}; ints: {Rows, Classes};

@@ -61,14 +61,6 @@ LayerSpec fc(std::string Name, int64_t Outputs) {
   return L;
 }
 
-[[maybe_unused]] LayerSpec dropout(std::string Name, double Keep) {
-  LayerSpec L;
-  L.K = LayerSpec::Kind::Dropout;
-  L.Name = std::move(Name);
-  L.KeepProb = Keep;
-  return L;
-}
-
 int64_t scaled(int64_t Extent, double Scale) {
   int64_t S = static_cast<int64_t>(std::llround(Extent * Scale));
   return S < 1 ? 1 : S;
@@ -95,7 +87,6 @@ bool isGraphOnly(const LayerSpec &L) {
   case LayerSpec::Kind::Relu:
   case LayerSpec::Kind::Tanh:
   case LayerSpec::Kind::Fc:
-  case LayerSpec::Kind::Dropout:
     return false;
   case LayerSpec::Kind::Sigmoid:
   case LayerSpec::Kind::Add:
@@ -170,8 +161,7 @@ std::vector<LayerAudit> models::auditSpec(const ModelSpec &Spec) {
     case LayerSpec::Kind::Relu:
     case LayerSpec::Kind::Tanh:
     case LayerSpec::Kind::Sigmoid:
-    case LayerSpec::Kind::Dropout:
-    case LayerSpec::Kind::Add:
+      case LayerSpec::Kind::Add:
     case LayerSpec::Kind::Mul:
     case LayerSpec::Kind::Sub:
       break; // shape-preserving, no parameters
@@ -485,9 +475,6 @@ core::Ensemble *models::buildLatte(core::Net &Net, const ModelSpec &Spec,
                 : FullyConnectedLayerShared(Net, L.Name, In[0], L.Filters,
                                             L.ShareWith);
       break;
-    case LayerSpec::Kind::Dropout:
-      Out = DropoutLayer(Net, L.Name, In[0], L.KeepProb);
-      break;
     case LayerSpec::Kind::Add:
       Out = AddLayer(Net, L.Name, In);
       break;
@@ -557,8 +544,7 @@ void models::buildCaffe(caffe::CaffeNet &Net, const ModelSpec &Spec,
       Net.addLayer(std::make_unique<ReluLayer>(L.Name));
       break;
     case LayerSpec::Kind::Tanh:
-    case LayerSpec::Kind::Dropout:
-    case LayerSpec::Kind::Sigmoid:
+      case LayerSpec::Kind::Sigmoid:
     case LayerSpec::Kind::Add:
     case LayerSpec::Kind::Mul:
     case LayerSpec::Kind::Sub:
@@ -609,8 +595,7 @@ void models::buildMocha(caffe::CaffeNet &Net, const ModelSpec &Spec,
       break;
     case LayerSpec::Kind::AvgPool:
     case LayerSpec::Kind::Tanh:
-    case LayerSpec::Kind::Dropout:
-    case LayerSpec::Kind::Sigmoid:
+      case LayerSpec::Kind::Sigmoid:
     case LayerSpec::Kind::Add:
     case LayerSpec::Kind::Mul:
     case LayerSpec::Kind::Sub:

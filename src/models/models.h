@@ -39,7 +39,6 @@ struct LayerSpec {
     Relu,
     Tanh,
     Fc,
-    Dropout,
     // Graph-structured kinds (Latte only; baselines reject them).
     Sigmoid,
     Add,       ///< elementwise sum of all Inputs
@@ -66,7 +65,6 @@ struct LayerSpec {
   int64_t Stride = 1;
   int64_t Pad = 0;
   int64_t TimeIndex = 0; ///< Slice: which timestep row to extract
-  double KeepProb = 0.5; ///< Dropout
 };
 
 struct ModelSpec {
@@ -157,9 +155,9 @@ core::Ensemble *buildLatte(core::Net &Net, const ModelSpec &Spec,
 /// comparison of the flat CNN/MLP suite only.
 void buildCaffe(caffe::CaffeNet &Net, const ModelSpec &Spec, bool WithLoss);
 
-/// Builds the spec in the Mocha baseline (naive layers). Dropout and Tanh
-/// specs are unsupported there and rejected, as are all graph-structured
-/// nodes (see buildCaffe).
+/// Builds the spec in the Mocha baseline (naive layers). Tanh and average
+/// pooling specs are unsupported there and rejected, as are all
+/// graph-structured nodes (see buildCaffe).
 void buildMocha(caffe::CaffeNet &Net, const ModelSpec &Spec, bool WithLoss);
 
 } // namespace models

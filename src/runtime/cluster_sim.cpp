@@ -43,7 +43,6 @@ std::vector<double> runtime::layerFlops(const ModelSpec &Spec) {
     case LayerSpec::Kind::Relu:
     case LayerSpec::Kind::Tanh:
     case LayerSpec::Kind::Sigmoid:
-    case LayerSpec::Kind::Dropout:
     case LayerSpec::Kind::Add:
     case LayerSpec::Kind::Mul:
     case LayerSpec::Kind::Sub:

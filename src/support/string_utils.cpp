@@ -2,8 +2,11 @@
 
 #include "support/string_utils.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace latte;
 
@@ -33,4 +36,23 @@ std::string latte::formatString(const char *Fmt, ...) {
   std::vsnprintf(Result.data(), Result.size() + 1, Fmt, ArgsCopy);
   va_end(ArgsCopy);
   return Result;
+}
+
+std::optional<int64_t> latte::parseInt(const std::string &Text) {
+  char *End = nullptr;
+  errno = 0;
+  long long V = std::strtoll(Text.c_str(), &End, 0);
+  if (End == Text.c_str() || *End != '\0' || errno == ERANGE)
+    return std::nullopt;
+  return V;
+}
+
+std::optional<double> latte::parseNumber(const std::string &Text) {
+  char *End = nullptr;
+  errno = 0;
+  double V = std::strtod(Text.c_str(), &End);
+  if (End == Text.c_str() || *End != '\0' || errno == ERANGE ||
+      !std::isfinite(V))
+    return std::nullopt;
+  return V;
 }

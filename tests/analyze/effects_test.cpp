@@ -11,6 +11,7 @@
 #include "analyze/effects.h"
 
 #include "ir/builder.h"
+#include "jit/jit_abi.h"
 #include "support/casting.h"
 
 #include <gtest/gtest.h>
@@ -174,6 +175,13 @@ TEST(EffectsTest, KernelSignaturesMatchRuntimeLayouts) {
   EXPECT_EQ(kernelIntBufMask(KernelKind::MaxPoolFwdRows), 1u << 2);
   EXPECT_EQ(kernelIntBufMask(KernelKind::MaxPoolBwdRows), 1u << 2);
   EXPECT_EQ(kernelIntBufMask(KernelKind::Sgemm), 0u);
+  // Every call kernel.arity accepts fits the resolved-argument arrays the
+  // engine and the emitter carry (a wider call is a fatal emitter error).
+  for (int K = 0; K <= static_cast<int>(KernelKind::DropoutMask); ++K) {
+    const KernelSignature Sig = kernelSignature(static_cast<KernelKind>(K));
+    EXPECT_LE(Sig.NumBufs, jit::kMaxKernelBufs) << K;
+    EXPECT_LE(Sig.NumExprs, jit::kMaxKernelExprArgs) << K;
+  }
 }
 
 TEST(EffectsTest, PaddedWindowReadIsInexactButBounded) {

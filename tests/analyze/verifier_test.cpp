@@ -2,7 +2,8 @@
 ///
 /// Unit tests for the static IR verifier: buffer-table integrity (dupes,
 /// shapes, alias cycles), parameter bindings, task-label/unit parallelism,
-/// loop-nest well-formedness, defined-before-use, kernel arity,
+/// loop-nest well-formedness, defined-before-use, kernel arity, parallel
+/// loops assigning outer locals,
 /// footprint bounds checking, and clean verification of real compiled
 /// programs (zero false positives on the compiler's own output).
 ///
@@ -169,6 +170,29 @@ TEST(VerifierTest, DropoutRngInParallelLoopIsReported) {
   Program P = makeProg(std::move(Loop));
   DiagnosticReport R = verifyProgram(P);
   EXPECT_TRUE(R.hasCode("kernel.rng-in-parallel")) << R.render();
+}
+
+TEST(VerifierTest, ParallelLoopAssigningOuterLocalIsReported) {
+  // `acc` is declared before the parallel loop: the interpreter's parallel
+  // path gives each iteration a private copy, its serial path shares one,
+  // and the emitted loop would race on it.
+  auto Unit = [](bool Parallel, bool DeclInside) {
+    std::vector<StmtPtr> Body, Outer;
+    (DeclInside ? Body : Outer).push_back(decl("acc", floatConst(0.0)));
+    Body.push_back(assignVar("acc", AccumKind::AddAssign, floatConst(1.0)));
+    StmtPtr Loop = forLoop("n", 4, block(std::move(Body)));
+    cast<ForStmt>(Loop.get())->annotations().Parallel = Parallel;
+    Outer.push_back(std::move(Loop));
+    return block(std::move(Outer));
+  };
+  DiagnosticReport R = verifyProgram(makeProg(Unit(true, false)));
+  EXPECT_TRUE(R.hasCode("race.local")) << R.render();
+  // Each iteration's own local, or a serial loop's shared one, is fine.
+  for (const auto &[Parallel, DeclInside] :
+       {std::pair{true, true}, std::pair{false, false}}) {
+    DiagnosticReport Clean = verifyProgram(makeProg(Unit(Parallel, DeclInside)));
+    EXPECT_FALSE(Clean.hasErrors()) << Clean.render();
+  }
 }
 
 TEST(VerifierTest, AssignToUndeclaredLocalIsReported) {

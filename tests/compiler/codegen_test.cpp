@@ -60,10 +60,15 @@ bool hasTileLoop(const std::string &Src) {
   return false;
 }
 
-/// True when a parallel-for pragma sits directly on a loop whose header
+/// The one form of a parallel loop's pragma: the team forks only when the
+/// engine would (LJ->par).
+const std::string kParallelPragma =
+    "#pragma omp parallel for schedule(static, 1) if (LJ->par != 0)";
+
+/// True when the parallel-for pragma sits directly on a loop whose header
 /// starts with \p Loop.
 bool pragmaOnLoop(const std::string &Src, const std::string &Loop) {
-  const std::string Pragma = "#pragma omp parallel for schedule(static, 1)\n";
+  const std::string Pragma = kParallelPragma + "\n";
   for (size_t P = Src.find(Pragma); P != std::string::npos;
        P = Src.find(Pragma, P + 1)) {
     size_t Next = Src.find_first_not_of(' ', P + Pragma.size());
@@ -80,8 +85,12 @@ TEST(CodegenTest, EmitsParallelAndVectorPragmas) {
   std::unique_ptr<Net> N(makeConvNet(4));
   std::string Src = generateCpp(compile(*N, tiledOptions()));
   // The §5.4.3 parallelization construct: batch x tile flattened into one
-  // parallel loop.
+  // parallel loop, emitted once (no serial twin behind a runtime branch).
   EXPECT_TRUE(pragmaOnLoop(Src, "for (int64_t _lf"));
+  EXPECT_EQ(Src.find("if (LJ->par != 0) {"), std::string::npos);
+  for (size_t P = Src.find("#pragma omp parallel for"); P != std::string::npos;
+       P = Src.find("#pragma omp parallel for", P + 1))
+    EXPECT_EQ(Src.substr(P, Src.find('\n', P) - P), kParallelPragma);
   // Vectorized kernel inner loops.
   EXPECT_NE(Src.find("#pragma omp simd"), std::string::npos);
   // The matched library kernel.
@@ -102,22 +111,21 @@ TEST(CodegenTest, SerialProgramHasNoParallelPragma) {
 }
 
 TEST(CodegenTest, StandaloneIsTheJitSourcePlusADriver) {
-  // Every unit of the conv net is jittable, so the standalone program is
-  // the JIT translation unit byte for byte, followed by the driver.
+  // The standalone program is the JIT translation unit byte for byte,
+  // followed by the driver.
   std::unique_ptr<Net> N(makeConvNet(2));
   Program P = compile(*N, tiledOptions());
   JitSource JS = generateJitSource(P);
-  for (const std::vector<JitTaskInfo> *Tasks : {&JS.Forward, &JS.Backward})
-    for (const JitTaskInfo &T : *Tasks)
-      ASSERT_TRUE(T.Jittable);
   std::string Src = generateCpp(P);
   ASSERT_GT(Src.size(), JS.Source.size());
   EXPECT_EQ(Src.compare(0, JS.Source.size(), JS.Source), 0);
 }
 
-TEST(CodegenTest, StandaloneEmitsUnitsTheJitDeclines) {
-  // Dropout draws from the engine's RNG, so the JIT leaves its unit to the
-  // interpreter; the standalone has no interpreter and runs every unit.
+TEST(CodegenTest, JitSourceEmitsEveryUnit) {
+  // Dropout's mask kernel reaches the engine's RNG through the trampoline
+  // like any other kernel, so the JIT source has an entry point for every
+  // unit, dropout's included, and the standalone program is that source
+  // plus a driver.
   Net Net(2);
   Ensemble *Data = DataLayer(Net, "data", Shape{8});
   Ensemble *Fc = FullyConnectedLayer(Net, "fc", Data, 6);
@@ -127,26 +135,27 @@ TEST(CodegenTest, StandaloneEmitsUnitsTheJitDeclines) {
   SoftmaxLossLayer(Net, "loss", Out, Labels);
   Program P = compile(Net);
   JitSource JS = generateJitSource(P);
-  int Declined = 0;
-  for (const std::vector<JitTaskInfo> *Tasks : {&JS.Forward, &JS.Backward})
-    for (const JitTaskInfo &T : *Tasks)
-      Declined += !T.Jittable;
-  EXPECT_GT(Declined, 0);
-
-  std::string Src = generateCpp(P);
-  auto Units = [](const ir::Stmt *Root) {
-    return cast<ir::BlockStmt>(Root)->stmts().size();
+  auto ExpectEveryUnit = [&](const ir::Stmt *Root,
+                             const std::vector<JitTaskInfo> &Tasks,
+                             char Pass) {
+    ASSERT_EQ(Tasks.size(), cast<ir::BlockStmt>(Root)->stmts().size());
+    for (size_t I = 0; I < Tasks.size(); ++I) {
+      EXPECT_EQ(Tasks[I].Symbol,
+                std::string("latte_task_") + Pass + std::to_string(I));
+      EXPECT_NE(JS.Source.find("extern \"C\" void " + Tasks[I].Symbol +
+                               "(LatteJitCtx *LJ)"),
+                std::string::npos)
+          << Tasks[I].Symbol;
+    }
   };
-  for (size_t I = 0; I < Units(P.Forward.get()); ++I)
-    EXPECT_NE(Src.find("extern \"C\" void latte_task_f" + std::to_string(I) +
-                       "(LatteJitCtx *LJ)"),
-              std::string::npos)
-        << "forward unit " << I;
-  for (size_t I = 0; I < Units(P.Backward.get()); ++I)
-    EXPECT_NE(Src.find("extern \"C\" void latte_task_b" + std::to_string(I) +
-                       "(LatteJitCtx *LJ)"),
-              std::string::npos)
-        << "backward unit " << I;
+  ExpectEveryUnit(P.Forward.get(), JS.Forward, 'f');
+  ExpectEveryUnit(P.Backward.get(), JS.Backward, 'b');
+  EXPECT_NE(JS.Source.find(
+                "LJ->kernel(LJ->self, " +
+                std::to_string(static_cast<int64_t>(ir::KernelKind::DropoutMask))),
+            std::string::npos);
+  std::string Src = generateCpp(P);
+  EXPECT_EQ(Src.compare(0, JS.Source.size(), JS.Source), 0);
 }
 
 TEST(CodegenTest, GeneratedProgramMatchesEngine) {
@@ -250,10 +259,8 @@ TEST(CodegenTest, EmissionIsByteStable) {
   JitSource J2 = generateJitSource(P2);
   EXPECT_EQ(J1.Source, J2.Source);
   ASSERT_EQ(J1.Forward.size(), J2.Forward.size());
-  for (size_t I = 0; I < J1.Forward.size(); ++I) {
+  for (size_t I = 0; I < J1.Forward.size(); ++I)
     EXPECT_EQ(J1.Forward[I].Symbol, J2.Forward[I].Symbol);
-    EXPECT_EQ(J1.Forward[I].Jittable, J2.Forward[I].Jittable);
-  }
 }
 
 TEST(CodegenTest, TiledLoopsAppearInSource) {

@@ -2,11 +2,11 @@
 ///
 /// Unit tests for the in-process JIT backend (src/jit): the content-hash
 /// shared-object cache (hit / recompile / corrupt-object recovery), clean
-/// interpreter fallback when the system compiler is broken, per-task
-/// fallback for non-codegen-able units (dropout), module sharing across
-/// executors, byte identity with the interpreter for training and
-/// forward-only programs, source determinism, and finite-difference
-/// gradient checking through the JIT dispatch path.
+/// interpreter fallback when the system compiler is broken, dropout run
+/// jitted, module sharing across executors, byte identity with the
+/// interpreter for training and forward-only programs, the interpreter's
+/// kernel counters, source determinism, and finite-difference gradient
+/// checking through the JIT dispatch path.
 ///
 /// Cache tests point LATTE_JIT_DIR at a fresh temp directory so a
 /// previous run's disk cache cannot skew the stats counters, and each
@@ -25,6 +25,7 @@
 #include "engine/executor.h"
 #include "models/models.h"
 #include "solvers/solvers.h"
+#include "support/profile.h"
 #include "verify/gradcheck.h"
 
 #include <gtest/gtest.h>
@@ -35,6 +36,10 @@
 #include <string>
 
 #include <unistd.h>
+
+#ifdef LATTE_HAVE_OPENMP
+#include <omp.h>
+#endif
 
 using namespace latte;
 using namespace latte::compiler;
@@ -209,15 +214,15 @@ TEST(JitCacheTest, BrokenCompilerFallsBackCleanly) {
   ::unsetenv("LATTE_JIT_CC");
 }
 
-TEST(JitExecutorTest, PerTaskFallbackForDropout) {
+TEST(JitExecutorTest, DropoutRunsJittedBitwise) {
   if (!jit::available())
     GTEST_SKIP() << "JIT backend unavailable";
 
-  // Dropout masks come from the engine's RNG stream, which generated code
-  // cannot reproduce — that one task must fall back to the interpreter
-  // while every other task still dispatches through the module, and the
-  // mixed schedule must stay bitwise identical to the pure interpreter.
-  core::Net Net(2);
+  // The dropout unit runs jitted like every other: its mask kernel goes
+  // through the trampoline and draws from the calling executor's RNG in
+  // program order, so masks, loss, parameters and gradients stay bitwise
+  // the interpreter's, whether the parallel loops fork or not.
+  core::Net Net(4);
   Ensemble *Data = DataLayer(Net, "data", Shape{8});
   Ensemble *Fc = FullyConnectedLayer(Net, "fc", Data, 6);
   Ensemble *Drop = DropoutLayer(Net, "drop", Fc, 0.5);
@@ -228,35 +233,94 @@ TEST(JitExecutorTest, PerTaskFallbackForDropout) {
   CompileOptions CO;
   CO.Jit = true;
   ExecOptions EO;
-  EO.Deterministic = true;
   EO.NoMemPlan = true; // keep every buffer readable for the comparison
-  Executor A(compile(Net, CO), EO);
-  ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
-  EXPECT_GT(A.jitTaskCount(), 0);
-  EXPECT_GT(A.jitFallbackCount(), 0);
-
   ExecOptions NoJit = EO;
   NoJit.NoJit = true;
-  Executor B(compile(Net, CO), NoJit);
-  EXPECT_FALSE(B.jitActive());
+  for (int Threads : {1, 4}) {
+#ifdef LATTE_HAVE_OPENMP
+    const int SavedThreads = omp_get_max_threads();
+    omp_set_num_threads(Threads);
+#endif
+    Executor A(compile(Net, CO), EO);
+    ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
+    EXPECT_EQ(A.jitFallbackCount(), 0);
+    Executor B(compile(Net, CO), NoJit);
+    EXPECT_FALSE(B.jitActive());
 
-  seedExecutor(A, 3);
-  seedExecutor(B, 3);
-  for (int Epoch = 0; Epoch < 2; ++Epoch) {
-    A.forward();
-    A.backward();
-    B.forward();
-    B.backward();
-  }
-  EXPECT_EQ(A.lossValue(), B.lossValue());
-  for (const ParamBinding &P : A.program().Params) {
-    for (const std::string &Name : {P.Param, P.Grad}) {
+    seedExecutor(A, 3);
+    seedExecutor(B, 3);
+    solvers::SolverParameters SP;
+    SP.Lr = solvers::LRPolicy::fixed(0.1);
+    solvers::SgdSolver SolverA(SP), SolverB(SP);
+    for (int Step = 0; Step < 3; ++Step) {
+      A.forward();
+      A.backward();
+      SolverA.step(A, Step);
+      B.forward();
+      B.backward();
+      SolverB.step(B, Step);
+      EXPECT_EQ(A.lossValue(), B.lossValue()) << Threads << " threads";
+    }
+    std::vector<std::string> Names = {"drop_mask"};
+    for (const ParamBinding &P : A.program().Params) {
+      Names.push_back(P.Param);
+      Names.push_back(P.Grad);
+    }
+    for (const std::string &Name : Names) {
       Tensor TA = A.readBuffer(Name);
       Tensor TB = B.readBuffer(Name);
-      ASSERT_EQ(std::memcmp(TA.data(), TB.data(),
+      EXPECT_EQ(std::memcmp(TA.data(), TB.data(),
                             sizeof(float) * TA.numElements()),
                 0)
-          << "buffer '" << Name << "' diverged with dropout fallback";
+          << "buffer '" << Name << "' diverged at " << Threads << " threads";
+    }
+#ifdef LATTE_HAVE_OPENMP
+    omp_set_num_threads(SavedThreads);
+#endif
+  }
+}
+
+TEST(JitExecutorTest, KernelCountersMatchInterpreter) {
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable";
+
+  // Kernel clones and jitted loops never reach the engine's kernel
+  // dispatch, so the counters are each unit's static cost: a profiled
+  // fwd+bwd reports the interpreter's kernel calls, bytes, FLOPs and GEMM
+  // calls with the JIT on or off.
+  struct Expected {
+    models::ModelSpec Spec;
+    uint64_t KernelCalls, BytesMoved, Flops, GemmCalls;
+  };
+  const Expected Nets[] = {
+      {models::vggFirstThreeLayers(0.25), 231, 28901376, 142098432, 67},
+      {models::lstmClassifier(16, 64, 64, 10), 1399, 2048000, 12598272,
+       387},
+  };
+  CompileOptions CO;
+  CO.Jit = true;
+  for (const Expected &X : Nets) {
+    for (bool Jit : {true, false}) {
+      core::Net Net(4);
+      models::buildLatte(Net, X.Spec, /*WithLoss=*/true);
+      ExecOptions EO;
+      EO.Profile = true;
+      EO.NoJit = !Jit;
+      Executor Ex(compile(Net, CO), EO);
+      ASSERT_EQ(Ex.jitActive(), Jit) << Ex.jitDiagnostic();
+      seedExecutor(Ex, X.Spec.NumClasses);
+      prof::Profiler::get().reset();
+      prof::Profiler::get().setEnabled(true);
+      Ex.forward();
+      Ex.backward();
+      prof::Profiler::get().setEnabled(false);
+      const prof::CounterSet &C = prof::Profiler::get().summary().Totals;
+      prof::Profiler::get().reset();
+      const std::string What = X.Spec.Name + (Jit ? " jit" : " interpreter");
+      EXPECT_EQ(C.get(prof::Counter::KernelCalls), X.KernelCalls) << What;
+      EXPECT_EQ(C.get(prof::Counter::BytesMoved), X.BytesMoved) << What;
+      EXPECT_EQ(C.get(prof::Counter::Flops), X.Flops) << What;
+      EXPECT_EQ(C.get(prof::Counter::GemmCalls), X.GemmCalls) << What;
     }
   }
 }

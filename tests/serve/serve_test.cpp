@@ -553,7 +553,6 @@ TEST(Server, ProgramCacheKeyCoversAllProgramShapingOptions) {
       {"Recompute", [](auto &C) { C.Recompute ^= true; }},
       {"Jit", [](auto &C) { C.Jit ^= true; }},
       {"Inference", [](auto &C) { C.Inference ^= true; }},
-      {"EvalDropout", [](auto &C) { C.EvalDropout ^= true; }},
       {"TileSize", [](auto &C) { C.TileSize += 4; }},
       {"MinRowsToTile", [](auto &C) { C.MinRowsToTile += 8; }},
   };
@@ -678,12 +677,10 @@ TEST(InferenceCompile, ForwardBitwiseIdenticalToTrainingAcrossLattice) {
   }
 }
 
-TEST(InferenceCompile, EvalDropoutIsOptInExpectationScaling) {
-  // A dropout net served two ways. Default: inference keeps the exact
-  // training-parity semantics (deterministic mask RNG), preserving the
-  // bitwise train/serve contract. Opt-in EvalDropout: the mask RNG is
-  // skipped and the activation is scaled by KeepProb (the expectation),
-  // the conventional eval-mode dropout.
+TEST(InferenceCompile, DropoutForwardMatchesTrainingBitwise) {
+  // A served dropout net keeps the training forward's semantics — the
+  // deterministic mask RNG included — so the bitwise train/serve contract
+  // holds, dropped units and all.
   const double Keep = 0.8;
   core::Net Net(2);
   core::Ensemble *Data = layers::DataLayer(Net, "data", Shape{6});
@@ -700,40 +697,15 @@ TEST(InferenceCompile, EvalDropoutIsOptInExpectationScaling) {
   Tensor In = randomItem(Shape{2, 6}, 23);
 
   engine::Executor Train(compiler::compile(Net), EO);
-  engine::Executor InferDefault(compiler::compileForward(Net), EO);
-  compiler::CompileOptions Eval;
-  Eval.EvalDropout = true;
-  engine::Executor InferEval(compiler::compileForward(Net, Eval), EO);
-  for (engine::Executor *Ex : {&Train, &InferDefault, &InferEval}) {
+  engine::Executor Infer(compiler::compileForward(Net), EO);
+  for (engine::Executor *Ex : {&Train, &Infer}) {
     Ex->setInput(In);
     Ex->forward();
   }
-
-  // Default serving path: bitwise identical to the training forward,
-  // dropped units and all.
-  EXPECT_TRUE(bitwiseEqual(InferDefault.readBuffer("drop_value"),
+  EXPECT_TRUE(bitwiseEqual(Infer.readBuffer("drop_value"),
                            Train.readBuffer("drop_value")));
-  EXPECT_TRUE(bitwiseEqual(InferDefault.readBuffer("out_value"),
+  EXPECT_TRUE(bitwiseEqual(Infer.readBuffer("out_value"),
                            Train.readBuffer("out_value")));
-
-  // Opt-in path: every unit present, scaled by KeepProb; necessarily
-  // different from the masked training activation.
-  Tensor Src = InferEval.readBuffer("fc_value");
-  Tensor Scaled = InferEval.readBuffer("drop_value");
-  ASSERT_EQ(Scaled.numElements(), Src.numElements());
-  for (int64_t I = 0; I < Src.numElements(); ++I)
-    EXPECT_EQ(Scaled.at(I), Src.at(I) * static_cast<float>(Keep))
-        << "element " << I;
-  EXPECT_FALSE(bitwiseEqual(Scaled, Train.readBuffer("drop_value")));
-
-  // EvalDropout without Inference is inert: training always trains.
-  compiler::CompileOptions TrainEval;
-  TrainEval.EvalDropout = true;
-  engine::Executor Train2(compiler::compile(Net, TrainEval), EO);
-  Train2.setInput(In);
-  Train2.forward();
-  EXPECT_TRUE(bitwiseEqual(Train2.readBuffer("drop_value"),
-                           Train.readBuffer("drop_value")));
 }
 
 // --- training-only APIs reject inference programs --------------------------

@@ -15,7 +15,8 @@
 ///
 /// The --corrupt mode injects one of the hand-corruption fixtures the
 /// verifier tests key on (shape-mismatch, use-before-def, dropped-barrier,
-/// cross-iteration-write, plan-overlap, plan-oob, recompute-after-use)
+/// cross-iteration-write, outer-local, plan-overlap, plan-oob,
+/// recompute-after-use)
 /// into the compiled program before verification;
 /// with --expect CODE it exits 0 iff the verifier found errors including
 /// CODE — i.e. iff an uncorrupted lint run *would* have exited 1.
@@ -30,10 +31,9 @@
 #include "ir/printer.h"
 #include "models/models.h"
 #include "support/casting.h"
+#include "support/string_utils.h"
 #include "verify/lattice.h"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -148,31 +148,48 @@ void corruptDroppedBarrier(compiler::Program &Prog) {
   }
 }
 
-/// Injects a store to a fixed element into the first parallel batch loop:
-/// every iteration writes the same address.
-void corruptCrossIterationWrite(compiler::Program &Prog) {
-  auto *Block = dyn_cast_if_present<ir::BlockStmt>(Prog.Forward.get());
-  if (Block)
-    for (ir::StmtPtr &Unit : Block->stmts()) {
-      auto *F = dyn_cast<ir::ForStmt>(Unit.get());
-      if (!F || !F->annotations().Parallel)
-        continue;
-      auto *Body = dyn_cast<ir::BlockStmt>(F->body());
-      if (!Body || Prog.Buffers.empty())
-        continue;
-      const compiler::BufferInfo &B = Prog.Buffers.front();
-      std::vector<ir::ExprPtr> Indices;
-      for (int I = 0; I < B.Dims.rank(); ++I)
-        Indices.push_back(ir::intConst(0));
-      Body->stmts().push_back(
-          ir::storeAssign(B.Name, std::move(Indices), ir::floatConst(1.0)));
-      return;
-    }
+/// The first forward unit that is a parallel batch loop over a block;
+/// exits with a usage error when the compile has none.
+ir::StmtPtr &firstParallelLoop(compiler::Program &Prog) {
+  if (auto *Block = dyn_cast_if_present<ir::BlockStmt>(Prog.Forward.get()))
+    for (ir::StmtPtr &Unit : Block->stmts())
+      if (auto *F = dyn_cast<ir::ForStmt>(Unit.get()))
+        if (F->annotations().Parallel && isa<ir::BlockStmt>(F->body()))
+          return Unit;
   std::fprintf(stderr,
                "latte-lint: no parallel batch loop to corrupt (compile with "
                "a parallelize mask bit, e.g. --mask %#x)\n",
                verify::kParallelizeMask);
   std::exit(2);
+}
+
+std::vector<ir::StmtPtr> &loopBody(ir::StmtPtr &Loop) {
+  return cast<ir::BlockStmt>(cast<ir::ForStmt>(Loop.get())->body())->stmts();
+}
+
+/// Injects a store to a fixed element into the first parallel batch loop:
+/// every iteration writes the same address.
+void corruptCrossIterationWrite(compiler::Program &Prog) {
+  ir::StmtPtr &Loop = firstParallelLoop(Prog);
+  const compiler::BufferInfo &B = Prog.Buffers.front();
+  std::vector<ir::ExprPtr> Indices;
+  for (int I = 0; I < B.Dims.rank(); ++I)
+    Indices.push_back(ir::intConst(0));
+  loopBody(Loop).push_back(
+      ir::storeAssign(B.Name, std::move(Indices), ir::floatConst(1.0)));
+}
+
+/// Declares a float local ahead of the first parallel batch loop and
+/// accumulates into it from the loop body: every iteration assigns the one
+/// local.
+void corruptOuterLocal(compiler::Program &Prog) {
+  ir::StmtPtr &Loop = firstParallelLoop(Prog);
+  loopBody(Loop).push_back(ir::assignVar(
+      "corrupt_acc", ir::AccumKind::AddAssign, ir::floatConst(1.0)));
+  std::vector<ir::StmtPtr> Unit;
+  Unit.push_back(ir::decl("corrupt_acc", ir::floatConst(0.0)));
+  Unit.push_back(std::move(Loop));
+  Loop = ir::block(std::move(Unit));
 }
 
 /// Overlapping-lifetime collision: relocates one non-pinned lifetime onto
@@ -244,6 +261,8 @@ void applyCorruption(compiler::Program &Prog, const std::string &Kind) {
     return corruptDroppedBarrier(Prog);
   if (Kind == "cross-iteration-write")
     return corruptCrossIterationWrite(Prog);
+  if (Kind == "outer-local")
+    return corruptOuterLocal(Prog);
   if (Kind == "plan-overlap")
     return corruptPlanOverlap(Prog);
   if (Kind == "plan-oob")
@@ -253,7 +272,7 @@ void applyCorruption(compiler::Program &Prog, const std::string &Kind) {
   std::fprintf(stderr,
                "latte-lint: unknown corruption '%s' (shape-mismatch, "
                "use-before-def, dropped-barrier, cross-iteration-write, "
-               "plan-overlap, plan-oob, recompute-after-use)\n",
+               "outer-local, plan-overlap, plan-oob, recompute-after-use)\n",
                Kind.c_str());
   std::exit(2);
 }
@@ -325,26 +344,21 @@ int lintPoint(const core::Net &Net, unsigned Mask, const Options &Opt,
   std::exit(2);
 }
 
-/// Parses all of \p Text as an integer (decimal, 0x hex or 0 octal, as
-/// strtoll's base 0 reads it); a partial parse such as "12abc" is a usage
-/// error.
-int64_t parseInt(const std::string &Flag, const char *Text) {
-  char *End = nullptr;
-  errno = 0;
-  long long V = std::strtoll(Text, &End, 0);
-  if (End == Text || *End != '\0' || errno == ERANGE)
+/// Parses all of \p Text as an integer (support/string_utils.h); a
+/// partial parse such as "12abc" is a usage error.
+int64_t intArg(const std::string &Flag, const char *Text) {
+  std::optional<int64_t> V = parseInt(Text);
+  if (!V)
     usageError(Flag + " expects an integer, got '" + Text + "'");
-  return V;
+  return *V;
 }
 
-/// Parses all of \p Text as a floating-point number.
-double parseFloat(const std::string &Flag, const char *Text) {
-  char *End = nullptr;
-  errno = 0;
-  double V = std::strtod(Text, &End);
-  if (End == Text || *End != '\0' || errno == ERANGE)
-    usageError(Flag + " expects a number, got '" + Text + "'");
-  return V;
+/// Parses all of \p Text as a finite number.
+double numberArg(const std::string &Flag, const char *Text) {
+  std::optional<double> V = parseNumber(Text);
+  if (!V)
+    usageError(Flag + " expects a finite number, got '" + Text + "'");
+  return *V;
 }
 
 int usage() {
@@ -377,7 +391,7 @@ int main(int Argc, char **Argv) {
       Opt.Model = Next();
     else if (A == "--mask") {
       const char *Text = Next();
-      int64_t Mask = parseInt(A, Text);
+      int64_t Mask = intArg(A, Text);
       if (Mask < 0 || Mask > verify::kAllMask)
         usageError("--mask " + std::string(Text) + " is out of range: " +
                    std::to_string(verify::kNumLatticeSwitches) +
@@ -388,14 +402,14 @@ int main(int Argc, char **Argv) {
       AllMasks = true;
     else if (A == "--batch") {
       const char *Text = Next();
-      Opt.Batch = parseInt(A, Text);
+      Opt.Batch = intArg(A, Text);
       if (Opt.Batch < 1)
         usageError("--batch must be at least 1, got '" + std::string(Text) +
                    "'");
     } else if (A == "--scale") {
       const char *Text = Next();
-      Opt.Scale = parseFloat(A, Text);
-      if (!(Opt.Scale > 0) || !std::isfinite(Opt.Scale))
+      Opt.Scale = numberArg(A, Text);
+      if (!(Opt.Scale > 0))
         usageError("--scale must be a positive number, got '" +
                    std::string(Text) + "'");
     } else if (A == "--dump-effects")
