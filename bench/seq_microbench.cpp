@@ -11,14 +11,18 @@
 /// Per model the harness reports forward/backward time and the planned
 /// arena (deterministic, gated at 1.05x by bench/compare) for the full
 /// stack and the no-cross-layer ablation, plus compile-report counters
-/// (GEMM-matched / interpreted ensembles, fusion groups, tiled loops) in
-/// the `compile_reports` section of `--json BENCH_seq.json`.
+/// (GEMM-matched / interpreted ensembles, fusion groups, tiled loops) and
+/// the size of the JIT translation unit (units, distinct class functions,
+/// source bytes — from generateJitSource, no compiler run) in the
+/// `compile_reports` section of `--json BENCH_seq.json`.
 ///
 /// `--scale` shrinks T/F/H/D together; `--batch/--reps` as elsewhere.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness.h"
+
+#include "compiler/codegen_cpp.h"
 
 #include <algorithm>
 
@@ -46,6 +50,11 @@ json::Value compileReportJson(const models::ModelSpec &Spec, int64_t Batch,
   R.set("fusion_groups", static_cast<int64_t>(P.Report.FusionGroups.size()));
   R.set("fused_ensembles", Fused);
   R.set("tiled_loops", static_cast<int64_t>(P.Report.NumTiledLoops));
+  JitSource JS = generateJitSource(P);
+  R.set("jit_units",
+        static_cast<int64_t>(JS.Forward.size() + JS.Backward.size()));
+  R.set("jit_classes", static_cast<int64_t>(JS.Classes));
+  R.set("jit_source_bytes", static_cast<int64_t>(JS.Source.size()));
   return R;
 }
 

@@ -2,7 +2,6 @@
 
 #include "compiler/codegen_cpp.h"
 
-#include "ir/visitor.h"
 #include "jit/jit_abi.h"
 #include "support/error.h"
 #include "support/string_utils.h"
@@ -11,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 
@@ -53,6 +51,20 @@ namespace {
 // inside a parallel body are emitted serial, mirroring the interpreter's
 // AllowParallel=false propagation.
 //
+// Each top-level unit renders with its buffers as SLOTS: the k-th distinct
+// buffer the unit touches, in first-use order (float and int32 buffers
+// share one numbering), is `_bk = LJ->bufs[S[k]]` (or LJ->ibufs), and the
+// rendered text names no buffer. Units that render to the same text —
+// the unrolled steps of a recurrent net, mostly — share one `static` class
+// function `latte_class_<c>(LatteJitCtx *LJ, const int32_t *S)`. Each unit
+// keeps its own slot array of Program buffer indices, and each pass
+// exports one table of {class function, slots} entries (jit/jit_abi.h).
+// Class functions are reachable only through those tables, so the system
+// compiler cannot inline them back into per-unit copies. Comments that
+// would carry a name (buffer, block label, barrier reason) stay out of the
+// class bodies; the slot-array line lists the buffers and the table entry
+// the unit's TaskLabel.
+//
 // Kernel calls normally dispatch through the ctx trampoline: into the
 // engine's library kernels in the JIT (the exact functions the interpreter
 // runs), into the driver's kernel bodies in the standalone program. A
@@ -85,18 +97,21 @@ public:
 
 private:
   void prologue();
-  void emitPass(const Stmt *Root, char PassTag, std::vector<JitTaskInfo> &Out);
-  void emitTask(const Stmt *Unit, const std::string &Symbol);
+  void emitPass(const Stmt *Root, char PassTag,
+                const std::vector<TaskLabel> &Labels, const char *Table,
+                std::vector<JitTaskInfo> &Out);
+  int emitUnit(const Stmt *Unit);
+  std::string slot(const std::string &Buffer, bool Int);
 
   void emitStmt(const Stmt *S, int Indent);
   void emitFor(const ForStmt *F, int Indent);
   void emitKernel(const KernelCallStmt *K, int Indent);
   std::string specializedKernel(const KernelCallStmt *K);
   void emitSpecBody(KernelKind Kind, const std::vector<int64_t> &IA);
-  std::string floatExpr(const Expr *E) const;
+  std::string floatExpr(const Expr *E);
   std::string intExpr(const Expr *E) const;
   std::string elemRef(const std::string &Buffer,
-                      const std::vector<ExprPtr> &Indices) const;
+                      const std::vector<ExprPtr> &Indices);
 
   void line(int Indent, const std::string &Text) {
     for (int I = 0; I < Indent; ++I)
@@ -114,10 +129,21 @@ private:
   int SpecCounter = 0;
   std::unordered_map<std::string, size_t> BufIndex;
   std::unordered_map<std::string, size_t> IntBufIndex;
+  /// The unit being rendered: its slots in first-use order, each an
+  /// (int32 table?, Program index) pair, and the slot of each buffer.
+  std::vector<std::pair<bool, size_t>> Slots;
+  std::map<std::pair<bool, std::string>, size_t> SlotOf;
+  /// Rendered class text -> class index; ClassOS holds the class
+  /// functions and TableOS the slot arrays and task tables, in first-use
+  /// order.
+  std::unordered_map<std::string, int> ClassOf;
+  std::ostringstream ClassOS;
+  std::ostringstream TableOS;
   /// True while emitting a parallel loop's body: inner parallel
   /// annotations are emitted serial, as the interpreter runs them
   /// (AllowParallel=false inside a parallel iteration).
   bool InParallelBody = false;
+  /// Names the `_lo` / `_lf` loop temporaries; restarts with each unit.
   int Counter = 0;
 };
 
@@ -170,8 +196,21 @@ std::string JitEmitter::intExpr(const Expr *E) const {
   }
 }
 
+/// The slot of \p Buffer in the unit being rendered, assigned on first use.
+std::string JitEmitter::slot(const std::string &Buffer, bool Int) {
+  auto [It, New] = SlotOf.emplace(std::make_pair(Int, Buffer), Slots.size());
+  if (New) {
+    const auto &Index = Int ? IntBufIndex : BufIndex;
+    auto Found = Index.find(Buffer);
+    if (Found == Index.end())
+      reportFatalError("codegen: unknown buffer '" + Buffer + "'");
+    Slots.emplace_back(Int, Found->second);
+  }
+  return "_b" + std::to_string(It->second);
+}
+
 std::string JitEmitter::elemRef(const std::string &Buffer,
-                                const std::vector<ExprPtr> &Indices) const {
+                                const std::vector<ExprPtr> &Indices) {
   const BufferInfo *B = Prog.findBuffer(Buffer);
   assert(B && "load/store of unknown buffer");
   std::vector<int64_t> Strides = B->Dims.strides();
@@ -180,10 +219,10 @@ std::string JitEmitter::elemRef(const std::string &Buffer,
   for (size_t I = 0; I < Indices.size(); ++I)
     Off += " + " + intExpr(Indices[I].get()) + " * (int64_t)" +
            std::to_string(Strides[I]);
-  return Buffer + "[" + Off + "]";
+  return slot(Buffer, /*Int=*/false) + "[" + Off + "]";
 }
 
-std::string JitEmitter::floatExpr(const Expr *E) const {
+std::string JitEmitter::floatExpr(const Expr *E) {
   switch (E->kind()) {
   case Expr::Kind::IntConst:
     // evalFloat: static_cast<float>(value) — same exact conversion here.
@@ -387,21 +426,34 @@ void JitEmitter::emitSpecBody(KernelKind Kind,
     // IA: {C, H, W, K, S, Pad, RowCount}; EA: {RowBegin}.
     //
     // The library loops guard every element against the padding border.
-    // Those conditionals are position-dependent, so with every shape
-    // constant they resolve at emission time: each (KY, KX) slice gets a
-    // precomputed valid Y/X window, a check-free interior loop (a plain
-    // strided copy / accumulate the host compiler vectorizes without
-    // if-conversion), and explicit zero-fill (im2col) or skip (col2im)
-    // borders. Values, visit set, and accumulation order all match the
-    // library kernel — the split only removes comparisons whose outcome
-    // is known here.
+    // With every shape constant, each (KY, KX) slice instead computes its
+    // valid Y/X window up front — the output positions Y whose input row
+    // Y*S - P + KY lies in [0, H), and likewise for X — and runs a
+    // check-free interior loop (a plain strided copy / accumulate the host
+    // compiler vectorizes without if-conversion) with explicit zero-fill
+    // (im2col) or skip (col2im) borders. KY and KX stay loops with
+    // constant bounds; the system compiler unrolls small kernels itself.
+    // Values, visit order (C, KY, KX, Y, X) and accumulation order all
+    // match the library kernel — the split only removes comparisons whose
+    // outcome the window already decides.
     int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
             P = IA[5], RC = IA[6];
     int64_t OutH = (H + 2 * P - K) / S + 1;
     int64_t OutW = (W + 2 * P - K) / S + 1;
     bool Fwd = Kind == KernelKind::Im2ColRows;
-    auto CeilDiv = [](int64_t A, int64_t B) {
-      return A <= 0 ? int64_t(0) : (A + B - 1) / B;
+    // Declares `<V>Lo` and `<V>Hi`: the outputs O in [0, Out) whose input
+    // O*S - P + KVar lies in [0, Size) are [<V>Lo, <V>Hi).
+    auto Window = [&](const std::string &V, const char *KVar, int64_t Size,
+                      int64_t Out, const char *Indent) {
+      O << Indent << "const int64_t " << V << "A = (int64_t)" << N(P) << " - "
+        << KVar << ", " << V << "B = (int64_t)" << N(Size - 1 + P) << " - "
+        << KVar << ";\n"
+        << Indent << "const int64_t " << V << "Lo = latte_jit_min((int64_t)"
+        << N(Out) << ", " << V << "A <= 0 ? (int64_t)0 : (" << V << "A + "
+        << N(S - 1) << ") / " << N(S) << ");\n"
+        << Indent << "const int64_t " << V << "Hi = latte_jit_max(" << V
+        << "Lo, " << V << "B >= 0 ? latte_jit_min((int64_t)" << N(Out) << ", "
+        << V << "B / " << N(S) << " + 1) : " << V << "Lo);\n";
     };
     O << "  const int64_t Rb = EA[0];\n"
       << (Fwd ? "  float *Col = FB[0];\n  const float *Image = FB[1];\n"
@@ -412,72 +464,57 @@ void JitEmitter::emitSpecBody(KernelKind Kind,
       << N(C) << "; ++C) {\n"
       << (Fwd ? "    const float *Chan = Image + C * "
               : "    float *Chan = Image + C * ")
-      << N(H * W) << ";\n";
-    for (int64_t KY = 0; KY < K; ++KY) {
-      for (int64_t KX = 0; KX < K; ++KX) {
-        // Output positions whose input index stays in bounds:
-        // 0 <= Y*S - P + KY < H  (and the same for X with KX).
-        int64_t YLo = std::min(OutH, CeilDiv(P - KY, S));
-        int64_t YHi = H - 1 + P - KY >= 0
-                          ? std::min(OutH, (H - 1 + P - KY) / S + 1)
-                          : YLo;
-        int64_t XLo = std::min(OutW, CeilDiv(P - KX, S));
-        int64_t XHi = W - 1 + P - KX >= 0
-                          ? std::min(OutW, (W - 1 + P - KX) / S + 1)
-                          : XLo;
-        YHi = std::max(YHi, YLo);
-        XHi = std::max(XHi, XLo);
-        O << "    { // KY=" << KY << " KX=" << KX << "\n"
-          << (Fwd ? "      float *ColRow = Col + (C * "
-                  : "      const float *ColRow = Col + (C * ")
-          << N(K * K) << " + " << N(KY * K + KX) << ") * " << N(OutH * OutW)
-          << ";\n"
-             "      const int64_t Y0 = Rb > "
-          << N(YLo) << " ? Rb : " << N(YLo)
-          << ";\n"
-             "      const int64_t Y1 = Re < "
-          << N(YHi) << " ? Re : " << N(YHi) << ";\n";
-        if (Fwd)
-          O << "      const int64_t He = Y0 < Re ? Y0 : Re;\n"
-               "      for (int64_t Y = Rb; Y < He; ++Y)\n"
-               "        for (int64_t X = 0; X < "
-            << N(OutW) << "; ++X)\n          ColRow[Y * " << N(OutW)
-            << " + X] = 0.0f;\n";
-        O << "      for (int64_t Y = Y0; Y < Y1; ++Y) {\n";
-        if (Fwd) {
-          O << "        const float *Src = Chan + (Y * " << N(S) << " + "
-            << N(KY - P) << ") * " << N(W)
-            << ";\n"
-               "        for (int64_t X = 0; X < "
-            << N(XLo) << "; ++X)\n          ColRow[Y * " << N(OutW)
-            << " + X] = 0.0f;\n"
-               "        for (int64_t X = "
-            << N(XLo) << "; X < " << N(XHi) << "; ++X)\n          ColRow[Y * "
-            << N(OutW) << " + X] = Src[X * " << N(S) << " + " << N(KX - P)
-            << "];\n"
-               "        for (int64_t X = "
-            << N(XHi) << "; X < " << N(OutW) << "; ++X)\n          ColRow[Y * "
-            << N(OutW) << " + X] = 0.0f;\n";
-        } else {
-          O << "        float *Dst = Chan + (Y * " << N(S) << " + "
-            << N(KY - P) << ") * " << N(W)
-            << ";\n"
-               "        for (int64_t X = "
-            << N(XLo) << "; X < " << N(XHi) << "; ++X)\n          Dst[X * "
-            << N(S) << " + " << N(KX - P) << "] += ColRow[Y * " << N(OutW)
-            << " + X];\n";
-        }
-        O << "      }\n";
-        if (Fwd)
-          O << "      const int64_t Te = Y1 > He ? Y1 : He;\n"
-               "      for (int64_t Y = Te; Y < Re; ++Y)\n"
-               "        for (int64_t X = 0; X < "
-            << N(OutW) << "; ++X)\n          ColRow[Y * " << N(OutW)
-            << " + X] = 0.0f;\n";
-        O << "    }\n";
-      }
+      << N(H * W) << ";\n    for (int64_t KY = 0; KY < " << N(K)
+      << "; ++KY) {\n";
+    Window("Y", "KY", H, OutH, "      ");
+    O << "      const int64_t Y0 = Rb > YLo ? Rb : YLo;\n"
+         "      const int64_t Y1 = Re < YHi ? Re : YHi;\n"
+         "      for (int64_t KX = 0; KX < "
+      << N(K) << "; ++KX) {\n";
+    Window("X", "KX", W, OutW, "        ");
+    O << (Fwd ? "        float *ColRow = Col + (C * "
+              : "        const float *ColRow = Col + (C * ")
+      << N(K * K) << " + KY * " << N(K) << " + KX) * " << N(OutH * OutW)
+      << ";\n";
+    if (Fwd)
+      O << "        const int64_t He = Y0 < Re ? Y0 : Re;\n"
+           "        for (int64_t Y = Rb; Y < He; ++Y)\n"
+           "          for (int64_t X = 0; X < "
+        << N(OutW) << "; ++X)\n            ColRow[Y * " << N(OutW)
+        << " + X] = 0.0f;\n";
+    O << "        for (int64_t Y = Y0; Y < Y1; ++Y) {\n";
+    if (Fwd) {
+      O << "          const float *Src = Chan + (Y * " << N(S) << " + (KY - "
+        << N(P) << ")) * " << N(W)
+        << ";\n"
+           "          for (int64_t X = 0; X < XLo; ++X)\n"
+           "            ColRow[Y * "
+        << N(OutW)
+        << " + X] = 0.0f;\n"
+           "          for (int64_t X = XLo; X < XHi; ++X)\n"
+           "            ColRow[Y * "
+        << N(OutW) << " + X] = Src[X * " << N(S) << " + (KX - " << N(P)
+        << ")];\n"
+           "          for (int64_t X = XHi; X < "
+        << N(OutW) << "; ++X)\n            ColRow[Y * " << N(OutW)
+        << " + X] = 0.0f;\n";
+    } else {
+      O << "          float *Dst = Chan + (Y * " << N(S) << " + (KY - " << N(P)
+        << ")) * " << N(W)
+        << ";\n"
+           "          for (int64_t X = XLo; X < XHi; ++X)\n"
+           "            Dst[X * "
+        << N(S) << " + (KX - " << N(P) << ")] += ColRow[Y * " << N(OutW)
+        << " + X];\n";
     }
-    O << "  }\n";
+    O << "        }\n";
+    if (Fwd)
+      O << "        const int64_t Te = Y1 > He ? Y1 : He;\n"
+           "        for (int64_t Y = Te; Y < Re; ++Y)\n"
+           "          for (int64_t X = 0; X < "
+        << N(OutW) << "; ++X)\n            ColRow[Y * " << N(OutW)
+        << " + X] = 0.0f;\n";
+    O << "      }\n    }\n  }\n";
     return;
   }
   case KernelKind::MaxPoolFwdRows: {
@@ -628,19 +665,9 @@ void JitEmitter::emitKernel(const KernelCallStmt *K, int Indent) {
     const KernelBufArg &A = K->bufs()[I];
     std::string Off =
         A.Offset ? " + (" + intExpr(A.Offset.get()) + ")" : "";
-    if (IntMask & (1u << I)) {
-      auto It = IntBufIndex.find(A.Buffer);
-      assert(It != IntBufIndex.end() && "unknown int buffer in kernel call");
-      line(Indent + 1, "IB[" + std::to_string(I) + "] = LJ->ibufs[" +
-                           std::to_string(It->second) + "]" + Off + "; // " +
-                           A.Buffer);
-    } else {
-      auto It = BufIndex.find(A.Buffer);
-      assert(It != BufIndex.end() && "unknown buffer in kernel call");
-      line(Indent + 1, "FB[" + std::to_string(I) + "] = LJ->bufs[" +
-                           std::to_string(It->second) + "]" + Off + "; // " +
-                           A.Buffer);
-    }
+    bool Int = IntMask & (1u << I);
+    line(Indent + 1, std::string(Int ? "IB[" : "FB[") + std::to_string(I) +
+                         "] = " + slot(A.Buffer, Int) + Off + ";");
   }
   std::vector<std::string> Parts;
   std::string Spec = specializedKernel(K);
@@ -730,12 +757,9 @@ void JitEmitter::emitStmt(const Stmt *S, int Indent) {
     return;
   switch (S->kind()) {
   case Stmt::Kind::Block: {
-    const auto *B = cast<BlockStmt>(S);
-    if (!B->label().empty())
-      line(Indent, "// " + B->label());
     // No braces: interpreter Decls outlive their Block (matches
-    // generateCpp's treatment).
-    for (const StmtPtr &Child : B->stmts())
+    // generateCpp's treatment). No label comment: it would name the unit.
+    for (const StmtPtr &Child : cast<BlockStmt>(S)->stmts())
       emitStmt(Child.get(), Indent);
     return;
   }
@@ -809,51 +833,35 @@ void JitEmitter::emitStmt(const Stmt *S, int Indent) {
     emitKernel(cast<KernelCallStmt>(S), Indent);
     return;
   case Stmt::Kind::Barrier:
-    line(Indent, "// fusion barrier: " + cast<BarrierStmt>(S)->reason());
+    line(Indent, "// fusion barrier");
     return;
   }
   latteUnreachable("unknown statement kind");
 }
 
-void JitEmitter::emitTask(const Stmt *Unit, const std::string &Symbol) {
-  OS << "extern \"C\" void " << Symbol << "(LatteJitCtx *LJ) {\n"
-     << "  (void)LJ;\n";
-  // Named aliases for the buffers this unit loads/stores directly, in
-  // Program declaration order (deterministic). Kernel buffer args go
-  // through LJ->bufs indices instead; only their offset and expr-arg
-  // expressions could load.
-  std::set<std::string> Referenced;
-  auto Loads = [&](const Expr *E) {
-    walkExprs(E, [&](const Expr *Node) {
-      if (const auto *L = dyn_cast<LoadExpr>(Node))
-        Referenced.insert(L->buffer());
-    });
-  };
-  walkStmts(Unit, [&](const Stmt *S) {
-    if (const auto *F = dyn_cast<ForStmt>(S)) {
-      Loads(F->lo());
-    } else if (const auto *St = dyn_cast<StoreStmt>(S)) {
-      Referenced.insert(St->buffer());
-      for (const ExprPtr &I : St->indices())
-        Loads(I.get());
-      Loads(St->value());
-    } else if (const auto *D = dyn_cast<DeclStmt>(S)) {
-      Loads(D->init());
-    } else if (const auto *A = dyn_cast<AssignVarStmt>(S)) {
-      Loads(A->value());
-    } else if (const auto *K = dyn_cast<KernelCallStmt>(S)) {
-      for (const KernelBufArg &Arg : K->bufs())
-        Loads(Arg.Offset.get());
-      for (const ExprPtr &E : K->exprArgs())
-        Loads(E.get());
-    }
-  });
-  for (const BufferInfo &B : Prog.Buffers)
-    if (Referenced.count(B.Name))
-      OS << "  float *" << B.Name << " = LJ->bufs[" << BufIndex.at(B.Name)
-         << "]; // " << B.Dims.str() << "\n";
+/// Renders \p Unit over fresh slots and returns its class index, emitting
+/// the class function on the first unit that renders to its text. The
+/// text — slot declarations included — is the class key, so two units
+/// share a function only when they would have emitted the same body.
+int JitEmitter::emitUnit(const Stmt *Unit) {
+  Slots.clear();
+  SlotOf.clear();
+  Counter = 0;
+  OS.str("");
   emitStmt(Unit, 1);
-  OS << "}\n\n";
+  std::string Text;
+  for (size_t K = 0; K < Slots.size(); ++K)
+    Text += formatString(Slots[K].first
+                             ? "  int32_t *_b%zu = LJ->ibufs[S[%zu]];\n"
+                             : "  float *_b%zu = LJ->bufs[S[%zu]];\n",
+                         K, K);
+  Text += OS.str();
+  auto [It, New] = ClassOf.emplace(std::move(Text), ClassOf.size());
+  if (New)
+    ClassOS << "static void latte_class_" << It->second
+            << "(LatteJitCtx *LJ, const int32_t *S) {\n"
+            << It->first << "}\n\n";
+  return It->second;
 }
 
 void JitEmitter::prologue() {
@@ -863,7 +871,7 @@ void JitEmitter::prologue() {
         "// kernels run as shape-specialized clones below. Deterministic\n"
         "// emission (content-hashed for the on-disk module cache).\n"
         "#include <cmath>\n#include <cstdint>\n#include <cstring>\n\n";
-  OS << jit::ctxStructSource();
+  OS << jit::abiStructSource();
   // std::min/std::max tie semantics (the interpreter's evalFloat and
   // applyAccum use std::min/std::max, which return the FIRST argument on
   // ties — observable with signed zeros).
@@ -876,30 +884,53 @@ void JitEmitter::prologue() {
 }
 
 void JitEmitter::emitPass(const Stmt *Root, char PassTag,
-                          std::vector<JitTaskInfo> &Out) {
-  // Only a top-level Block decomposes into per-unit entry points; other
-  // roots (hand-built test programs) take the interpreter wholesale.
+                          const std::vector<TaskLabel> &Labels,
+                          const char *Table, std::vector<JitTaskInfo> &Out) {
+  // Only a top-level Block decomposes into units; other roots (hand-built
+  // test programs) take the interpreter wholesale and export an empty
+  // table.
   const auto *B = dyn_cast_if_present<const BlockStmt>(Root);
-  if (!B)
-    return;
-  for (size_t I = 0; I < B->stmts().size(); ++I) {
+  std::vector<std::string> Entries;
+  for (size_t I = 0; B && I < B->stmts().size(); ++I) {
     JitTaskInfo Info;
-    Info.Symbol = std::string("latte_task_") + PassTag + std::to_string(I);
-    emitTask(B->stmts()[I].get(), Info.Symbol);
-    Out.push_back(std::move(Info));
+    Info.Class = emitUnit(B->stmts()[I].get());
+    std::string SlotArray = "nullptr";
+    if (!Slots.empty()) {
+      SlotArray = formatString("latte_slots_%c%zu", PassTag, I);
+      std::vector<std::string> Indices, Names;
+      for (const auto &[Int, Index] : Slots) {
+        Indices.push_back(std::to_string(Index));
+        Names.push_back(Int ? Prog.IntBuffers[Index].Name
+                            : Prog.Buffers[Index].Name);
+      }
+      TableOS << "static const int32_t " << SlotArray << "[] = {"
+              << join(Indices, ", ") << "}; // " << join(Names, " ") << "\n";
+    }
+    std::string Entry = "  {latte_class_" + std::to_string(Info.Class) +
+                        ", " + SlotArray + "},";
+    if (I < Labels.size() && !Labels[I].Name.empty())
+      Entry += " // " + Labels[I].Name;
+    Entries.push_back(std::move(Entry));
+    Out.push_back(Info);
   }
+  TableOS << "extern \"C\" const LatteJitTask " << Table << "[] = {\n";
+  for (const std::string &E : Entries)
+    TableOS << E << "\n";
+  TableOS << "  {nullptr, nullptr}};\n\n";
 }
 
 JitSource JitEmitter::run() {
   JitSource JS;
   prologue();
   std::string Prologue = OS.str();
-  OS.str("");
-  emitPass(Prog.Forward.get(), 'f', JS.Forward);
-  emitPass(Prog.Backward.get(), 'b', JS.Backward);
-  // Specialized kernel clones are discovered while the tasks are emitted
-  // but must precede them in the translation unit.
-  JS.Source = Prologue + SpecOS.str() + OS.str();
+  emitPass(Prog.Forward.get(), 'f', Prog.ForwardTasks,
+           jit::kForwardTasksSymbol, JS.Forward);
+  emitPass(Prog.Backward.get(), 'b', Prog.BackwardTasks,
+           jit::kBackwardTasksSymbol, JS.Backward);
+  JS.Classes = static_cast<int>(ClassOf.size());
+  // Specialized kernel clones are discovered while the units are rendered
+  // but must precede the class functions that call them.
+  JS.Source = Prologue + SpecOS.str() + ClassOS.str() + TableOS.str();
   return JS;
 }
 
@@ -1188,7 +1219,7 @@ int main(int Argc, char **Argv) {
 }
 )cpp";
 
-/// Renders the driver for \p Prog, whose task entry points \p JS names.
+/// Renders the driver for \p Prog, whose task tables \p JS describes.
 std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
   const MemoryPlan &Plan = Prog.Plan;
   if (!Plan.Valid)
@@ -1238,14 +1269,17 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
   OS << "  }\n  std::fprintf(stderr, \"latte: no kernel body for kind "
         "%lld\\n\", (long long)Kind);\n  std::abort();\n}\n\n"
         "static LatteJitCtx latte_ctx = {nullptr, latte_bufs, latte_ibufs, "
-        "1, latte_kernel};\n\n";
+        "1, latte_kernel};\n"
+        "static void latte_run(const LatteJitTask &T) { "
+        "T.fn(&latte_ctx, T.slots); }\n\n";
 
   // Each pass clears its pinned roots at the top and every interval root
   // right before its first unit (the plan's ZeroBefore schedule), as
-  // engine::Executor::execProgram does, then runs the tasks in order.
-  auto Pass = [&](const char *Name, const Stmt *Root,
-                  const std::vector<JitTaskInfo> &Tasks,
-                  const std::vector<std::string> &PassTop, int GlobalBase) {
+  // engine::Executor::execProgram does, then runs its table's tasks in
+  // order.
+  auto Pass = [&](const char *Name, const Stmt *Root, const char *Table,
+                  size_t NumTasks, const std::vector<std::string> &PassTop,
+                  int GlobalBase) {
     if (Root && !isa<BlockStmt>(Root))
       reportFatalError(std::string("generateCpp: the ") + Name +
                        " pass is not a block of units");
@@ -1257,19 +1291,19 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
     OS << "void " << Name << "() {\n";
     for (const std::string &Buf : PassTop)
       Zero(Buf);
-    for (size_t I = 0; I < Tasks.size(); ++I) {
+    for (size_t I = 0; I < NumTasks; ++I) {
       auto It = Plan.ZeroBefore.find(GlobalBase + static_cast<int>(I));
       if (It != Plan.ZeroBefore.end())
         for (const std::string &Buf : It->second)
           Zero(Buf);
-      OS << "  " << Tasks[I].Symbol << "(&latte_ctx);\n";
+      OS << "  latte_run(" << Table << "[" << I << "]);\n";
     }
     OS << "}\n\n";
   };
-  Pass("latte_forward", Prog.Forward.get(), JS.Forward,
-       Plan.ZeroOnForwardPinned, 0);
-  Pass("latte_backward", Prog.Backward.get(), JS.Backward,
-       Plan.ZeroOnBackwardPinned, Plan.NumForwardUnits);
+  Pass("latte_forward", Prog.Forward.get(), jit::kForwardTasksSymbol,
+       JS.Forward.size(), Plan.ZeroOnForwardPinned, 0);
+  Pass("latte_backward", Prog.Backward.get(), jit::kBackwardTasksSymbol,
+       JS.Backward.size(), Plan.ZeroOnBackwardPinned, Plan.NumForwardUnits);
 
   OS << "// .ltd names, parallel to latte_bufs\n"
         "static const struct { const char *Name; int64_t N; } "

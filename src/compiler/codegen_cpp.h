@@ -3,26 +3,31 @@
 /// \file
 /// The code-generation phase (§5.5): one emitter prints a compiled
 /// Program's optimized IR (post pattern-matching / tiling / fusion /
-/// parallelization) as C++ — one `extern "C"` task
-/// function per top-level unit, with an OpenMP `parallel for
+/// parallelization) as C++, with an OpenMP `parallel for
 /// schedule(static, 1) if (LJ->par != 0)` pragma on each annotated loop
-/// (batch × tile flattened into one loop, the paper's `collapse(2)`). The
-/// original system lowered its Julia AST through ParallelAccelerator.jl to
-/// C++ compiled by ICC. The translation unit has two uses:
+/// (batch × tile flattened into one loop, the paper's `collapse(2)`). Each
+/// top-level unit renders with its buffers as slots; units that render to
+/// the same text share one `static` class function, and each pass exports
+/// an `extern "C"` table of {class function, slot array} entries, one per
+/// unit (jit/jit_abi.h). The original system lowered its Julia AST through
+/// ParallelAccelerator.jl to C++ compiled by ICC. The translation unit has
+/// two uses:
 ///
 ///   * generateJitSource: the in-process JIT module (jit::JitModule),
 ///     whose tasks re-enter the engine's kernels through the LatteJitCtx
-///     trampoline (jit/jit_abi.h);
+///     trampoline;
 ///   * generateCpp: the same translation unit plus a driver — the memory
 ///     plan's static arena, buffer tables, kernel bodies behind the
-///     trampoline, and a `.ltd` file main — so tests compile it with the
-///     host compiler and check it against the engine.
+///     trampoline, and a `.ltd` file main that runs the task tables — so
+///     tests compile it with the host compiler and check it against the
+///     engine.
 ///
 /// Emission is a deterministic function of the Program: no timestamps, no
-/// pointer-keyed iteration, symbol names derived from unit position only.
-/// generateJitSource additionally serves as a content-hash cache key
-/// (jit::hashSource), so byte-stability across emissions of the same
-/// program is load-bearing, not cosmetic — codegen_test pins it.
+/// pointer-keyed iteration, classes numbered in first-use order, symbol
+/// names derived from unit position only. generateJitSource additionally
+/// serves as a content-hash cache key (jit::hashSource), so byte-stability
+/// across emissions of the same program is load-bearing, not cosmetic —
+/// codegen_test pins it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,22 +54,26 @@ bool writeGeneratedProgram(const Program &Prog, const std::string &Path);
 
 /// One top-level unit of a pass in the JIT translation unit.
 struct JitTaskInfo {
-  /// Generated entry point ("latte_task_f3").
-  std::string Symbol;
+  /// The unit's class function (`latte_class_<Class>`), in [0, Classes).
+  int Class = -1;
 };
 
-/// A translation unit for the in-process JIT (jit::JitModule) plus the
-/// per-unit dispatch tables the engine indexes by unit position.
+/// A translation unit for the in-process JIT (jit::JitModule), with one
+/// entry per unit of each pass — parallel to the module's task tables,
+/// which the engine indexes by unit position.
 struct JitSource {
   std::string Source;
   std::vector<JitTaskInfo> Forward;
   std::vector<JitTaskInfo> Backward;
+  /// Distinct class functions the source defines.
+  int Classes = 0;
 };
 
-/// Renders \p Prog as a JIT translation unit: one `extern "C"` function
-/// per top-level unit, reading buffer storage through the LatteJitCtx and
-/// calling kernels through its trampoline (jit/jit_abi.h), except for the
-/// shape-specialized clones of data-movement kernels. The engine owns the
+/// Renders \p Prog as a JIT translation unit: a class function per
+/// distinct unit body and a task table per pass, reading buffer storage
+/// through the LatteJitCtx and calling kernels through its trampoline
+/// (jit/jit_abi.h), except for the shape-specialized clones of
+/// data-movement kernels. The engine owns the
 /// storage and the trampoline lands in its kernels — dropout's included,
 /// which draw from the calling executor's RNG in program order — which is
 /// what makes JIT-on vs interpreted execution bitwise identical: the same

@@ -298,15 +298,24 @@ void Executor::setupJit() {
   JitMod = jit::JitModule::getOrCreate(JS.Source, &JitDiag);
   if (!JitMod)
     return; // compile/load failed; JitDiag has the reason, interpret all
-  auto Resolve = [&](const std::vector<compiler::JitTaskInfo> &Infos,
-                     std::vector<jit::TaskFn> &Out) {
-    for (const compiler::JitTaskInfo &Info : Infos)
-      // A task whose symbol is somehow absent falls back to the
-      // interpreter.
-      Out.push_back(JitMod->symbol(Info.Symbol));
+  // A pass's table holds one entry per unit, then a null entry. A table
+  // that is missing or of another length leaves its pass interpreted.
+  auto Resolve = [&](const char *Symbol, size_t Units,
+                     std::vector<LatteJitTask> &Out) {
+    Out.assign(Units, LatteJitTask{});
+    const LatteJitTask *Table = JitMod->tasks(Symbol);
+    size_t N = 0;
+    while (Table && N <= Units && Table[N].fn)
+      ++N;
+    if (!Table || N != Units) {
+      JitDiag = std::string("JIT module's ") + Symbol +
+                (Table ? " does not match the program" : " is missing");
+      return;
+    }
+    std::copy(Table, Table + Units, Out.begin());
   };
-  Resolve(JS.Forward, JitFwd);
-  Resolve(JS.Backward, JitBwd);
+  Resolve(jit::kForwardTasksSymbol, JS.Forward.size(), JitFwd);
+  Resolve(jit::kBackwardTasksSymbol, JS.Backward.size(), JitBwd);
   // Alias-resolved storage pointers in Program declaration order — the
   // indices generated code embeds. Heap storage (Arena / Storage / the
   // int-buffer vectors) is pointer-stable across Executor moves, so these
@@ -322,10 +331,10 @@ void Executor::setupJit() {
 
 int Executor::jitTaskCount() const {
   int N = 0;
-  for (jit::TaskFn Fn : JitFwd)
-    N += Fn != nullptr;
-  for (jit::TaskFn Fn : JitBwd)
-    N += Fn != nullptr;
+  for (const LatteJitTask &T : JitFwd)
+    N += T.fn != nullptr;
+  for (const LatteJitTask &T : JitBwd)
+    N += T.fn != nullptr;
   return N;
 }
 
@@ -780,7 +789,8 @@ void Executor::execStmt(const Stmt *S, Env &E) {
 
 void Executor::execProgram(const char *Pass, const Stmt *Root,
                            const std::vector<compiler::TaskLabel> &Labels,
-                           int GlobalBase, const std::vector<jit::TaskFn> &Fns,
+                           int GlobalBase,
+                           const std::vector<LatteJitTask> &Tasks,
                            const std::vector<prof::CounterSet> &Counters) {
   Env E;
   E.AllowParallel = forkParallelLoops(Opts);
@@ -812,9 +822,11 @@ void Executor::execProgram(const char *Pass, const Stmt *Root,
           kernels::zero(RT.Data, RT.Count);
         }
     }
-    // JIT dispatch table: a non-null entry replaces interpretation of
-    // this unit (kernels still run engine-side via the trampoline).
-    jit::TaskFn Fn = I < Fns.size() ? Fns[I] : nullptr;
+    // JIT dispatch table: an entry with a class function replaces
+    // interpretation of this unit (kernels still run engine-side via the
+    // trampoline).
+    const LatteJitTask *Task =
+        I < Tasks.size() && Tasks[I].fn ? &Tasks[I] : nullptr;
     // Hand-built programs (engine tests) carry no labels; fall back to the
     // unit index.
     std::optional<prof::ScopedTimer> T;
@@ -822,8 +834,8 @@ void Executor::execProgram(const char *Pass, const Stmt *Root,
       T.emplace(I < Labels.size() && !Labels[I].Name.empty()
                     ? Labels[I].Name
                     : "task#" + std::to_string(I));
-    if (Fn)
-      Fn(&JitCtx);
+    if (Task)
+      Task->fn(&JitCtx, Task->slots);
     else
       execStmt(B ? B->stmts()[I].get() : Root, E);
     if (!Profiled)

@@ -165,12 +165,13 @@ private:
   /// (arena mode) and, when profiling, wraps the pass and each unit in
   /// ScopedTimers named by the compiler's TaskLabels and adds the unit's
   /// \p Counters. \p GlobalBase maps local unit indices onto the plan's
-  /// global timeline (0 for forward, NumForwardUnits for backward). \p Fns
+  /// global timeline (0 for forward, NumForwardUnits for backward). \p Tasks
   /// is the JIT dispatch table parallel to the units (empty when the JIT is
-  /// off): a non-null entry runs instead of interpreting that unit.
+  /// off): an entry with a class function runs instead of interpreting
+  /// that unit.
   void execProgram(const char *Pass, const ir::Stmt *Root,
                    const std::vector<compiler::TaskLabel> &Labels,
-                   int GlobalBase, const std::vector<jit::TaskFn> &Fns,
+                   int GlobalBase, const std::vector<LatteJitTask> &Tasks,
                    const std::vector<prof::CounterSet> &Counters);
   /// Compiles/loads the JIT module and builds the dispatch tables; any
   /// failure leaves JitActive false with the reason in JitDiag.
@@ -201,8 +202,8 @@ private:
   bool JitActive = false;
   std::string JitDiag;
   std::shared_ptr<jit::JitModule> JitMod; ///< shared across executors
-  std::vector<jit::TaskFn> JitFwd;  ///< per forward unit; null = interpret
-  std::vector<jit::TaskFn> JitBwd;  ///< per backward unit
+  std::vector<LatteJitTask> JitFwd; ///< per forward unit; null = interpret
+  std::vector<LatteJitTask> JitBwd; ///< per backward unit
   std::vector<float *> CtxBufs;     ///< Program::Buffers order
   std::vector<int32_t *> CtxIbufs;  ///< Program::IntBuffers order
   LatteJitCtx JitCtx = {};

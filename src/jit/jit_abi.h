@@ -2,12 +2,17 @@
 ///
 /// \file
 /// The stable C ABI shared by the engine and the shared objects the JIT
-/// backend compiles at runtime. A generated task entry point has the
-/// signature `extern "C" void latte_task_<pass><index>(LatteJitCtx *)`;
-/// the context carries the executor's alias-resolved buffer pointers (the
-/// same arena or eager storage the interpreter reads), the per-pass
-/// parallelism switch, and one callback — the kernel trampoline — through
-/// which generated code re-enters engine::Executor::execKernelResolved.
+/// backend compiles at runtime. A module exports one task table per pass
+/// (kForwardTasksSymbol, kBackwardTasksSymbol): a `LatteJitTask` per
+/// top-level unit in program order, then a null entry. An entry pairs a
+/// class function — the unit's loop nest with its buffers as slots, shared
+/// by every unit that renders to the same code — with the unit's slot
+/// array of Program buffer indices; the engine runs a unit as
+/// `T.fn(&Ctx, T.slots)`. The context carries the executor's
+/// alias-resolved buffer pointers (the same arena or eager storage the
+/// interpreter reads), the per-pass parallelism switch, and one callback —
+/// the kernel trampoline — through which generated code re-enters
+/// engine::Executor::execKernelResolved.
 ///
 /// Routing kernel calls back through the engine is what makes JIT-on vs
 /// interpreter comparisons BITWISE identical: the exact same kernel
@@ -19,12 +24,13 @@
 /// context: static storage, and a trampoline into kernel bodies of its
 /// own.
 ///
-/// The struct definition exists once: the macro below expands into the
-/// host-side type AND is stringified into the generated translation unit,
-/// so the two sides cannot drift. Bump kLatteJitAbiVersion whenever the
-/// member list, the trampoline signature, or the ir::KernelKind numbering
-/// changes — the version is baked into the content hash and checked after
-/// dlopen, so stale cached objects are recompiled instead of misdispatched.
+/// Each struct definition exists once: the macros below expand into the
+/// host-side types AND are stringified into the generated translation
+/// unit, so the two sides cannot drift. Bump kLatteJitAbiVersion whenever
+/// a member list, the trampoline or class-function signature, the table
+/// layout, or the ir::KernelKind numbering changes — the version is baked
+/// into the content hash and checked after dlopen, so stale cached objects
+/// are recompiled instead of misdispatched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,12 +59,29 @@ struct LatteJitCtx {
   LATTE_JIT_CTX_MEMBERS
 };
 
+/// One definition of a task-table entry, usable both as C++ and as text.
+#define LATTE_JIT_TASK_MEMBERS                                                \
+  /* the unit's class function; null ends the table */                        \
+  void (*fn)(LatteJitCtx *ctx, const int32_t *slots);                         \
+  /* per slot: a Program::Buffers or Program::IntBuffers index, as the */     \
+  /* class function reads it (null when the unit touches no buffer) */        \
+  const int32_t *slots;
+
+struct LatteJitTask {
+  LATTE_JIT_TASK_MEMBERS
+};
+
 namespace latte {
 namespace jit {
 
-/// Bump on any change to LatteJitCtx, the trampoline signature, or the
-/// ir::KernelKind numbering (generated code embeds kind values as ints).
-constexpr int64_t kLatteJitAbiVersion = 1;
+/// Bump on any change to LatteJitCtx, LatteJitTask, the trampoline or
+/// class-function signature, the table symbols, or the ir::KernelKind
+/// numbering (generated code embeds kind values as ints).
+constexpr int64_t kLatteJitAbiVersion = 2;
+
+/// The exported per-pass task tables.
+constexpr const char *kForwardTasksSymbol = "latte_forward_tasks";
+constexpr const char *kBackwardTasksSymbol = "latte_backward_tasks";
 
 /// Upper bounds of the resolved-argument arrays the trampoline carries
 /// (SoftmaxLossFwd takes four buffers; no kernel takes more than two
@@ -69,11 +92,13 @@ constexpr int kMaxKernelExprArgs = 2;
 #define LATTE_JIT_STRINGIFY_IMPL(...) #__VA_ARGS__
 #define LATTE_JIT_STRINGIFY(...) LATTE_JIT_STRINGIFY_IMPL(__VA_ARGS__)
 
-/// The struct definition as source text for the generated translation
-/// unit — same macro expansion as the host-side type above.
-inline std::string ctxStructSource() {
+/// The struct definitions as source text for the generated translation
+/// unit — same macro expansions as the host-side types above.
+inline std::string abiStructSource() {
   return std::string("struct LatteJitCtx { ") +
-         LATTE_JIT_STRINGIFY(LATTE_JIT_CTX_MEMBERS) + " };\n";
+         LATTE_JIT_STRINGIFY(LATTE_JIT_CTX_MEMBERS) + " };\n" +
+         "struct LatteJitTask { " +
+         LATTE_JIT_STRINGIFY(LATTE_JIT_TASK_MEMBERS) + " };\n";
 }
 
 #undef LATTE_JIT_STRINGIFY

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <mutex>
 
@@ -20,15 +21,35 @@ using namespace latte::jit;
 
 namespace {
 
+/// Guards the registry, the in-flight builds and the stats; never held
+/// across a compile.
 std::mutex RegistryMutex;
 std::map<std::string, std::weak_ptr<JitModule>> &registry() {
   static std::map<std::string, std::weak_ptr<JitModule>> R;
   return R;
 }
 
+/// What a build hands its waiters: the module, or null and the reason.
+struct Built {
+  std::shared_ptr<JitModule> Module;
+  std::string Diag;
+};
+
+/// Builds under way, by hash (the single-flight idiom of
+/// compiler::ProgramCache).
+std::map<std::string, std::shared_future<Built>> &inFlight() {
+  static std::map<std::string, std::shared_future<Built>> F;
+  return F;
+}
+
 Stats &statsImpl() {
   static Stats S;
   return S;
+}
+
+void count(int64_t Stats::*Counter) {
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  ++(statsImpl().*Counter);
 }
 
 /// The flags every generated TU is compiled with. -ffp-contract=off keeps
@@ -197,27 +218,60 @@ JitModule::~JitModule() {
     ::dlclose(Handle);
 }
 
-TaskFn JitModule::symbol(const std::string &Name) const {
-  return reinterpret_cast<TaskFn>(::dlsym(Handle, Name.c_str()));
+const LatteJitTask *JitModule::tasks(const char *Symbol) const {
+  return static_cast<const LatteJitTask *>(::dlsym(Handle, Symbol));
 }
 
 std::shared_ptr<JitModule>
 JitModule::getOrCreate(const std::string &Source, std::string *Diag) {
-  std::lock_guard<std::mutex> Lock(RegistryMutex);
-  Stats &S = statsImpl();
   std::string Hash = hashSource(Source);
-
-  // Live module already loaded in this process (e.g. another data-parallel
-  // worker compiled the same per-worker program)?
-  auto It = registry().find(Hash);
-  if (It != registry().end()) {
-    if (std::shared_ptr<JitModule> M = It->second.lock()) {
-      ++S.MemCacheHits;
-      return M;
+  std::shared_future<Built> Follower;
+  std::promise<Built> Lead;
+  {
+    std::lock_guard<std::mutex> Lock(RegistryMutex);
+    // Live module already loaded in this process (e.g. another
+    // data-parallel worker compiled the same per-worker program)?
+    auto It = registry().find(Hash);
+    if (It != registry().end()) {
+      if (std::shared_ptr<JitModule> M = It->second.lock()) {
+        ++statsImpl().MemCacheHits;
+        return M;
+      }
+      registry().erase(It);
     }
-    registry().erase(It);
+    // Another thread is building this hash: wait for its result instead
+    // of compiling a duplicate.
+    auto Fl = inFlight().find(Hash);
+    if (Fl != inFlight().end()) {
+      ++statsImpl().MemCacheHits;
+      Follower = Fl->second;
+    } else {
+      inFlight().emplace(Hash, Lead.get_future().share());
+    }
   }
+  Built B;
+  if (Follower.valid()) {
+    B = Follower.get();
+  } else {
+    // Leader: load or compile outside the lock, so distinct hashes build
+    // in parallel.
+    B.Module = loadOrCompile(Source, Hash, &B.Diag);
+    {
+      std::lock_guard<std::mutex> Lock(RegistryMutex);
+      if (B.Module)
+        registry()[Hash] = B.Module;
+      inFlight().erase(Hash);
+    }
+    Lead.set_value(B);
+  }
+  if (!B.Module && Diag)
+    *Diag = B.Diag;
+  return B.Module;
+}
 
+std::shared_ptr<JitModule>
+JitModule::loadOrCompile(const std::string &Source, const std::string &Hash,
+                         std::string *Diag) {
   std::string ObjPath = cachedObjectPath(Hash);
   std::string Why;
 
@@ -225,12 +279,10 @@ JitModule::getOrCreate(const std::string &Source, std::string *Diag) {
   // and recompiled below instead of failing the whole backend.
   if (fileExists(ObjPath)) {
     if (void *Handle = loadAndCheck(ObjPath, &Why)) {
-      ++S.DiskCacheHits;
-      auto M = std::shared_ptr<JitModule>(new JitModule(Handle, Hash));
-      registry()[Hash] = M;
-      return M;
+      count(&Stats::DiskCacheHits);
+      return std::shared_ptr<JitModule>(new JitModule(Handle, Hash));
     }
-    ++S.LoadFailures;
+    count(&Stats::LoadFailures);
     std::remove(ObjPath.c_str());
   }
 
@@ -247,8 +299,7 @@ JitModule::getOrCreate(const std::string &Source, std::string *Diag) {
                   Source.size()) {
       if (F)
         std::fclose(F);
-      if (Diag)
-        *Diag = "cannot write generated source to " + SrcPath;
+      *Diag = "cannot write generated source to " + SrcPath;
       return nullptr;
     }
     std::fclose(F);
@@ -257,9 +308,8 @@ JitModule::getOrCreate(const std::string &Source, std::string *Diag) {
                     "' '" + SrcPath + "' >'" + LogPath + "' 2>&1";
   int Rc = std::system(Cmd.c_str());
   if (Rc != 0) {
-    if (Diag)
-      *Diag = "JIT compile failed (" + compilerCommand() +
-              "): " + tailOfFile(LogPath);
+    *Diag = "JIT compile failed (" + compilerCommand() +
+            "): " + tailOfFile(LogPath);
     std::remove(SrcPath.c_str());
     std::remove(TmpObj.c_str());
     std::remove(LogPath.c_str());
@@ -272,13 +322,10 @@ JitModule::getOrCreate(const std::string &Source, std::string *Diag) {
   void *Handle = loadAndCheck(ObjPath, &Why);
   if (!Handle) {
     // Freshly built and still unloadable: give up (don't loop).
-    ++S.LoadFailures;
-    if (Diag)
-      *Diag = "freshly compiled object unusable: " + Why;
+    count(&Stats::LoadFailures);
+    *Diag = "freshly compiled object unusable: " + Why;
     return nullptr;
   }
-  ++S.Compiles;
-  auto M = std::shared_ptr<JitModule>(new JitModule(Handle, Hash));
-  registry()[Hash] = M;
-  return M;
+  count(&Stats::Compiles);
+  return std::shared_ptr<JitModule>(new JitModule(Handle, Hash));
 }

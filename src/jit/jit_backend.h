@@ -2,12 +2,14 @@
 ///
 /// \file
 /// Compiles generated C++ (compiler::generateJitSource) into a shared
-/// object with the system compiler, dlopens it, and hands out per-task
-/// function pointers. Objects are keyed by a content hash of the generated
+/// object with the system compiler, dlopens it, and hands out its per-pass
+/// task tables. Objects are keyed by a content hash of the generated
 /// source (plus compile flags and the ABI version), cached in a directory
 /// reused across runs — recompiling the same program is a cache hit, not a
 /// compile — and shared process-wide through a registry, so data-parallel
 /// workers that compile identical per-worker programs load one module.
+/// Builds are single-flight per hash: concurrent callers with one source
+/// wait for one compile, and distinct sources compile in parallel.
 ///
 /// Environment:
 ///   LATTE_JIT=0        kill switch — jit::available() turns false
@@ -36,14 +38,11 @@
 namespace latte {
 namespace jit {
 
-/// A generated task entry point inside a loaded module.
-using TaskFn = void (*)(LatteJitCtx *);
-
 /// Cumulative backend counters (process-wide), for tests and diagnostics.
 struct Stats {
   int64_t Compiles = 0;      ///< source actually compiled to a new .so
   int64_t DiskCacheHits = 0; ///< .so found in the cache dir and loaded
-  int64_t MemCacheHits = 0;  ///< live module reused from the registry
+  int64_t MemCacheHits = 0;  ///< live or in-flight module reused
   int64_t LoadFailures = 0;  ///< dlopen / ABI-version failures observed
 };
 
@@ -60,13 +59,19 @@ public:
   JitModule &operator=(const JitModule &) = delete;
   ~JitModule();
 
-  /// Resolves a generated entry point; null when absent.
-  TaskFn symbol(const std::string &Name) const;
+  /// Resolves an exported task table (jit::kForwardTasksSymbol,
+  /// kBackwardTasksSymbol); null when absent.
+  const LatteJitTask *tasks(const char *Symbol) const;
 
   /// Content hash (hex) keying this module in the cache.
   const std::string &hash() const { return Hash; }
 
 private:
+  /// Loads \p Hash's cached object or compiles \p Source; the leader's
+  /// half of getOrCreate, run without the registry lock.
+  static std::shared_ptr<JitModule> loadOrCompile(const std::string &Source,
+                                                  const std::string &Hash,
+                                                  std::string *Diag);
   JitModule(void *Handle, std::string Hash)
       : Handle(Handle), Hash(std::move(Hash)) {}
   void *Handle = nullptr;

@@ -1,9 +1,10 @@
 //===- tests/compiler/codegen_test.cpp ------------------------*- C++ -*-===//
 ///
-/// Code-generation tests: the standalone program is the JIT translation
-/// unit plus a driver, carries the paper's parallel / vector pragmas,
-/// compiles with the host compiler, rejects malformed input, and matches
-/// the in-process engine within the standalone tolerance.
+/// Code-generation tests: units that render alike share one class
+/// function behind per-pass task tables, the standalone program is the JIT
+/// translation unit plus a driver, carries the paper's parallel / vector
+/// pragmas, compiles with the host compiler, rejects malformed input, and
+/// matches the in-process engine within the standalone tolerance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,13 +14,17 @@
 #include "compiler/compiler.h"
 #include "core/layers/layers.h"
 #include "engine/executor.h"
+#include "ir/builder.h"
+#include "jit/jit_backend.h"
 #include "support/ltd_format.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 using namespace latte;
 using namespace latte::codegen_harness;
@@ -79,7 +84,95 @@ bool pragmaOnLoop(const std::string &Src, const std::string &Loop) {
   return false;
 }
 
+/// The class index of each entry of \p Src's task table \p Table, in
+/// order; stops at the table's null entry.
+std::vector<int> tableClasses(const std::string &Src, const char *Table) {
+  std::vector<int> Classes;
+  const std::string Head =
+      std::string("extern \"C\" const LatteJitTask ") + Table + "[] = {\n";
+  size_t P = Src.find(Head);
+  if (P == std::string::npos)
+    return Classes;
+  std::istringstream Lines(Src.substr(P + Head.size()));
+  const std::string Entry = "  {latte_class_";
+  for (std::string L; std::getline(Lines, L) && L.rfind(Entry, 0) == 0;)
+    Classes.push_back(std::stoi(L.substr(Entry.size())));
+  return Classes;
+}
+
 } // namespace
+
+TEST(CodegenTest, UnitsThatRenderAlikeShareOneClass) {
+  // y = a + b and z = c + d differ only in their buffers: one class
+  // function, two slot arrays. w = a + a reads one buffer in two roles,
+  // so it has two slots, not three, and a class of its own.
+  using namespace ir;
+  Program P;
+  for (const char *Name : {"a", "b", "c", "d", "y", "z", "w"}) {
+    BufferInfo B;
+    B.Name = Name;
+    B.Dims = Shape{4};
+    P.Buffers.push_back(std::move(B));
+  }
+  auto Sum = [](const char *Out, const char *L, const char *R) {
+    return forLoop("i", 4,
+                   storeAssign(Out, indexList(var("i")),
+                               add(load(L, indexList(var("i"))),
+                                   load(R, indexList(var("i"))))));
+  };
+  std::vector<StmtPtr> Units;
+  Units.push_back(Sum("y", "a", "b"));
+  Units.push_back(Sum("z", "c", "d"));
+  Units.push_back(Sum("w", "a", "a"));
+  P.BatchSize = 1;
+  P.Forward = block(std::move(Units));
+  P.Backward = block();
+  P.Jit = true;
+
+  JitSource JS = generateJitSource(P);
+  EXPECT_EQ(JS.Classes, 2);
+  ASSERT_EQ(JS.Forward.size(), 3u);
+  EXPECT_EQ(JS.Forward[0].Class, 0);
+  EXPECT_EQ(JS.Forward[1].Class, 0);
+  EXPECT_EQ(JS.Forward[2].Class, 1);
+  EXPECT_EQ(tableClasses(JS.Source, jit::kForwardTasksSymbol),
+            (std::vector<int>{0, 0, 1}));
+  EXPECT_EQ(tableClasses(JS.Source, jit::kBackwardTasksSymbol),
+            std::vector<int>{});
+  // Slots in first-use order (the stored buffer first), as Program
+  // indices, with the buffer names alongside.
+  for (const char *Line :
+       {"static const int32_t latte_slots_f0[] = {4, 0, 1}; // y a b\n",
+        "static const int32_t latte_slots_f1[] = {5, 2, 3}; // z c d\n",
+        "static const int32_t latte_slots_f2[] = {6, 0}; // w a\n"})
+    EXPECT_NE(JS.Source.find(Line), std::string::npos) << Line;
+  EXPECT_EQ(JS.Source.find("static void latte_class_2("), std::string::npos);
+
+  // Run through the shared class, every output is the interpreter's.
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable";
+  engine::Executor Jitted(P.clone());
+  ASSERT_TRUE(Jitted.jitActive()) << Jitted.jitDiagnostic();
+  EXPECT_EQ(Jitted.jitTaskCount(), 3);
+  engine::ExecOptions NoJit;
+  NoJit.NoJit = true;
+  engine::Executor Interpreted(std::move(P), NoJit);
+  Rng R(11);
+  for (const char *Name : {"a", "b", "c", "d"}) {
+    Tensor T(Shape{4});
+    R.fillGaussian(T, 0.0f, 1.0f);
+    Jitted.writeBuffer(Name, T);
+    Interpreted.writeBuffer(Name, T);
+  }
+  Jitted.forward();
+  Interpreted.forward();
+  for (const char *Name : {"y", "z", "w"}) {
+    Tensor TJ = Jitted.readBuffer(Name);
+    Tensor TI = Interpreted.readBuffer(Name);
+    EXPECT_EQ(std::memcmp(TJ.data(), TI.data(), sizeof(float) * 4), 0)
+        << Name;
+  }
+}
 
 TEST(CodegenTest, EmitsParallelAndVectorPragmas) {
   std::unique_ptr<Net> N(makeConvNet(4));
@@ -123,9 +216,9 @@ TEST(CodegenTest, StandaloneIsTheJitSourcePlusADriver) {
 
 TEST(CodegenTest, JitSourceEmitsEveryUnit) {
   // Dropout's mask kernel reaches the engine's RNG through the trampoline
-  // like any other kernel, so the JIT source has an entry point for every
-  // unit, dropout's included, and the standalone program is that source
-  // plus a driver.
+  // like any other kernel, so each pass's task table has an entry for
+  // every unit, dropout's included, naming a class function the source
+  // defines, and the standalone program is that source plus a driver.
   Net Net(2);
   Ensemble *Data = DataLayer(Net, "data", Shape{8});
   Ensemble *Fc = FullyConnectedLayer(Net, "fc", Data, 6);
@@ -137,19 +230,24 @@ TEST(CodegenTest, JitSourceEmitsEveryUnit) {
   JitSource JS = generateJitSource(P);
   auto ExpectEveryUnit = [&](const ir::Stmt *Root,
                              const std::vector<JitTaskInfo> &Tasks,
-                             char Pass) {
+                             const char *Table) {
     ASSERT_EQ(Tasks.size(), cast<ir::BlockStmt>(Root)->stmts().size());
+    std::vector<int> Listed = tableClasses(JS.Source, Table);
+    ASSERT_EQ(Listed.size(), Tasks.size()) << Table;
     for (size_t I = 0; I < Tasks.size(); ++I) {
-      EXPECT_EQ(Tasks[I].Symbol,
-                std::string("latte_task_") + Pass + std::to_string(I));
-      EXPECT_NE(JS.Source.find("extern \"C\" void " + Tasks[I].Symbol +
-                               "(LatteJitCtx *LJ)"),
-                std::string::npos)
-          << Tasks[I].Symbol;
+      EXPECT_EQ(Listed[I], Tasks[I].Class) << Table << " entry " << I;
+      ASSERT_GE(Tasks[I].Class, 0);
+      ASSERT_LT(Tasks[I].Class, JS.Classes);
     }
   };
-  ExpectEveryUnit(P.Forward.get(), JS.Forward, 'f');
-  ExpectEveryUnit(P.Backward.get(), JS.Backward, 'b');
+  ExpectEveryUnit(P.Forward.get(), JS.Forward, jit::kForwardTasksSymbol);
+  ExpectEveryUnit(P.Backward.get(), JS.Backward, jit::kBackwardTasksSymbol);
+  for (int C = 0; C < JS.Classes; ++C)
+    EXPECT_NE(JS.Source.find("static void latte_class_" + std::to_string(C) +
+                             "(LatteJitCtx *LJ, const int32_t *S) {"),
+              std::string::npos)
+        << "class " << C;
+  EXPECT_EQ(JS.Source.find("latte_task_"), std::string::npos);
   EXPECT_NE(JS.Source.find(
                 "LJ->kernel(LJ->self, " +
                 std::to_string(static_cast<int64_t>(ir::KernelKind::DropoutMask))),
@@ -258,9 +356,13 @@ TEST(CodegenTest, EmissionIsByteStable) {
   JitSource J1 = generateJitSource(P1);
   JitSource J2 = generateJitSource(P2);
   EXPECT_EQ(J1.Source, J2.Source);
+  EXPECT_EQ(J1.Classes, J2.Classes);
   ASSERT_EQ(J1.Forward.size(), J2.Forward.size());
   for (size_t I = 0; I < J1.Forward.size(); ++I)
-    EXPECT_EQ(J1.Forward[I].Symbol, J2.Forward[I].Symbol);
+    EXPECT_EQ(J1.Forward[I].Class, J2.Forward[I].Class);
+  ASSERT_EQ(J1.Backward.size(), J2.Backward.size());
+  for (size_t I = 0; I < J1.Backward.size(); ++I)
+    EXPECT_EQ(J1.Backward[I].Class, J2.Backward[I].Class);
 }
 
 TEST(CodegenTest, TiledLoopsAppearInSource) {

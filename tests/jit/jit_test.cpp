@@ -1,12 +1,14 @@
 //===- tests/jit/jit_test.cpp ---------------------------------*- C++ -*-===//
 ///
 /// Unit tests for the in-process JIT backend (src/jit): the content-hash
-/// shared-object cache (hit / recompile / corrupt-object recovery), clean
+/// shared-object cache (hit / recompile / corrupt-object recovery,
+/// single-flight builds that run distinct sources in parallel), clean
 /// interpreter fallback when the system compiler is broken, dropout run
 /// jitted, module sharing across executors, byte identity with the
-/// interpreter for training and forward-only programs, the interpreter's
-/// kernel counters, source determinism, and finite-difference gradient
-/// checking through the JIT dispatch path.
+/// interpreter for training and forward-only programs (the unrolled LSTM's
+/// 1,305 units through its shared class functions included), the
+/// interpreter's kernel counters, source determinism, and
+/// finite-difference gradient checking through the JIT dispatch path.
 ///
 /// Cache tests point LATTE_JIT_DIR at a fresh temp directory so a
 /// previous run's disk cache cannot skew the stats counters, and each
@@ -34,7 +36,10 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #ifdef LATTE_HAVE_OPENMP
@@ -76,13 +81,42 @@ private:
 };
 
 /// Minimal valid JIT translation unit with the mandatory ABI-version
-/// symbol; \p Marker uniquifies the content hash per call site.
+/// symbol and a one-task forward table; \p Marker uniquifies the content
+/// hash per call site.
 std::string minimalSource(const std::string &Marker) {
-  return "// marker: " + Marker + "\n#include <cstdint>\n"
+  return "// marker: " + Marker + "\n#include <cstdint>\n" +
+         jit::abiStructSource() +
          "extern \"C\" int64_t latte_jit_abi_version() { return " +
          std::to_string(jit::kLatteJitAbiVersion) +
          "; }\n"
-         "extern \"C\" void latte_task_f0(void *) {}\n";
+         "static void latte_class_0(LatteJitCtx *, const int32_t *) {}\n"
+         "extern \"C\" const LatteJitTask " +
+         jit::kForwardTasksSymbol +
+         "[] = {{latte_class_0, nullptr}, {nullptr, nullptr}};\n";
+}
+
+/// True when \p M exports a forward table of exactly one task.
+bool hasOneForwardTask(const jit::JitModule &M) {
+  const LatteJitTask *T = M.tasks(jit::kForwardTasksSymbol);
+  return T && T[0].fn && !T[1].fn;
+}
+
+/// Points LATTE_JIT_CC at a command for the object's lifetime.
+class ScopedCompiler {
+public:
+  explicit ScopedCompiler(const std::string &Command) {
+    ::setenv("LATTE_JIT_CC", Command.c_str(), 1);
+  }
+  ~ScopedCompiler() { ::unsetenv("LATTE_JIT_CC"); }
+};
+
+/// Writes an executable shell script \p Body to \p Path.
+void writeScript(const std::string &Path, const std::string &Body) {
+  {
+    std::ofstream Out(Path);
+    Out << "#!/bin/sh\n" << Body;
+  }
+  ::chmod(Path.c_str(), 0755);
 }
 
 /// Compiles \p Spec at batch 2 with \p Opts.
@@ -123,8 +157,8 @@ TEST(JitCacheTest, HitRecompileAndHashing) {
   ASSERT_NE(M, nullptr) << Diag;
   EXPECT_EQ(jit::stats().Compiles, 1);
   EXPECT_EQ(M->hash(), jit::hashSource(SrcA));
-  EXPECT_NE(M->symbol("latte_task_f0"), nullptr);
-  EXPECT_EQ(M->symbol("latte_task_does_not_exist"), nullptr);
+  EXPECT_TRUE(hasOneForwardTask(*M));
+  EXPECT_EQ(M->tasks("latte_tasks_that_do_not_exist"), nullptr);
 
   // Same source while the module is alive: in-process registry hit, no
   // compiler invocation.
@@ -171,9 +205,102 @@ TEST(JitCacheTest, CorruptCachedObjectRecovers) {
   std::string Diag;
   std::shared_ptr<jit::JitModule> M = jit::JitModule::getOrCreate(Src, &Diag);
   ASSERT_NE(M, nullptr) << Diag;
-  EXPECT_NE(M->symbol("latte_task_f0"), nullptr);
+  EXPECT_TRUE(hasOneForwardTask(*M));
   EXPECT_EQ(jit::stats().Compiles, 1);
   EXPECT_EQ(jit::stats().DiskCacheHits, 0);
+}
+
+TEST(JitCacheTest, DistinctSourcesCompileConcurrently) {
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable";
+  ScopedCacheDir Cache;
+  jit::resetStats();
+
+  // The compiler wrapper leaves a marker and, before compiling, waits (at
+  // most 10 s) until two markers exist, then records how many it saw.
+  // Two builds of distinct sources must overlap, so each sees two; built
+  // one after the other, the first sees only its own. Markers stay until
+  // the test ends: a wrapper that removed its own after compiling could
+  // hide it from a second wrapper that was slow to look.
+  const std::string Markers = Cache.path() + "/markers";
+  ASSERT_EQ(::mkdir(Markers.c_str(), 0755), 0);
+  const std::string Seen = Cache.path() + "/seen";
+  const std::string Wrapper = Cache.path() + "/overlap-cc.sh";
+  writeScript(Wrapper,
+              ": > \"" + Markers + "/m.$$\"\n"
+              "i=0\n"
+              "while [ \"$(ls \"" + Markers + "\" | wc -l)\" -lt 2 ] && "
+              "[ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done\n"
+              "ls \"" + Markers + "\" | wc -l >> \"" + Seen + "\"\n"
+              "exec " LATTE_TEST_CXX " \"$@\"\n");
+  std::shared_ptr<jit::JitModule> Built[2];
+  std::string Diags[2];
+  {
+    ScopedCompiler CC(Wrapper);
+    std::vector<std::thread> Threads;
+    for (int I = 0; I < 2; ++I)
+      Threads.emplace_back([&, I] {
+        Built[I] = jit::JitModule::getOrCreate(
+            minimalSource("concurrent-" + std::to_string(I)), &Diags[I]);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  for (int I = 0; I < 2; ++I)
+    ASSERT_NE(Built[I], nullptr) << Diags[I];
+  EXPECT_EQ(jit::stats().Compiles, 2);
+  std::ifstream In(Seen);
+  std::vector<int> Counts;
+  for (int N; In >> N;)
+    Counts.push_back(N);
+  EXPECT_EQ(Counts, (std::vector<int>{2, 2}))
+      << "the two compiles did not run at the same time";
+
+  // Threads building one source wait for a single compile (the wrapper
+  // holds it for a second so that they all arrive while it runs) and
+  // share its module.
+  const std::string Slow = Cache.path() + "/slow-cc.sh";
+  writeScript(Slow, "sleep 1\nexec " LATTE_TEST_CXX " \"$@\"\n");
+  jit::resetStats();
+  constexpr int kThreads = 4;
+  std::shared_ptr<jit::JitModule> Same[kThreads];
+  {
+    ScopedCompiler CC(Slow);
+    std::vector<std::thread> Threads;
+    for (int I = 0; I < kThreads; ++I)
+      Threads.emplace_back([&, I] {
+        Same[I] = jit::JitModule::getOrCreate(minimalSource("one-source"));
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  for (int I = 0; I < kThreads; ++I) {
+    ASSERT_NE(Same[I], nullptr);
+    EXPECT_EQ(Same[I].get(), Same[0].get());
+  }
+  EXPECT_EQ(jit::stats().Compiles, 1);
+  EXPECT_EQ(jit::stats().MemCacheHits, kThreads - 1);
+
+  // A failed compile gives every waiter null and the diagnostic.
+  const std::string Failing = Cache.path() + "/failing-cc.sh";
+  writeScript(Failing, "sleep 1\necho no compiler here >&2\nexit 1\n");
+  std::string FailDiags[kThreads];
+  {
+    ScopedCompiler CC(Failing);
+    std::vector<std::thread> Threads;
+    for (int I = 0; I < kThreads; ++I)
+      Threads.emplace_back([&, I] {
+        Same[I] = jit::JitModule::getOrCreate(minimalSource("fails"),
+                                              &FailDiags[I]);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  for (int I = 0; I < kThreads; ++I) {
+    EXPECT_EQ(Same[I], nullptr);
+    EXPECT_NE(FailDiags[I].find("no compiler here"), std::string::npos)
+        << FailDiags[I];
+  }
 }
 
 TEST(JitCacheTest, BrokenCompilerFallsBackCleanly) {
@@ -384,6 +511,56 @@ TEST(JitExecutorTest, ConvNetTrainAndForwardOnlyMatchInterpreter) {
     if (Buf.Role == BufferRole::Value &&
         Fwd.Plan.retainedAtExit(Fwd.resolveAlias(Buf.Name)->Name))
       ExpectSameBytes(C, D, Buf.Name);
+}
+
+TEST(JitExecutorTest, UnrolledLstmSharesClassesBitwise) {
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable";
+
+  // The 16 unrolled steps repeat the same loop nests over other buffers:
+  // 1,305 units render to at most 23 class functions. Run through their
+  // slot arrays, one SGD step leaves the loss and every parameter
+  // byte-identical to the interpreter's.
+  core::Net Net(4);
+  models::buildLatte(Net, models::lstmClassifier(16, 64, 64, 10),
+                     /*WithLoss=*/true);
+  CompileOptions CO;
+  CO.Jit = true;
+  Program P = compile(Net, CO);
+  JitSource JS = generateJitSource(P);
+  EXPECT_EQ(JS.Forward.size() + JS.Backward.size(), 1305u);
+  EXPECT_LE(JS.Classes, 23);
+  EXPECT_EQ(JS.Source.find("latte_task_"), std::string::npos);
+
+  ExecOptions EO;
+  EO.NoMemPlan = true; // keep every buffer readable for the comparison
+  ExecOptions NoJit = EO;
+  NoJit.NoJit = true;
+  Executor A(P.clone(), EO);
+  ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
+  EXPECT_EQ(A.jitFallbackCount(), 0);
+  Executor B(std::move(P), NoJit);
+  seedExecutor(A, 10);
+  seedExecutor(B, 10);
+  solvers::SolverParameters SP;
+  SP.Lr = solvers::LRPolicy::fixed(0.1);
+  solvers::SgdSolver SolverA(SP), SolverB(SP);
+  A.forward();
+  A.backward();
+  SolverA.step(A, 0);
+  B.forward();
+  B.backward();
+  SolverB.step(B, 0);
+  const double LossA = A.lossValue(), LossB = B.lossValue();
+  EXPECT_EQ(std::memcmp(&LossA, &LossB, sizeof LossA), 0);
+  for (const ParamBinding &Param : A.program().Params) {
+    Tensor TA = A.readBuffer(Param.Param);
+    Tensor TB = B.readBuffer(Param.Param);
+    EXPECT_EQ(std::memcmp(TA.data(), TB.data(),
+                          sizeof(float) * TA.numElements()),
+              0)
+        << "parameter '" << Param.Param << "' diverged";
+  }
 }
 
 TEST(JitExecutorTest, ExecutorsShareOneModule) {
