@@ -206,7 +206,7 @@ BufferTable::intInfo(const std::string &Name) const {
 //===----------------------------------------------------------------------===//
 
 KernelSignature analyze::kernelSignature(KernelKind K) {
-  // Argument layouts mirror engine::Executor::execKernelResolved and
+  // Argument layouts mirror kernels::dispatch (kernels/dispatch.cpp) and
   // KernelKind's doc comments (ir/stmt.h).
   switch (K) {
   case KernelKind::Zero:

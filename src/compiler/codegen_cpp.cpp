@@ -2,6 +2,7 @@
 
 #include "compiler/codegen_cpp.h"
 
+#include "engine/executor.h"
 #include "jit/jit_abi.h"
 #include "support/error.h"
 #include "support/string_utils.h"
@@ -65,24 +66,23 @@ namespace {
 // class bodies; the slot-array line lists the buffers and the table entry
 // the unit's TaskLabel.
 //
-// Kernel calls normally dispatch through the ctx trampoline: into the
-// engine's library kernels in the JIT (the exact functions the interpreter
-// runs), into the driver's kernel bodies in the standalone program. A
-// whitelisted subset instead gets a SPECIALIZED CLONE emitted into the
-// module: the library loop structure reproduced statement-for-statement
-// with every shape argument a compile-time constant, so the system
-// compiler can unroll the (tiny, now constant-bound) window loops and
-// split away the padding checks that runtime-geometry library kernels
-// re-test on every element. The whitelist is exactly the kernels whose
-// float work is data movement, comparison, or plain addition in a fixed
-// order — im2col/col2im, max pool, ReLU, bias adds, gather/scatter — for
-// which any conforming compilation is bitwise identical to the library
-// kernel: without fast-math the compiler may not reassociate, and no
-// clone contains a multiply feeding an add, so -ffp-contract=off vs the
-// host library's contraction setting cannot matter either. Kernels where
-// instruction selection can change results — Sgemm, softmax (libm +
-// reductions), Row/ColSumAdd, average pooling, sigmoid/tanh — keep the
-// trampoline.
+// Kernel calls normally go through the ctx trampoline, which in the JIT
+// and in the standalone program alike is kernels::dispatch: the exact
+// functions the interpreter runs. A whitelisted subset instead gets a
+// SPECIALIZED CLONE emitted into the module: the library loop structure
+// reproduced statement-for-statement with every shape argument a
+// compile-time constant, so the system compiler can unroll the (tiny, now
+// constant-bound) window loops and split away the padding checks that
+// runtime-geometry library kernels re-test on every element. The
+// whitelist is exactly the kernels whose float work is data movement,
+// comparison, or plain addition in a fixed order — im2col/col2im, max
+// pool, ReLU, bias adds, gather/scatter — for which any conforming
+// compilation is bitwise identical to the library kernel: without
+// fast-math the compiler may not reassociate, and no clone contains a
+// multiply feeding an add, so -ffp-contract=off vs the host library's
+// contraction setting cannot matter either. Kernels where instruction
+// selection can change results — Sgemm, softmax (libm + reductions),
+// Row/ColSumAdd, average pooling, sigmoid/tanh — keep the trampoline.
 
 class JitEmitter {
 public:
@@ -318,7 +318,7 @@ std::string JitEmitter::specializedKernel(const KernelCallStmt *K) {
     // ReLU forward is a max pattern; sigmoid/tanh go through libm and the
     // trampoline. ReLU *backward* stays on the trampoline too: its gated
     // accumulate is exactly the shape -fno-tree-loop-if-convert (see
-    // jit_backend.cpp baseFlags) leaves scalar, so the library's
+    // jit::compileFlags) leaves scalar, so the library's
     // vectorized build wins.
     if (K->intArgs().empty() ||
         static_cast<ActOpKind>(K->intArgs()[0]) != ActOpKind::Relu)
@@ -347,7 +347,7 @@ std::string JitEmitter::specializedKernel(const KernelCallStmt *K) {
 /// (src/kernels/) statement-for-statement — same loop order, same
 /// comparison and accumulation sequence — with the IA shape arguments
 /// substituted as integer literals. Buffer pointers arrive pre-offset in
-/// FB/IB exactly as execKernelResolved would see them; EA carries the
+/// FB/IB exactly as kernels::dispatch would see them; EA carries the
 /// runtime row/column window origin.
 void JitEmitter::emitSpecBody(KernelKind Kind,
                               const std::vector<int64_t> &IA) {
@@ -939,193 +939,12 @@ JitSource JitEmitter::run() {
 //===----------------------------------------------------------------------===//
 //
 // generateCpp appends a driver to the task translation unit: static
-// storage laid out by the memory plan, the LatteJitCtx the tasks read,
-// bodies for the kernel kinds the task emitter does not clone, the pass
-// functions, and a .ltd file main. The engine's kernels live in liblatte;
-// the driver's plain loops keep the program one self-contained file (built
-// with `g++ -O2 -fopenmp`, free of the library's sanitizer and OpenMP
-// flags), so the standalone agrees with the engine within a tolerance
-// rather than bitwise.
-
-/// Kernel bodies behind the standalone trampoline. Inner loops carry omp
-/// simd so the host compiler vectorizes them (the paper's vectorization
-/// guarantee, §5.5).
-const char *const kKernelBodies = R"cpp(
-static void k_mul_into(float *D, const float *A, const float *B,
-                       int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] = A[I] * B[I];
-}
-static void k_mul_add_to(float *D, const float *A, const float *B,
-                         int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] += A[I] * B[I];
-}
-static void k_scale(float *D, float F, int64_t N) {
-#pragma omp simd
-  for (int64_t I = 0; I < N; ++I) D[I] *= F;
-}
-// IA: {M, N, K, LdA, LdB, LdC, TransA, TransB, Accumulate}
-static void k_gemm(const float *A, const float *B, float *C,
-                   const int64_t *IA) {
-  const int64_t M = IA[0], N = IA[1], K = IA[2], LdA = IA[3], LdB = IA[4];
-  for (int64_t I = 0; I < M; ++I) {
-    float *Row = C + I * IA[5];
-    if (!IA[8])
-      for (int64_t J = 0; J < N; ++J) Row[J] = 0.0f;
-    for (int64_t P = 0; P < K; ++P) {
-      float AV = IA[6] ? A[P * LdA + I] : A[I * LdA + P];
-      if (IA[7]) {
-        for (int64_t J = 0; J < N; ++J) Row[J] += AV * B[J * LdB + P];
-      } else {
-        const float *BR = B + P * LdB;
-#pragma omp simd
-        for (int64_t J = 0; J < N; ++J) Row[J] += AV * BR[J];
-      }
-    }
-  }
-}
-// IA: {Op, Rows, Cols, ColCount}; ReLU forward is cloned into the tasks.
-static void k_act_fwd(float *D, const float *S, const int64_t *IA,
-                      int64_t Cb) {
-  for (int64_t R = 0; R < IA[1]; ++R)
-    for (int64_t I = R * IA[2] + Cb; I < R * IA[2] + Cb + IA[3]; ++I)
-      D[I] = IA[0] == 1 ? 1.0f / (1.0f + std::exp(-S[I])) : std::tanh(S[I]);
-}
-// IA: {Op, Rows, Cols, ColCount, InPlace}
-static void k_act_bwd(float *Dg, const float *Og, const float *V,
-                      const int64_t *IA, int64_t Cb) {
-  for (int64_t R = 0; R < IA[1]; ++R)
-    for (int64_t I = R * IA[2] + Cb; I < R * IA[2] + Cb + IA[3]; ++I) {
-      float D = IA[0] == 0   ? (V[I] > 0.0f ? Og[I] : 0.0f)
-                : IA[0] == 1 ? Og[I] * V[I] * (1.0f - V[I])
-                             : Og[I] * (1.0f - V[I] * V[I]);
-      Dg[I] = IA[4] ? D : Dg[I] + D;
-    }
-}
-static void k_row_sum(float *D, const float *S, int64_t Rows, int64_t Cols) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    float Sum = 0;
-    for (int64_t I = 0; I < Cols; ++I) Sum += S[R * Cols + I];
-    D[R] += Sum;
-  }
-}
-static void k_col_sum(float *D, const float *S, int64_t Rows, int64_t Cols) {
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t I = 0; I < Cols; ++I) D[I] += S[R * Cols + I];
-}
-// IA: {C, H, W, K, S, Pad, RowCount}; Rb is the first output row.
-static void k_avgpool_fwd(float *Out, const float *In, const int64_t *IA,
-                          int64_t Rb) {
-  const int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
-                P = IA[5];
-  const int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  const float Inv = 1.0f / (K * K);
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t Y = Rb; Y < Rb + IA[6]; ++Y)
-      for (int64_t X = 0; X < OutW; ++X) {
-        float Sum = 0;
-        for (int64_t KY = 0; KY < K; ++KY)
-          for (int64_t KX = 0; KX < K; ++KX) {
-            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
-            if (IY >= 0 && IY < H && IX >= 0 && IX < W)
-              Sum += In[(Ch * H + IY) * W + IX];
-          }
-        Out[(Ch * OutH + Y) * OutW + X] = Sum * Inv;
-      }
-}
-static void k_avgpool_bwd(float *InG, const float *OutG, const int64_t *IA,
-                          int64_t Rb) {
-  const int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
-                P = IA[5];
-  const int64_t OutH = (H + 2 * P - K) / S + 1, OutW = (W + 2 * P - K) / S + 1;
-  const float Inv = 1.0f / (K * K);
-  for (int64_t Ch = 0; Ch < C; ++Ch)
-    for (int64_t Y = Rb; Y < Rb + IA[6]; ++Y)
-      for (int64_t X = 0; X < OutW; ++X) {
-        float G = OutG[(Ch * OutH + Y) * OutW + X] * Inv;
-        for (int64_t KY = 0; KY < K; ++KY)
-          for (int64_t KX = 0; KX < K; ++KX) {
-            int64_t IY = Y * S - P + KY, IX = X * S - P + KX;
-            if (IY >= 0 && IY < H && IX >= 0 && IX < W)
-              InG[(Ch * H + IY) * W + IX] += G;
-          }
-      }
-}
-static void k_softmax_row(float *D, const float *S, int64_t C) {
-  float Max = S[0];
-  for (int64_t I = 1; I < C; ++I) Max = latte_jit_max(Max, S[I]);
-  float Sum = 0;
-  for (int64_t I = 0; I < C; ++I) { D[I] = std::exp(S[I] - Max); Sum += D[I]; }
-  for (int64_t I = 0; I < C; ++I) D[I] /= Sum;
-}
-static void k_softmax_fwd(float *D, const float *S, int64_t Rows,
-                          int64_t C) {
-  for (int64_t R = 0; R < Rows; ++R) k_softmax_row(D + R * C, S + R * C, C);
-}
-static void k_softmax_loss_fwd(float *Prob, const float *S,
-                               const float *Lab, float *Loss, int64_t Rows,
-                               int64_t C) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    k_softmax_row(Prob + R * C, S + R * C, C);
-    float P = Prob[R * C + (int64_t)Lab[R]];
-    Loss[R] = -std::log(P < 1e-20f ? 1e-20f : P);
-  }
-}
-static void k_softmax_loss_bwd(float *G, const float *Prob,
-                               const float *Lab, int64_t Rows, int64_t C,
-                               float Scale) {
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t I = 0; I < C; ++I)
-      G[R * C + I] += (Prob[R * C + I] -
-                       (I == (int64_t)Lab[R] ? 1.0f : 0.0f)) * Scale;
-}
-static void k_softmax_bwd(float *Gin, const float *Og, const float *P,
-                          int64_t Rows, int64_t C) {
-  for (int64_t R = 0; R < Rows; ++R) {
-    float Dot = 0;
-    for (int64_t I = 0; I < C; ++I) Dot += Og[R * C + I] * P[R * C + I];
-    for (int64_t I = 0; I < C; ++I)
-      Gin[R * C + I] += P[R * C + I] * (Og[R * C + I] - Dot);
-  }
-}
-// The program's own mask stream (splitmix64), not the engine's RNG.
-static uint64_t g_rng_state = 0x1a77e;
-static void k_dropout_mask(float *Mask, int64_t N, float Keep) {
-  for (int64_t I = 0; I < N; ++I) {
-    g_rng_state += 0x9e3779b97f4a7c15ULL;
-    uint64_t Z = g_rng_state;
-    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-    Z ^= Z >> 31;
-    double U = (double)(Z >> 11) / 9007199254740992.0;
-    Mask[I] = U < Keep ? 1.0f / Keep : 0.0f;
-  }
-}
-)cpp";
-
-/// How the trampoline runs each kernel kind the task emitter does not
-/// clone, on the resolved arguments (layouts in ir/stmt.h).
-const std::pair<KernelKind, const char *> kKernelCalls[] = {
-    {KernelKind::MulInto, "k_mul_into(FB[0], FB[1], FB[2], IA[0])"},
-    {KernelKind::MulAddTo, "k_mul_add_to(FB[0], FB[1], FB[2], IA[0])"},
-    {KernelKind::Scale, "k_scale(FB[0], (float)FA[0], IA[0])"},
-    {KernelKind::Sgemm, "k_gemm(FB[0], FB[1], FB[2], IA)"},
-    {KernelKind::ActFwdCols, "k_act_fwd(FB[0], FB[1], IA, EA[0])"},
-    {KernelKind::ActBwdCols, "k_act_bwd(FB[0], FB[1], FB[2], IA, EA[0])"},
-    {KernelKind::RowSumAdd, "k_row_sum(FB[0], FB[1], IA[0], IA[1])"},
-    {KernelKind::ColSumAdd, "k_col_sum(FB[0], FB[1], IA[0], IA[1])"},
-    {KernelKind::AvgPoolFwdRows, "k_avgpool_fwd(FB[0], FB[1], IA, EA[0])"},
-    {KernelKind::AvgPoolBwdRows, "k_avgpool_bwd(FB[0], FB[1], IA, EA[0])"},
-    {KernelKind::SoftmaxFwd, "k_softmax_fwd(FB[0], FB[1], IA[0], IA[1])"},
-    {KernelKind::SoftmaxLossFwd,
-     "k_softmax_loss_fwd(FB[0], FB[1], FB[2], FB[3], IA[0], IA[1])"},
-    {KernelKind::SoftmaxLossBwd,
-     "k_softmax_loss_bwd(FB[0], FB[1], FB[2], IA[0], IA[1], (float)FA[0])"},
-    {KernelKind::SoftmaxBwd,
-     "k_softmax_bwd(FB[0], FB[1], FB[2], IA[0], IA[1])"},
-    {KernelKind::DropoutMask, "k_dropout_mask(FB[0], IA[0], (float)FA[0])"},
-};
+// storage laid out by the memory plan, the LatteJitCtx the tasks read, the
+// pass functions, and a .ltd file main. The context's trampoline is
+// liblatte's kernels::dispatch — the interpreter's and the JIT's — over a
+// dropout stream seeded as a default-options engine::Executor's first
+// forward. Built with jit::compileFlags and linked against liblatte.a,
+// the program runs the engine's kernels and equals it bitwise.
 
 /// The .ltd entry point: `./prog <in.ltd> <out.ltd> [fwd|fwdbwd]` loads
 /// the named buffers it is given, runs the passes and writes every buffer
@@ -1227,6 +1046,7 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
                      "it with compile(), which always plans its arena)");
   std::ostringstream OS;
   OS << "// --- standalone driver ---\n"
+        "#include \"kernels/dispatch.h\"\n#include \"support/rng.h\"\n\n"
         "#include <cstdio>\n#include <cstdlib>\n#include <string>\n\n";
 
   // One arena carved up by the liveness-driven memory plan; buffers whose
@@ -1257,19 +1077,16 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
     OS << "latte_ib" << I << ", ";
   OS << "nullptr};\n\n";
 
-  OS << "// kernels the tasks reach through LatteJitCtx::kernel"
-     << kKernelBodies
-     << "static void latte_kernel(void *, int64_t Kind, float **FB, "
-        "int32_t **,\n                         const int64_t *IA, const "
-        "double *FA, const int64_t *EA) {\n  switch (Kind) {\n";
-  for (const auto &[Kind, Call] : kKernelCalls) {
-    OS << "  case " << static_cast<int64_t>(Kind) << ": // "
-       << kernelKindName(Kind) << "\n    " << Call << ";\n    return;\n";
-  }
-  OS << "  }\n  std::fprintf(stderr, \"latte: no kernel body for kind "
-        "%lld\\n\", (long long)Kind);\n  std::abort();\n}\n\n"
-        "static LatteJitCtx latte_ctx = {nullptr, latte_bufs, latte_ibufs, "
-        "1, latte_kernel};\n"
+  OS << "// kernels run in liblatte's kernels::dispatch, the engine's own; "
+        "dropout\n// draws what a default-options engine::Executor's first "
+        "forward draws\n"
+     << formatString("static latte::Rng latte_dropout_rng(0x%llxull ^ "
+                     "latte::kernels::kDropoutSeedSalt);\n",
+                     static_cast<unsigned long long>(
+                         engine::ExecOptions().Seed))
+     << "static LatteJitCtx latte_ctx = {&latte_dropout_rng, latte_bufs, "
+        "latte_ibufs, 1,\n                               "
+        "latte::kernels::dispatch};\n"
         "static void latte_run(const LatteJitTask &T) { "
         "T.fn(&latte_ctx, T.slots); }\n\n";
 
@@ -1332,6 +1149,7 @@ bool compiler::writeGeneratedProgram(const Program &Prog,
   if (!F)
     return false;
   bool Ok = std::fwrite(Source.data(), 1, Source.size(), F) == Source.size();
-  std::fclose(F);
-  return Ok;
+  // fclose flushes the last buffered bytes, so a full disk can first show
+  // there.
+  return std::fclose(F) == 0 && Ok;
 }

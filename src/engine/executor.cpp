@@ -3,10 +3,8 @@
 #include "engine/executor.h"
 
 #include "compiler/codegen_cpp.h"
+#include "kernels/dispatch.h"
 #include "kernels/elementwise.h"
-#include "kernels/gemm.h"
-#include "kernels/pooling.h"
-#include "kernels/softmax.h"
 #include "support/error.h"
 #include "support/profile.h"
 
@@ -43,16 +41,6 @@ bool forkParallelLoops(const ExecOptions &Opts) {
 #else
   return Opts.Parallel;
 #endif
-}
-
-/// Labels reach the loss kernels from outside (dataset files, callers'
-/// writeBuffer): one outside [0, Classes), or NaN, would index past the
-/// probability row. Checked on the float, before the cast.
-int64_t checkedLabel(float Label, int64_t Classes) {
-  if (!(Label >= 0.0f && Label < static_cast<float>(Classes)))
-    reportFatalError("softmax loss: label " + std::to_string(Label) +
-                     " is outside [0, " + std::to_string(Classes) + ")");
-  return static_cast<int64_t>(Label);
 }
 
 /// Adds \p Trips calls of kernel \p Kind with int args \p IA to the
@@ -169,7 +157,7 @@ struct Executor::Env : EnvImpl {
 
 Executor::Executor(Program TheProg, ExecOptions Opts)
     : Prog(std::move(TheProg)), Opts(Opts),
-      DropoutRng(Opts.Seed ^ 0xd20b0a7) {
+      DropoutRng(Opts.Seed ^ kernels::kDropoutSeedSalt) {
   // Storage: either one aligned arena carved up by the compiler's memory
   // plan, or (eager mode) one private region per alias root.
   PlanActive = !Opts.NoMemPlan && Prog.Plan.Valid;
@@ -273,21 +261,6 @@ Executor::Executor(Program TheProg, ExecOptions Opts)
 //===----------------------------------------------------------------------===//
 // JIT integration
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// The kernel trampoline generated code calls back through (its address is
-/// planted in LatteJitCtx::kernel; generated code never names it). Plain
-/// function with the exact ABI signature, casting the opaque self pointer
-/// back to the executor.
-void latteJitKernelBridge(void *Self, int64_t Kind, float **FB, int32_t **IB,
-                          const int64_t *IA, const double *FA,
-                          const int64_t *EA) {
-  static_cast<Executor *>(Self)->execKernelResolved(
-      static_cast<KernelKind>(Kind), FB, IB, IA, FA, EA);
-}
-
-} // namespace
 
 void Executor::setupJit() {
   if (!Prog.Jit || Opts.NoJit)
@@ -458,7 +431,7 @@ void Executor::forward() {
   // repeated forwards over the same inputs are bitwise identical (finite
   // differencing and cross-variant comparisons rely on this).
   if (Opts.Deterministic)
-    DropoutRng = Rng(Opts.Seed ^ 0xd20b0a7);
+    DropoutRng = Rng(Opts.Seed ^ kernels::kDropoutSeedSalt);
   if (PlanActive) {
     // Arena mode: only pinned/retained clears happen at pass top; interval
     // buffers are cleared lazily by execProgram (the plan's ZeroBefore
@@ -797,8 +770,8 @@ void Executor::execProgram(const char *Pass, const Stmt *Root,
   // Repointed per pass so moved executors stay valid; par is 0 exactly
   // when the interpreter would not fork.
   if (JitActive)
-    JitCtx = {this, CtxBufs.data(), CtxIbufs.data(), E.AllowParallel ? 1 : 0,
-              &latteJitKernelBridge};
+    JitCtx = {&DropoutRng, CtxBufs.data(), CtxIbufs.data(),
+              E.AllowParallel ? 1 : 0, &kernels::dispatch};
   const bool Profiled = Opts.Profile && prof::enabled();
   std::optional<prof::ScopedPhase> Phase;
   std::optional<prof::ScopedTimer> Whole;
@@ -848,9 +821,10 @@ void Executor::execProgram(const char *Pass, const Stmt *Root,
 }
 
 void Executor::execKernel(const KernelCallStmt *K, Env &E) {
-  // Resolve every argument eagerly, then run the shared dispatch — the
-  // same entry the JIT's kernel trampoline calls, so both paths are one
-  // code path from here on (bitwise identity by construction).
+  // Resolve every argument eagerly, then run the one kernel dispatch — the
+  // function the JIT's trampoline and the standalone program call too, so
+  // every backend is one code path from here on (bitwise identity by
+  // construction).
   assert(K->bufs().size() <= static_cast<size_t>(jit::kMaxKernelBufs) &&
          "kernel has more buffer args than the resolved ABI carries");
   assert(K->exprArgs().size() <=
@@ -870,263 +844,6 @@ void Executor::execKernel(const KernelCallStmt *K, Env &E) {
   int64_t EA[jit::kMaxKernelExprArgs] = {0, 0};
   for (size_t I = 0; I < K->exprArgs().size(); ++I)
     EA[I] = evalInt(K->exprArgs()[I].get(), E);
-  execKernelResolved(K->kernel(), FB, IB, K->intArgs().data(),
-                     K->floatArgs().data(), EA);
-}
-
-void Executor::execKernelResolved(KernelKind Kind, float *const *FB,
-                                  int32_t *const *IB, const int64_t *IA,
-                                  const double *FA, const int64_t *EA) {
-  auto FloatArg = [&](size_t I) -> float * { return FB[I]; };
-  auto IntArg = [&](size_t I) -> int32_t * { return IB[I]; };
-  auto ExprArg = [&](size_t I) -> int64_t { return EA[I]; };
-
-  switch (Kind) {
-  case KernelKind::Zero:
-    kernels::zero(FloatArg(0), IA[0]);
-    return;
-  case KernelKind::Copy:
-    kernels::copy(FloatArg(0), FloatArg(1), IA[0]);
-    return;
-  case KernelKind::AddTo:
-    kernels::addTo(FloatArg(0), FloatArg(1), IA[0]);
-    return;
-  case KernelKind::MulInto:
-    kernels::mulInto(FloatArg(0), FloatArg(1), FloatArg(2), IA[0]);
-    return;
-  case KernelKind::MulAddTo:
-    kernels::mulAddTo(FloatArg(0), FloatArg(1), FloatArg(2), IA[0]);
-    return;
-  case KernelKind::Scale:
-    kernels::scale(FloatArg(0), static_cast<float>(FA[0]), IA[0]);
-    return;
-  case KernelKind::Sgemm: {
-    // ints: {M, N, K, LdA, LdB, LdC, TransA, TransB, Accumulate}
-    kernels::sgemm(IA[6] != 0, IA[7] != 0, IA[0], IA[1], IA[2], FloatArg(0),
-                   IA[3], FloatArg(1), IA[4], FloatArg(2), IA[5], IA[8] != 0);
-    return;
-  }
-  case KernelKind::Gather2D: {
-    // ints: {Rows, Cols, ColCount}; exprs: {ColBegin}
-    int64_t Rows = IA[0], Cols = IA[1], Cnt = IA[2], Cb = ExprArg(0);
-    float *Dst = FloatArg(0);
-    const float *Src = FloatArg(1);
-    const int32_t *Table = IntArg(2);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::gather(Dst + R * Cols + Cb, Src, Table + R * Cols + Cb, Cnt);
-    return;
-  }
-  case KernelKind::ScatterAdd2D: {
-    int64_t Rows = IA[0], Cols = IA[1], Cnt = IA[2], Cb = ExprArg(0);
-    float *Dst = FloatArg(0);
-    const float *Src = FloatArg(1);
-    const int32_t *Table = IntArg(2);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::scatterAdd(Dst, Src + R * Cols + Cb, Table + R * Cols + Cb,
-                          Cnt);
-    return;
-  }
-  case KernelKind::ActFwdCols: {
-    // ints: {Op, Rows, Cols, ColCount}; exprs: {ColBegin}
-    auto Op = static_cast<ActOpKind>(IA[0]);
-    int64_t Rows = IA[1], Cols = IA[2], Cnt = IA[3], Cb = ExprArg(0);
-    float *Dst = FloatArg(0);
-    const float *Src = FloatArg(1);
-    for (int64_t R = 0; R < Rows; ++R) {
-      float *D = Dst + R * Cols + Cb;
-      const float *Sp = Src + R * Cols + Cb;
-      switch (Op) {
-      case ActOpKind::Relu:
-        kernels::reluFwd(D, Sp, Cnt);
-        break;
-      case ActOpKind::Sigmoid:
-        kernels::sigmoidFwd(D, Sp, Cnt);
-        break;
-      case ActOpKind::Tanh:
-        kernels::tanhFwd(D, Sp, Cnt);
-        break;
-      }
-    }
-    return;
-  }
-  case KernelKind::ActBwdCols: {
-    // ints: {Op, Rows, Cols, ColCount, InPlace}; exprs: {ColBegin}
-    auto Op = static_cast<ActOpKind>(IA[0]);
-    int64_t Rows = IA[1], Cols = IA[2], Cnt = IA[3], Cb = ExprArg(0);
-    bool InPlace = IA[4] != 0;
-    float *DstG = FloatArg(0);
-    const float *OutG = FloatArg(1);
-    const float *Val = FloatArg(2);
-    for (int64_t R = 0; R < Rows; ++R) {
-      int64_t Base = R * Cols + Cb;
-      float *Dg = DstG + Base;
-      const float *Og = OutG + Base;
-      const float *V = Val + Base;
-      switch (Op) {
-      case ActOpKind::Relu:
-        if (InPlace) {
-          for (int64_t I = 0; I < Cnt; ++I)
-            Dg[I] = V[I] > 0.0f ? Og[I] : 0.0f;
-        } else {
-          kernels::reluBwd(Dg, Og, V, Cnt);
-        }
-        break;
-      case ActOpKind::Sigmoid:
-        for (int64_t I = 0; I < Cnt; ++I) {
-          float D = Og[I] * V[I] * (1.0f - V[I]);
-          Dg[I] = InPlace ? D : Dg[I] + D;
-        }
-        break;
-      case ActOpKind::Tanh:
-        for (int64_t I = 0; I < Cnt; ++I) {
-          float D = Og[I] * (1.0f - V[I] * V[I]);
-          Dg[I] = InPlace ? D : Dg[I] + D;
-        }
-        break;
-      }
-    }
-    return;
-  }
-  case KernelKind::BiasAddCols: {
-    // ints: {Rows, Cols, ColCount}; exprs: {ColBegin}
-    int64_t Rows = IA[0], Cols = IA[1], Cnt = IA[2], Cb = ExprArg(0);
-    float *Dst = FloatArg(0);
-    const float *Bias = FloatArg(1);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::addScalar(Dst + R * Cols + Cb, Bias[R], Cnt);
-    return;
-  }
-  case KernelKind::BiasAddPerRow: {
-    int64_t Rows = IA[0], Cols = IA[1];
-    float *Dst = FloatArg(0);
-    const float *Bias = FloatArg(1);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::addTo(Dst + R * Cols, Bias, Cols);
-    return;
-  }
-  case KernelKind::RowSumAdd: {
-    int64_t Rows = IA[0], Cols = IA[1];
-    float *Dst = FloatArg(0);
-    const float *Src = FloatArg(1);
-    for (int64_t R = 0; R < Rows; ++R)
-      Dst[R] += kernels::sum(Src + R * Cols, Cols);
-    return;
-  }
-  case KernelKind::ColSumAdd: {
-    int64_t Rows = IA[0], Cols = IA[1];
-    float *Dst = FloatArg(0);
-    const float *Src = FloatArg(1);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::addTo(Dst, Src + R * Cols, Cols);
-    return;
-  }
-  case KernelKind::Im2ColRows:
-  case KernelKind::Col2ImRows: {
-    kernels::ConvGeometry G;
-    G.Channels = IA[0];
-    G.Height = IA[1];
-    G.Width = IA[2];
-    G.KernelH = G.KernelW = IA[3];
-    G.StrideH = G.StrideW = IA[4];
-    G.PadH = G.PadW = IA[5];
-    int64_t Rc = IA[6], Rb = ExprArg(0);
-    if (Kind == KernelKind::Im2ColRows)
-      kernels::im2colRows(FloatArg(1), G, FloatArg(0), Rb, Rc);
-    else
-      kernels::col2imRows(FloatArg(1), G, FloatArg(0), Rb, Rc);
-    return;
-  }
-  case KernelKind::MaxPoolFwdRows:
-  case KernelKind::MaxPoolBwdRows:
-  case KernelKind::AvgPoolFwdRows:
-  case KernelKind::AvgPoolBwdRows: {
-    // ints: {C, InH, InW, K, S, Pad, RowCount}; exprs: {RowBegin}
-    kernels::ConvGeometry G;
-    G.Channels = IA[0];
-    G.Height = IA[1];
-    G.Width = IA[2];
-    G.KernelH = G.KernelW = IA[3];
-    G.StrideH = G.StrideW = IA[4];
-    G.PadH = G.PadW = IA[5];
-    int64_t Rc = IA[6], Rb = ExprArg(0);
-    switch (Kind) {
-    case KernelKind::MaxPoolFwdRows:
-      kernels::maxPoolFwdRows(FloatArg(1), G, FloatArg(0), IntArg(2), Rb,
-                              Rc);
-      return;
-    case KernelKind::MaxPoolBwdRows:
-      kernels::maxPoolBwdRows(FloatArg(1), G, IntArg(2), FloatArg(0), Rb,
-                              Rc);
-      return;
-    case KernelKind::AvgPoolFwdRows:
-      kernels::avgPoolFwdRows(FloatArg(1), G, FloatArg(0), Rb, Rc);
-      return;
-    case KernelKind::AvgPoolBwdRows:
-      kernels::avgPoolBwdRows(FloatArg(1), G, FloatArg(0), Rb, Rc);
-      return;
-    default:
-      latteUnreachable("pool kernel dispatch");
-    }
-  }
-  case KernelKind::SoftmaxFwd: {
-    int64_t Rows = IA[0], Classes = IA[1];
-    float *Dst = FloatArg(0);
-    const float *Src = FloatArg(1);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::softmaxFwd(Dst + R * Classes, Src + R * Classes, Classes);
-    return;
-  }
-  case KernelKind::SoftmaxLossFwd: {
-    int64_t Rows = IA[0], Classes = IA[1];
-    float *Prob = FloatArg(0);
-    const float *Src = FloatArg(1);
-    const float *Labels = FloatArg(2);
-    float *Loss = FloatArg(3);
-    for (int64_t R = 0; R < Rows; ++R) {
-      kernels::softmaxFwd(Prob + R * Classes, Src + R * Classes, Classes);
-      Loss[R] = kernels::crossEntropyLoss(Prob + R * Classes, Classes,
-                                          checkedLabel(Labels[R], Classes));
-    }
-    return;
-  }
-  case KernelKind::SoftmaxLossBwd: {
-    int64_t Rows = IA[0], Classes = IA[1];
-    float Scale = static_cast<float>(FA[0]);
-    float *Grad = FloatArg(0);
-    const float *Prob = FloatArg(1);
-    const float *Labels = FloatArg(2);
-    for (int64_t R = 0; R < Rows; ++R)
-      kernels::softmaxLossBwd(Grad + R * Classes, Prob + R * Classes,
-                              Classes, checkedLabel(Labels[R], Classes),
-                              Scale);
-    return;
-  }
-  case KernelKind::SoftmaxBwd: {
-    int64_t Rows = IA[0], Classes = IA[1];
-    float *Gin = FloatArg(0);
-    const float *Og = FloatArg(1);
-    const float *P = FloatArg(2);
-    for (int64_t R = 0; R < Rows; ++R) {
-      const float *Ogr = Og + R * Classes;
-      const float *Pr = P + R * Classes;
-      float Dot = 0.0f;
-      for (int64_t C = 0; C < Classes; ++C)
-        Dot += Ogr[C] * Pr[C];
-      float *G = Gin + R * Classes;
-      for (int64_t C = 0; C < Classes; ++C)
-        G[C] += Pr[C] * (Ogr[C] - Dot);
-    }
-    return;
-  }
-  case KernelKind::DropoutMask: {
-    int64_t Count = IA[0];
-    float Keep = static_cast<float>(FA[0]);
-    float *Mask = FloatArg(0);
-    float Inv = Keep > 0.0f ? 1.0f / Keep : 0.0f;
-    for (int64_t I = 0; I < Count; ++I)
-      Mask[I] = DropoutRng.uniform() < Keep ? Inv : 0.0f;
-    return;
-  }
-  }
-  latteUnreachable("unknown kernel kind");
+  kernels::dispatch(&DropoutRng, static_cast<int64_t>(K->kernel()), FB, IB,
+                    K->intArgs().data(), K->floatArgs().data(), EA);
 }

@@ -4,9 +4,9 @@
 /// The execution engine: allocates a compiled Program's buffers (honoring
 /// the aliasing the shared-variable analysis set up), initializes
 /// parameters, and runs the forward/backward IR. Kernel-call statements
-/// dispatch into src/kernels at native speed; anything the pattern matchers
-/// left as loop nests is interpreted (the general fallback for custom
-/// neuron types).
+/// run through kernels::dispatch, the one kernel dispatch the JIT and the
+/// standalone program share; anything the pattern matchers left as loop
+/// nests is interpreted (the general fallback for custom neuron types).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,17 +135,6 @@ public:
   /// Content hash of the loaded module ("" when none).
   std::string jitModuleHash() const { return JitMod ? JitMod->hash() : ""; }
 
-  /// Kernel dispatch over pre-resolved arguments — the target the JIT's
-  /// kernel trampoline re-enters (public for the bridge only). \p FB /
-  /// \p IB are the float / int32 buffer pointers by argument position
-  /// (ir::kernelIntBufMask decides which side each position uses), \p IA
-  /// the static int args, \p FA the static float args, \p EA the evaluated
-  /// index-expression args. Runs the exact same kernels as the
-  /// interpreter.
-  void execKernelResolved(ir::KernelKind Kind, float *const *FB,
-                          int32_t *const *IB, const int64_t *IA,
-                          const double *FA, const int64_t *EA);
-
 private:
   struct BufferRT {
     float *Data = nullptr;
@@ -196,6 +185,7 @@ private:
   std::vector<Tensor> Storage; ///< owning storage (eager mode)
   std::unordered_map<std::string, BufferRT> Buffers;
   std::unordered_map<std::string, std::vector<int32_t>> IntBuffers;
+  /// DropoutMask's stream: kernels::dispatch's self, here and in JitCtx.
   Rng DropoutRng;
 
   // --- JIT state (all empty/false when the backend is off) ---------------

@@ -11,18 +11,18 @@
 /// `T.fn(&Ctx, T.slots)`. The context carries the executor's
 /// alias-resolved buffer pointers (the same arena or eager storage the
 /// interpreter reads), the per-pass parallelism switch, and one callback —
-/// the kernel trampoline — through which generated code re-enters
-/// engine::Executor::execKernelResolved.
+/// the kernel trampoline, kernels::dispatch — through which generated code
+/// runs the library kernels, with the dropout stream as its self.
 ///
-/// Routing kernel calls back through the engine is what makes JIT-on vs
-/// interpreter comparisons BITWISE identical: the exact same kernel
-/// functions run in the exact same order, and only the loop-nest /
-/// dispatch scaffolding around them is compiled instead of interpreted
-/// (plus the shape-specialized clones of data-movement kernels, which
-/// reproduce the library loops). The standalone program
+/// Routing kernel calls through the interpreter's own dispatch is what
+/// makes JIT-on vs interpreter comparisons BITWISE identical: the exact
+/// same kernel functions run in the exact same order, and only the
+/// loop-nest / dispatch scaffolding around them is compiled instead of
+/// interpreted (plus the shape-specialized clones of data-movement
+/// kernels, which reproduce the library loops). The standalone program
 /// (compiler::generateCpp) is the same generated code with its own
-/// context: static storage, and a trampoline into kernel bodies of its
-/// own.
+/// context: static storage and a dropout stream of its own, and the same
+/// kernels::dispatch, linked from liblatte.a.
 ///
 /// Each struct definition exists once: the macros below expand into the
 /// host-side types AND are stringified into the generated translation
@@ -43,7 +43,7 @@
 /// One definition of the context members, usable both as C++ and as text.
 /// No top-level commas outside parentheses (stringification would split).
 #define LATTE_JIT_CTX_MEMBERS                                                 \
-  /* opaque engine::Executor, passed back through the trampoline */           \
+  /* the latte::Rng DropoutMask draws from, passed to the trampoline */       \
   void *self;                                                                 \
   /* per Program::Buffers index: alias-resolved storage pointers */           \
   float **bufs;                                                               \
@@ -51,7 +51,7 @@
   int32_t **ibufs;                                                            \
   /* nonzero = honor parallel loop annotations (per-pass, engine-set) */      \
   int64_t par;                                                                 \
-  /* kernel trampoline: re-enters the engine's resolved kernel dispatch */    \
+  /* kernel trampoline: latte::kernels::dispatch (kernels/dispatch.h) */      \
   void (*kernel)(void *self, int64_t kind, float **fb, int32_t **ib,          \
                  const int64_t *ia, const double *fa, const int64_t *ea);
 

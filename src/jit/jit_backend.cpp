@@ -52,32 +52,6 @@ void count(int64_t Stats::*Counter) {
   ++(statsImpl().*Counter);
 }
 
-/// The flags every generated TU is compiled with. -ffp-contract=off keeps
-/// the host compiler from fusing a*b+c into FMA — the interpreter performs
-/// each float operation separately, and bitwise identity requires the
-/// compiled loop nests to do the same. (The specialized kernel clones the
-/// emitter inlines are contraction-free by construction — data movement,
-/// comparisons, and plain adds only — so the flag costs them nothing.)
-/// -O3 plus the host build's arch flags (baked in by CMake) let those
-/// clones unroll their constant-bound window loops and vectorize on the
-/// same ISA as the library kernels they shadow. -fno-tree-loop-if-convert
-/// works around a GCC 12 wrong-code bug: at -O3 -march=native, loop
-/// if-conversion miscompiles the emitter's gated accumulates
-/// (gi[i] += v[i] > 0 ? g[i] : 0 keeps stale values in some lanes —
-/// reproducible in a 12-line standalone file, caught here by
-/// jit_diff_test as garbage gradients).
-const char *baseFlags() {
-  return "-std=c++17 -O3 -fPIC -shared -ffp-contract=off"
-         " -fno-tree-loop-if-convert"
-#ifdef LATTE_JIT_ARCH_FLAGS
-         " " LATTE_JIT_ARCH_FLAGS
-#endif
-#ifdef LATTE_HAVE_OPENMP
-         " -fopenmp"
-#endif
-      ;
-}
-
 std::string compilerCommand() {
   if (const char *Env = std::getenv("LATTE_JIT_CC"))
     if (Env[0])
@@ -168,6 +142,32 @@ bool jit::available(std::string *WhyNot) {
 #endif
 }
 
+/// -ffp-contract=off keeps the host compiler from fusing a*b+c into FMA —
+/// the interpreter performs each float operation separately, and bitwise
+/// identity requires the compiled loop nests to do the same. (The
+/// specialized kernel clones the emitter inlines are contraction-free by
+/// construction — data movement, comparisons, and plain adds only — so the
+/// flag costs them nothing.) -O3 plus the host build's arch flags (baked in
+/// by CMake) let those clones unroll their constant-bound window loops and
+/// vectorize on the same ISA as the library kernels they shadow.
+/// -fno-tree-loop-if-convert works around a GCC 12 wrong-code bug: at -O3
+/// -march=native, loop if-conversion miscompiles the emitter's gated
+/// accumulates (gi[i] += v[i] > 0 ? g[i] : 0 keeps stale values in some
+/// lanes — reproducible in a 12-line standalone file, caught here by
+/// jit_diff_test as garbage gradients).
+std::string jit::compileFlags(bool SharedObject) {
+  return std::string("-std=c++17 -O3") +
+         (SharedObject ? " -fPIC -shared" : "") +
+         " -ffp-contract=off -fno-tree-loop-if-convert"
+#ifdef LATTE_JIT_ARCH_FLAGS
+         " " LATTE_JIT_ARCH_FLAGS
+#endif
+#ifdef LATTE_HAVE_OPENMP
+         " -fopenmp"
+#endif
+      ;
+}
+
 std::string jit::cacheDir() {
   std::string Dir;
   if (const char *Env = std::getenv("LATTE_JIT_DIR"))
@@ -190,7 +190,7 @@ std::string jit::hashSource(const std::string &Source) {
   uint64_t H = fnv1a(Source.data(), Source.size());
   std::string Salt =
       formatString("|abi=%lld|%s|", static_cast<long long>(kLatteJitAbiVersion),
-                   baseFlags());
+                   compileFlags(/*SharedObject=*/true).c_str());
   H = fnv1a(Salt.data(), Salt.size(), H);
   // A second pass with a different seed widens the key to 128 bits;
   // accidental collisions over cache lifetimes are then implausible.
@@ -294,17 +294,19 @@ JitModule::loadOrCompile(const std::string &Source, const std::string &Hash,
   std::string TmpObj = Dir + "/latte_" + Hash + "." + Tag + ".so.tmp";
   std::string LogPath = Dir + "/latte_" + Hash + "." + Tag + ".log";
   {
+    // fclose flushes the last buffered bytes, so a full disk can first
+    // show there.
     std::FILE *F = std::fopen(SrcPath.c_str(), "w");
-    if (!F || std::fwrite(Source.data(), 1, Source.size(), F) !=
-                  Source.size()) {
-      if (F)
-        std::fclose(F);
+    bool Written = F && std::fwrite(Source.data(), 1, Source.size(), F) ==
+                            Source.size();
+    if ((F && std::fclose(F) != 0) || !Written) {
+      std::remove(SrcPath.c_str());
       *Diag = "cannot write generated source to " + SrcPath;
       return nullptr;
     }
-    std::fclose(F);
   }
-  std::string Cmd = compilerCommand() + " " + baseFlags() + " -o '" + TmpObj +
+  std::string Cmd = compilerCommand() + " " +
+                    compileFlags(/*SharedObject=*/true) + " -o '" + TmpObj +
                     "' '" + SrcPath + "' >'" + LogPath + "' 2>&1";
   int Rc = std::system(Cmd.c_str());
   if (Rc != 0) {

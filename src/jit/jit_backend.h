@@ -87,6 +87,15 @@ bool available(std::string *WhyNot = nullptr);
 /// resolution order.
 std::string cacheDir();
 
+/// The system-compiler flags for generated C++: -O3, the host build's arch
+/// and OpenMP flags, and the two that keep compiled loop nests bitwise
+/// equal to the interpreter (-ffp-contract=off, and
+/// -fno-tree-loop-if-convert against a GCC 12 wrong-code bug; see
+/// jit_backend.cpp). JIT modules are built with `-fPIC -shared` added
+/// (\p SharedObject); the standalone program (compiler::generateCpp) with
+/// exactly these flags, linked against liblatte.a.
+std::string compileFlags(bool SharedObject);
+
 /// Content hash (hex) of \p Source combined with the compile flags and
 /// kLatteJitAbiVersion — the cache key getOrCreate uses.
 std::string hashSource(const std::string &Source);

@@ -58,6 +58,12 @@ bool latte::writeLtdFile(
                     static_cast<size_t>(T.numElements()) * sizeof(float)))
       return false;
   }
+  // fclose flushes the last buffered bytes, so a full disk can first show
+  // there.
+  if (std::fclose(F.release()) != 0) {
+    std::fprintf(stderr, "latte: cannot write %s\n", Path.c_str());
+    return false;
+  }
   return true;
 }
 

@@ -3,13 +3,15 @@
 /// \file
 /// Shared by the tests of the C++ backend: a small fused conv net, and a
 /// harness that writes compiler::generateCpp's standalone program to the
-/// test's temp directory, builds it with `g++ -O2 -fopenmp`, runs it on
-/// .ltd inputs taken from the engine, and reads its outputs back.
+/// test's temp directory, builds it as the library was built (CMake passes
+/// the compiler, the headers, liblatte.a and the sanitizer and OpenMP
+/// flags; jit::compileFlags adds the JIT's code flags), runs it on .ltd
+/// inputs taken from the engine, and reads its outputs back.
 ///
 /// The standalone's loop nests come from the same printer as the JIT's,
-/// but its GEMM, softmax and other reassociation-sensitive kernel bodies
-/// are its own, so it is held to the engine within 1e-4 absolute / 1e-3
-/// relative, not bitwise.
+/// and its kernels are the engine's own kernels::dispatch, dropout's
+/// stream included, so every buffer it writes must equal the engine's
+/// byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +21,14 @@
 #include "compiler/codegen_cpp.h"
 #include "core/layers/layers.h"
 #include "engine/executor.h"
+#include "jit/jit_backend.h"
 #include "support/ltd_format.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -64,24 +68,21 @@ inline NamedTensors engineInputs(const engine::Executor &Ex) {
   return In;
 }
 
-/// \p Name's tensor in \p Outputs, or nullptr.
-inline const Tensor *findOutput(const NamedTensors &Outputs,
-                                const std::string &Name) {
-  for (const auto &[N, T] : Outputs)
-    if (N == Name)
-      return &T;
-  return nullptr;
-}
-
-/// Expects the standalone's \p Name to match the engine's within the
-/// standalone tolerance.
+/// Expects every buffer in \p Outputs — all the standalone program wrote
+/// back — to equal the engine's byte for byte.
 inline void expectMatchesEngine(const engine::Executor &Ex,
-                                const NamedTensors &Outputs,
-                                const std::string &Name) {
-  const Tensor *Gen = findOutput(Outputs, Name);
-  ASSERT_NE(Gen, nullptr) << Name << " missing from the program's output";
-  EXPECT_EQ(Ex.readBuffer(Name).firstMismatch(*Gen, 1e-4f, 1e-3f), -1)
-      << "mismatch in " << Name;
+                                const NamedTensors &Outputs) {
+  ASSERT_FALSE(Outputs.empty()) << "the program wrote no buffer";
+  for (const auto &[Name, Gen] : Outputs) {
+    Tensor Eng = Ex.readBuffer(Name);
+    ASSERT_EQ(Gen.numElements(), Eng.numElements()) << Name;
+    for (int64_t I = 0; I < Eng.numElements(); ++I)
+      if (std::memcmp(Eng.data() + I, Gen.data() + I, sizeof(float)) != 0) {
+        ADD_FAILURE() << Name << "[" << I << "]: engine " << Eng.at(I)
+                      << ", standalone " << Gen.at(I);
+        break;
+      }
+  }
 }
 
 /// One emitted program, built under the test's temp directory as
@@ -92,8 +93,12 @@ public:
       : Base(::testing::TempDir() + "/" + Tag) {
     if (!compiler::writeGeneratedProgram(Prog, path(".cpp")))
       return;
-    std::string Cmd = "g++ -O2 -fopenmp -o " + path("_bin") + " " +
-                      path(".cpp") + " 2>" + path("_err.txt");
+    std::string Cmd = std::string(LATTE_TEST_CXX) + " " +
+                      jit::compileFlags(/*SharedObject=*/false) +
+                      " -I'" LATTE_TEST_INCLUDE_DIR "' -o '" + path("_bin") +
+                      "' '" + path(".cpp") + "' '" LATTE_TEST_LIBRARY "' " +
+                      LATTE_TEST_PROGRAM_FLAGS + " 2>'" + path("_err.txt") +
+                      "'";
     Built = std::system(Cmd.c_str()) == 0;
   }
   StandaloneProgram(const StandaloneProgram &) = delete;

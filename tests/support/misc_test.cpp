@@ -84,6 +84,18 @@ TEST(LtdFormatTest, EmptyFileOfTensors) {
   std::remove(Path.c_str());
 }
 
+TEST(LtdFormatTest, WriteReportsFailedFlush) {
+  // /dev/full accepts the open and the buffered writes; the bytes fail
+  // only when fclose flushes them.
+  std::FILE *Full = std::fopen("/dev/full", "wb");
+  if (!Full)
+    GTEST_SKIP() << "no /dev/full on this system";
+  std::fclose(Full);
+  Tensor T(Shape{4});
+  T.fill(1.0f);
+  EXPECT_FALSE(writeLtdFile("/dev/full", {{"x", T}}));
+}
+
 TEST(LtdFormatDeathTest, RejectsGarbage) {
   std::string Path = testing::TempDir() + "/garbage.ltd";
   std::FILE *F = std::fopen(Path.c_str(), "wb");
