@@ -13,17 +13,24 @@
 ///   A[k * LdA + i]).
 /// - Accumulate=false overwrites C; true adds into it.
 ///
-/// Two implementations exist: sgemm (packed panels and a register-blocked
-/// micro-kernel), which the engine calls, and sgemmNaive (plain triple loop
-/// compiled with vectorization disabled) — the reference sgemm is tested
-/// against, the Mocha baseline's GEMM, and bench/kernels_gemm's naive rows.
+/// Two implementations exist. sgemm, which the engine calls, is a
+/// register-blocked micro-kernel over panels of op(B), packed where the
+/// panel is reused, and MR-row slivers of op(A), read in place (only a
+/// ragged last sliver is copied). Two kinds of call run as the transposed
+/// product C^T = op(B)^T * op(A)^T, which reads B in place and packs op(A)
+/// instead: A * B^T with few rows over a deep K (the FC forward, the
+/// deeper weight-gradient row blocks) and A^T * B with few columns (the
+/// conv input gradients). sgemmNaive is a plain triple loop compiled with
+/// vectorization disabled: the reference sgemm is tested against, the
+/// Mocha baseline's GEMM, and bench/kernels_gemm's naive rows.
 ///
 /// Invariant: both kernels run the same multiply-add chain per C element,
 /// c = (Accumulate ? c : +0), then c += op(A)[i,k] * op(B)[k,j] for k
-/// ascending. They are therefore byte-identical, and any row or column
-/// sub-block of a call computes exactly the corresponding part of the
-/// whole call. The compiler's gradient row blocks, conv column windows and
-/// the JIT-vs-interpreter oracle rely on this; tests/kernels/gemm_test.cpp
+/// ascending (a swapped call forms b * a, which equals a * b exactly). They
+/// are therefore byte-identical, and any row or column sub-block of a call
+/// computes exactly the corresponding part of the whole call. The
+/// compiler's gradient row blocks, conv column windows and the
+/// JIT-vs-interpreter oracle rely on this; tests/kernels/gemm_test.cpp
 /// holds sgemm to it with memcmp.
 ///
 //===----------------------------------------------------------------------===//

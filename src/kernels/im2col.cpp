@@ -2,17 +2,21 @@
 
 #include "kernels/im2col.h"
 
+#include "kernels/code_align.h"
+
 #include <cassert>
 
 using namespace latte;
 using namespace latte::kernels;
 
-void kernels::im2col(const float *Image, const ConvGeometry &G, float *Col) {
+LATTE_KERNEL_ALIGN void
+kernels::im2col(const float *Image, const ConvGeometry &G, float *Col) {
   im2colRows(Image, G, Col, 0, G.outH());
 }
 
-void kernels::im2colRows(const float *Image, const ConvGeometry &G,
-                         float *Col, int64_t RowBegin, int64_t RowCount) {
+LATTE_KERNEL_ALIGN void
+kernels::im2colRows(const float *Image, const ConvGeometry &G,
+                    float *Col, int64_t RowBegin, int64_t RowCount) {
   const int64_t OutH = G.outH(), OutW = G.outW();
   assert(OutH > 0 && OutW > 0 && "convolution output must be non-empty");
   assert(RowBegin >= 0 && RowBegin + RowCount <= OutH &&
@@ -42,12 +46,14 @@ void kernels::im2colRows(const float *Image, const ConvGeometry &G,
   }
 }
 
-void kernels::col2im(const float *Col, const ConvGeometry &G, float *Image) {
+LATTE_KERNEL_ALIGN void
+kernels::col2im(const float *Col, const ConvGeometry &G, float *Image) {
   col2imRows(Col, G, Image, 0, G.outH());
 }
 
-void kernels::col2imRows(const float *Col, const ConvGeometry &G,
-                         float *Image, int64_t RowBegin, int64_t RowCount) {
+LATTE_KERNEL_ALIGN void
+kernels::col2imRows(const float *Col, const ConvGeometry &G,
+                    float *Image, int64_t RowBegin, int64_t RowCount) {
   const int64_t OutH = G.outH(), OutW = G.outW();
   int64_t Row = 0;
   for (int64_t C = 0; C < G.Channels; ++C) {

@@ -2,20 +2,24 @@
 
 #include "kernels/pooling.h"
 
+#include "kernels/code_align.h"
+
 #include <cassert>
 #include <limits>
 
 using namespace latte;
 using namespace latte::kernels;
 
-void kernels::maxPoolFwd(const float *Input, const ConvGeometry &G,
-                         float *Output, int32_t *Mask) {
+LATTE_KERNEL_ALIGN void
+kernels::maxPoolFwd(const float *Input, const ConvGeometry &G,
+                    float *Output, int32_t *Mask) {
   maxPoolFwdRows(Input, G, Output, Mask, 0, G.outH());
 }
 
-void kernels::maxPoolFwdRows(const float *Input, const ConvGeometry &G,
-                             float *Output, int32_t *Mask, int64_t RowBegin,
-                             int64_t RowCount) {
+LATTE_KERNEL_ALIGN void
+kernels::maxPoolFwdRows(const float *Input, const ConvGeometry &G,
+                        float *Output, int32_t *Mask, int64_t RowBegin,
+                        int64_t RowCount) {
   const int64_t OutH = G.outH(), OutW = G.outW();
   assert(RowBegin >= 0 && RowBegin + RowCount <= OutH &&
          "pooling row range out of bounds");
@@ -49,14 +53,16 @@ void kernels::maxPoolFwdRows(const float *Input, const ConvGeometry &G,
   }
 }
 
-void kernels::maxPoolBwd(const float *OutputGrad, const ConvGeometry &G,
-                         const int32_t *Mask, float *InputGrad) {
+LATTE_KERNEL_ALIGN void
+kernels::maxPoolBwd(const float *OutputGrad, const ConvGeometry &G,
+                    const int32_t *Mask, float *InputGrad) {
   maxPoolBwdRows(OutputGrad, G, Mask, InputGrad, 0, G.outH());
 }
 
-void kernels::maxPoolBwdRows(const float *OutputGrad, const ConvGeometry &G,
-                             const int32_t *Mask, float *InputGrad,
-                             int64_t RowBegin, int64_t RowCount) {
+LATTE_KERNEL_ALIGN void
+kernels::maxPoolBwdRows(const float *OutputGrad, const ConvGeometry &G,
+                        const int32_t *Mask, float *InputGrad,
+                        int64_t RowBegin, int64_t RowCount) {
   assert(Mask && "max pooling backward requires the forward argmax mask");
   const int64_t OutH = G.outH(), OutW = G.outW();
   for (int64_t C = 0; C < G.Channels; ++C) {
@@ -69,14 +75,16 @@ void kernels::maxPoolBwdRows(const float *OutputGrad, const ConvGeometry &G,
   }
 }
 
-void kernels::avgPoolFwd(const float *Input, const ConvGeometry &G,
-                         float *Output) {
+LATTE_KERNEL_ALIGN void
+kernels::avgPoolFwd(const float *Input, const ConvGeometry &G,
+                    float *Output) {
   avgPoolFwdRows(Input, G, Output, 0, G.outH());
 }
 
-void kernels::avgPoolFwdRows(const float *Input, const ConvGeometry &G,
-                             float *Output, int64_t RowBegin,
-                             int64_t RowCount) {
+LATTE_KERNEL_ALIGN void
+kernels::avgPoolFwdRows(const float *Input, const ConvGeometry &G,
+                        float *Output, int64_t RowBegin,
+                        int64_t RowCount) {
   const int64_t OutH = G.outH(), OutW = G.outW();
   const float Inv = 1.0f / static_cast<float>(G.KernelH * G.KernelW);
   for (int64_t C = 0; C < G.Channels; ++C) {
@@ -100,14 +108,16 @@ void kernels::avgPoolFwdRows(const float *Input, const ConvGeometry &G,
   }
 }
 
-void kernels::avgPoolBwd(const float *OutputGrad, const ConvGeometry &G,
-                         float *InputGrad) {
+LATTE_KERNEL_ALIGN void
+kernels::avgPoolBwd(const float *OutputGrad, const ConvGeometry &G,
+                    float *InputGrad) {
   avgPoolBwdRows(OutputGrad, G, InputGrad, 0, G.outH());
 }
 
-void kernels::avgPoolBwdRows(const float *OutputGrad, const ConvGeometry &G,
-                             float *InputGrad, int64_t RowBegin,
-                             int64_t RowCount) {
+LATTE_KERNEL_ALIGN void
+kernels::avgPoolBwdRows(const float *OutputGrad, const ConvGeometry &G,
+                        float *InputGrad, int64_t RowBegin,
+                        int64_t RowCount) {
   const int64_t OutH = G.outH(), OutW = G.outW();
   const float Inv = 1.0f / static_cast<float>(G.KernelH * G.KernelW);
   for (int64_t C = 0; C < G.Channels; ++C) {

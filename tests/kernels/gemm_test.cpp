@@ -23,6 +23,14 @@ std::vector<float> randomMatrix(Rng &R, int64_t Elems) {
   return M;
 }
 
+/// Room for a Rows x Cols matrix at leading dimension Ld, one float past
+/// the start of the allocation, which ends with its last element: a read
+/// past the last row, as an in-place sliver or panel that ran over the
+/// matrix would make, leaves the allocation (and ASan reports it).
+int64_t matrixFloats(int64_t Rows, int64_t Cols, int64_t Ld) {
+  return 1 + (Rows - 1) * Ld + Cols;
+}
+
 } // namespace
 
 TEST(GemmTest, Identity) {
@@ -86,10 +94,11 @@ TEST_P(GemmSweepTest, MatchesNaive) {
   int64_t LdB = (TransB ? K : N) + Pad;
   int64_t LdC = N + Pad;
   Rng R(1000 + M * 7 + N * 13 + K * 31 + TransA * 2 + TransB);
-  // One float of offset, then rows of the stored shape at the wider stride.
-  std::vector<float> A = randomMatrix(R, 1 + (TransA ? K : M) * LdA);
-  std::vector<float> B = randomMatrix(R, 1 + (TransB ? N : K) * LdB);
-  std::vector<float> C = randomMatrix(R, 1 + M * LdC);
+  std::vector<float> A = randomMatrix(
+      R, matrixFloats(TransA ? K : M, TransA ? M : K, LdA));
+  std::vector<float> B = randomMatrix(
+      R, matrixFloats(TransB ? N : K, TransB ? K : N, LdB));
+  std::vector<float> C = randomMatrix(R, matrixFloats(M, N, LdC));
   for (bool Accumulate : {false, true}) {
     std::vector<float> C0 = C, C1 = C;
     sgemm(TransA, TransB, M, N, K, A.data() + 1, LdA, B.data() + 1, LdB,
@@ -118,14 +127,100 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(1, 8, 255, 257, 300), testing::Bool(),
                      testing::Bool()));
 
-// The GEMM shapes of an AlexNet(0.5) batch-8 training step: conv3-5
-// forward, the FC forward (B transposed, 64 MB of weights) and the FC
-// weight gradient (A transposed).
+// The GEMM shapes of an AlexNet(0.5) batch-8 training step, as
+// kernels::dispatch receives them: conv1-5 forward, input gradient and
+// 32-row weight-gradient blocks (B transposed), the FC forward (B
+// transposed, up to 64 MB of weights), input gradient and weight gradient
+// (A transposed, K = 8).
 INSTANTIATE_TEST_SUITE_P(
     AlexNetShapes, GemmSweepTest,
     testing::Values(std::make_tuple(384, 25, 3456, false, false),
                     std::make_tuple(8, 4096, 4096, false, true),
-                    std::make_tuple(32, 4096, 8, true, false)));
+                    std::make_tuple(32, 4096, 8, true, false),
+                    std::make_tuple(8, 1000, 4096, false, true),
+                    std::make_tuple(8, 1024, 4096, false, false),
+                    std::make_tuple(8, 4096, 8, true, false),
+                    std::make_tuple(8, 4096, 1000, false, false),
+                    std::make_tuple(8, 4096, 1024, false, true),
+                    std::make_tuple(8, 4096, 4096, false, false),
+                    std::make_tuple(32, 363, 676, false, true),
+                    std::make_tuple(32, 1024, 8, true, false),
+                    std::make_tuple(32, 2304, 25, false, true),
+                    std::make_tuple(32, 2400, 144, false, true),
+                    std::make_tuple(32, 3456, 25, false, true),
+                    std::make_tuple(96, 676, 363, false, false),
+                    std::make_tuple(256, 25, 3456, false, false),
+                    std::make_tuple(256, 144, 2400, false, false),
+                    std::make_tuple(363, 676, 96, true, false),
+                    std::make_tuple(384, 25, 2304, false, false),
+                    std::make_tuple(2304, 25, 384, true, false),
+                    std::make_tuple(2400, 144, 256, true, false),
+                    std::make_tuple(3456, 25, 256, true, false),
+                    std::make_tuple(3456, 25, 384, true, false)));
+
+// The served vgg3 classifier at batch 1, 4 and 16: 10 outputs over 50176
+// inputs, B transposed.
+INSTANTIATE_TEST_SUITE_P(
+    ServedClassifier, GemmSweepTest,
+    testing::Values(std::make_tuple(1, 10, 50176, false, true),
+                    std::make_tuple(4, 10, 50176, false, true),
+                    std::make_tuple(16, 10, 50176, false, true)));
+
+// One either side of each rule of kernels/gemm.cpp that picks a path. The
+// swap of A * B^T: M around SwapMaxM (64), K around SwapMinKPerM * M, M
+// around N. The swap of A^T * B: K around SwapMinKTransA (128), N around M.
+// The K block: K around the depth at which K x padded N passes KC x NC
+// floats, for N = 25 and 16 (panels 32 and 16 wide), N = 144, and the
+// swapped M = 8 (a panel 16 wide).
+INSTANTIATE_TEST_SUITE_P(
+    PathEdges, GemmSweepTest,
+    testing::Values(std::make_tuple(64, 200, 128, false, true),
+                    std::make_tuple(65, 200, 130, false, true),
+                    std::make_tuple(64, 200, 128, true, true),
+                    std::make_tuple(65, 200, 130, true, true),
+                    std::make_tuple(32, 200, 63, false, true),
+                    std::make_tuple(32, 200, 64, false, true),
+                    std::make_tuple(7, 100, 13, true, true),
+                    std::make_tuple(7, 100, 14, true, true),
+                    std::make_tuple(9, 10, 64, false, true),
+                    std::make_tuple(10, 10, 64, false, true),
+                    std::make_tuple(300, 25, 127, true, false),
+                    std::make_tuple(300, 25, 128, true, false),
+                    std::make_tuple(40, 40, 128, true, false),
+                    std::make_tuple(41, 40, 128, true, false),
+                    std::make_tuple(13, 25, 4096, false, false),
+                    std::make_tuple(13, 25, 4097, false, false),
+                    std::make_tuple(7, 16, 8192, true, false),
+                    std::make_tuple(7, 16, 8193, true, false),
+                    std::make_tuple(13, 144, 910, false, false),
+                    std::make_tuple(13, 144, 911, false, false),
+                    std::make_tuple(8, 100, 8192, false, true),
+                    std::make_tuple(8, 100, 8193, false, true)));
+
+TEST(GemmTest, ProgramLeadingDimensionsMatchNaive) {
+  // The FC weight-gradient GEMMs read A^T as a row block of a wider
+  // gradient, LdA = 1000 or 4096 against M = 8 or 32 (the step's only
+  // leading dimensions that exceed the operand's width). Buffers end with
+  // each operand's last element, as in the sweep.
+  struct Case {
+    int64_t M, N, K, LdA;
+  };
+  for (const Case &G : {Case{8, 4096, 8, 1000}, Case{32, 4096, 8, 1000},
+                        Case{32, 4096, 8, 4096}, Case{32, 1024, 8, 4096}}) {
+    Rng R(5 + G.M + G.LdA);
+    std::vector<float> A = randomMatrix(R, matrixFloats(G.K, G.M, G.LdA));
+    std::vector<float> B = randomMatrix(R, matrixFloats(G.K, G.N, G.N));
+    std::vector<float> C0 = randomMatrix(R, matrixFloats(G.M, G.N, G.N));
+    std::vector<float> C1 = C0;
+    sgemm(true, false, G.M, G.N, G.K, A.data() + 1, G.LdA, B.data() + 1, G.N,
+          C0.data() + 1, G.N, true);
+    sgemmNaive(true, false, G.M, G.N, G.K, A.data() + 1, G.LdA, B.data() + 1,
+               G.N, C1.data() + 1, G.N, true);
+    EXPECT_EQ(std::memcmp(C0.data(), C1.data(), C0.size() * sizeof(float)),
+              0)
+        << "M=" << G.M << " N=" << G.N << " LdA=" << G.LdA;
+  }
+}
 
 TEST(GemmTest, LargeBlockedCaseCrossesAllPanels) {
   // Exercise multiple NC and KC panels and row slivers in one call.
