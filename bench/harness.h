@@ -193,6 +193,13 @@ inline json::Value hostInfoJson() {
 #else
   Host.set("openmp", false);
 #endif
+  // The OpenMP environment the run saw ("" when unset): the thread count
+  // and wait policy move every parallel row, the policy most after the
+  // host idles (ROADMAP item 1).
+  const char *Threads = std::getenv("OMP_NUM_THREADS");
+  const char *Policy = std::getenv("OMP_WAIT_POLICY");
+  Host.set("omp_num_threads", Threads ? Threads : "");
+  Host.set("omp_wait_policy", Policy ? Policy : "");
   return Host;
 }
 

@@ -119,10 +119,14 @@ Program compiler::compile(const core::Net &Net, const CompileOptions &Opts) {
     prof::ScopedTimer T("recompute");
     recomputeGathers(Prog);
   }
-  if (Opts.Parallelize && !Opts.Inference) {
+  if (Opts.Parallelize) {
     // After recompute and before planMemory; the unit count is unchanged.
+    // The column split is the only part that touches forward, and it runs
+    // in both modes so forward stays the training compile's IR.
     prof::ScopedTimer T("grad-partition");
-    partitionParamGrads(Prog);
+    if (!Opts.Inference)
+      partitionParamGrads(Prog);
+    splitGemmColumns(Prog);
   }
   {
     prof::ScopedTimer T("memplan");

@@ -18,12 +18,11 @@ using namespace latte::ir;
 
 namespace {
 
-const char *const kRowBlockVar = "rb";
-
-/// Whole-batch gradient GEMMs below this many multiply-adds stay one call:
-/// there a fork/join costs about as much as the GEMM (the LSTM's 64 x 64 x
-/// 32 gate dW GEMMs), and each extra row block re-packs B.
-constexpr int64_t kMinRowBlockedMacs = int64_t(1) << 20;
+/// The least work worth a fork/join. Whole-batch GEMMs with fewer
+/// multiply-adds are not row-blocked: there a fork/join costs about as much
+/// as the GEMM (the LSTM's 64 x 64 x 32 gate dW GEMMs), and each extra row
+/// block re-packs B. Each column block must hold at least this many.
+constexpr int64_t kMinBlockedMacs = int64_t(1) << 20;
 
 /// For kernels that compute every output row independently, the index of
 /// the output buffer argument and the row count: Sgemm writes M rows of C,
@@ -43,45 +42,62 @@ bool rowSplittable(const KernelCallStmt &K, size_t &OutArg, int64_t &Rows) {
   }
 }
 
-/// Adds Row0 * Scale to a buffer argument's element offset.
-void shiftOffset(KernelBufArg &Arg, const Expr &Row0, int64_t Scale) {
+/// Adds Start * Scale to a buffer argument's element offset.
+void shiftOffset(KernelBufArg &Arg, const Expr &Start, int64_t Scale) {
   ExprPtr Delta =
-      Scale == 1 ? Row0.clone() : mul(Row0.clone(), intConst(Scale));
+      Scale == 1 ? Start.clone() : mul(Start.clone(), intConst(Scale));
   Arg.Offset = Arg.Offset ? add(std::move(Arg.Offset), std::move(Delta))
                           : std::move(Delta);
 }
 
-/// \p K restricted to its output rows [Row0, Row0 + Rows).
-StmtPtr restrictRows(const KernelCallStmt &K, const Expr &Row0,
-                     int64_t Rows) {
+/// The output dimension a block loop divides: rows (kGradRowBlock, loop
+/// variable "rb") or, for Sgemm only, columns (kGemmColBlock, "cb").
+enum class Dim { Rows, Cols };
+
+int64_t blockSize(Dim D) {
+  return D == Dim::Rows ? kGradRowBlock : kGemmColBlock;
+}
+
+/// \p K restricted to the output rows or columns [Start, Start + Extent).
+StmtPtr restrictTo(const KernelCallStmt &K, Dim D, const Expr &Start,
+                   int64_t Extent) {
   StmtPtr S = K.clone();
   auto *R = cast<KernelCallStmt>(S.get());
   std::vector<int64_t> &IA = R->intArgs();
-  if (K.kernel() == KernelKind::Sgemm) {
-    shiftOffset(R->bufs()[0], Row0, IA[6] != 0 ? 1 : IA[3]); // A rows
-    shiftOffset(R->bufs()[2], Row0, IA[5]);                  // C rows
-  } else {
-    shiftOffset(R->bufs()[0], Row0, 1);     // Dst entries
-    shiftOffset(R->bufs()[1], Row0, IA[1]); // Src rows
+  if (D == Dim::Cols) {
+    shiftOffset(R->bufs()[1], Start, IA[7] != 0 ? IA[4] : 1); // op(B) cols
+    shiftOffset(R->bufs()[2], Start, 1);                      // C cols
+    IA[1] = Extent;
+    return S;
   }
-  IA[0] = Rows;
+  if (K.kernel() == KernelKind::Sgemm) {
+    shiftOffset(R->bufs()[0], Start, IA[6] != 0 ? 1 : IA[3]); // op(A) rows
+    shiftOffset(R->bufs()[2], Start, IA[5]);                  // C rows
+  } else {
+    shiftOffset(R->bufs()[0], Start, 1);     // Dst entries
+    shiftOffset(R->bufs()[1], Start, IA[1]); // Src rows
+  }
+  IA[0] = Extent;
   return S;
 }
 
-/// Appends loop (b) for \p Calls (all \p Rows tall) to \p Out: the parallel
-/// row-block loop plus the static tail. With \p ItemLoop each block runs
-/// the calls for every item in ascending order; without it the calls are
-/// whole-batch and run once per block.
-void emitRowBlocks(const std::vector<const KernelCallStmt *> &Calls,
-                   int64_t Rows, const ForStmt *ItemLoop,
-                   std::vector<StmtPtr> &Out) {
-  const int64_t Blocks = Rows / kGradRowBlock;
-  const int64_t Tail = Rows - Blocks * kGradRowBlock;
-  // Row0 == nullptr: the calls unchanged (a tail that is the whole extent).
-  auto Part = [&](const Expr *Row0, int64_t PartRows) -> StmtPtr {
+/// Appends the block loop for \p Calls (all \p Extent rows or columns wide
+/// along \p D) to \p Out: the parallel loop over whole blocks plus the
+/// static tail. With \p ItemLoop each block runs the calls for every item
+/// in ascending order; without it the calls are whole-batch and run once
+/// per block.
+void emitBlocks(const std::vector<const KernelCallStmt *> &Calls, Dim D,
+                int64_t Extent, const ForStmt *ItemLoop,
+                std::vector<StmtPtr> &Out) {
+  const int64_t Size = blockSize(D);
+  const int64_t Blocks = Extent / Size;
+  const int64_t Tail = Extent - Blocks * Size;
+  // Start == nullptr: the calls unchanged (a tail that is the whole extent).
+  auto Part = [&](const Expr *Start, int64_t PartExtent) -> StmtPtr {
     std::vector<StmtPtr> Body;
     for (const KernelCallStmt *K : Calls)
-      Body.push_back(Row0 ? restrictRows(*K, *Row0, PartRows) : K->clone());
+      Body.push_back(Start ? restrictTo(*K, D, *Start, PartExtent)
+                           : K->clone());
     if (!ItemLoop)
       return Body.size() == 1 ? std::move(Body.front())
                               : block(std::move(Body));
@@ -90,18 +106,53 @@ void emitRowBlocks(const std::vector<const KernelCallStmt *> &Calls,
                                      block(std::move(Body)));
   };
   if (Blocks > 0) {
-    ExprPtr Row0 = mul(var(kRowBlockVar), intConst(kGradRowBlock));
+    const char *Var = D == Dim::Rows ? "rb" : "cb";
+    ExprPtr Start = mul(var(Var), intConst(Size));
     std::vector<StmtPtr> Body;
-    Body.push_back(Part(Row0.get(), kGradRowBlock));
-    auto Loop = std::make_unique<ForStmt>(kRowBlockVar, intConst(0), Blocks,
+    Body.push_back(Part(Start.get(), Size));
+    auto Loop = std::make_unique<ForStmt>(Var, intConst(0), Blocks,
                                           block(std::move(Body)));
     Loop->annotations().Parallel = true;
     Out.push_back(std::move(Loop));
   }
   if (Tail > 0) {
-    ExprPtr Row0 = intConst(Blocks * kGradRowBlock);
-    Out.push_back(Part(Blocks > 0 ? Row0.get() : nullptr, Tail));
+    ExprPtr Start = intConst(Blocks * Size);
+    Out.push_back(Part(Blocks > 0 ? Start.get() : nullptr, Tail));
   }
+}
+
+/// A top-level whole-batch GEMM unit, split along \p D: the blocks plus
+/// the tail as one block statement.
+StmtPtr blockedGemm(const KernelCallStmt &K, Dim D, int64_t Extent) {
+  std::vector<StmtPtr> Parts;
+  emitBlocks({&K}, D, Extent, /*ItemLoop=*/nullptr, Parts);
+  return Parts.size() == 1 ? std::move(Parts.front())
+                           : block(std::move(Parts));
+}
+
+/// Whether a top-level Sgemm unit is worth a column-block loop: too few
+/// rows for row blocks, two whole blocks, and enough work in each block
+/// for a fork/join. Blocks of a few multiply-adds per column lose: vgg3's
+/// training classifier gradients at batch 4 (20 K multiply-adds a block)
+/// ran 2-8x slower split than as one call.
+bool columnSplittable(const KernelCallStmt &K) {
+  if (K.kernel() != KernelKind::Sgemm)
+    return false;
+  const std::vector<int64_t> &IA = K.intArgs();
+  return IA[0] <= kGradRowBlock && IA[1] / kGemmColBlock >= 2 &&
+         IA[0] * kGemmColBlock * IA[2] >= kMinBlockedMacs;
+}
+
+/// Rewrites every top-level Sgemm unit of \p Root that columnSplittable
+/// accepts; units that are loops or blocks are left alone.
+void splitColumns(ir::Stmt *Root) {
+  auto *Units = dyn_cast_if_present<BlockStmt>(Root);
+  if (!Units)
+    return;
+  for (StmtPtr &Unit : Units->stmts())
+    if (const auto *K = dyn_cast<KernelCallStmt>(Unit.get()))
+      if (columnSplittable(*K))
+        Unit = blockedGemm(*K, Dim::Cols, K->intArgs()[1]);
 }
 
 class Partitioner {
@@ -210,7 +261,7 @@ StmtPtr Partitioner::splitBatchLoop(const ForStmt &F,
     annotateBatchLoop(*Items);
     Parts.push_back(std::move(Items));
   }
-  emitRowBlocks(Moved, Rows, &F, Parts);
+  emitBlocks(Moved, Dim::Rows, Rows, &F, Parts);
   return block(std::move(Parts));
 }
 
@@ -227,12 +278,9 @@ void Partitioner::run() {
         continue;
       const int64_t Rows = K->intArgs()[0];
       if (Rows <= kGradRowBlock ||
-          Rows * K->intArgs()[1] * K->intArgs()[2] < kMinRowBlockedMacs)
+          Rows * K->intArgs()[1] * K->intArgs()[2] < kMinBlockedMacs)
         continue;
-      std::vector<StmtPtr> Parts;
-      emitRowBlocks({K}, Rows, /*ItemLoop=*/nullptr, Parts);
-      Unit = Parts.size() == 1 ? std::move(Parts.front())
-                               : block(std::move(Parts));
+      Unit = blockedGemm(*K, Dim::Rows, Rows);
       continue;
     }
     auto *F = dyn_cast<ForStmt>(Unit.get());
@@ -274,4 +322,9 @@ void Partitioner::run() {
 
 void compiler::partitionParamGrads(Program &Prog) {
   Partitioner(Prog).run();
+}
+
+void compiler::splitGemmColumns(Program &Prog) {
+  splitColumns(Prog.Forward.get());
+  splitColumns(Prog.Backward.get());
 }

@@ -1,4 +1,4 @@
-//===- compiler/gradpart.h - Row-partitioned param gradients ----*- C++ -*-===//
+//===- compiler/gradpart.h - Row- and column-blocked GEMM units -*- C++ -*-===//
 ///
 /// \file
 /// Parallel synchronized backward (§3.1). Every item of a backward batch
@@ -38,6 +38,23 @@
 /// race-free, exactly as it does in forward, so the engine, the JIT and
 /// the standalone emitter all run the same IR in parallel.
 ///
+/// Column blocks. A top-level Sgemm unit with too few rows for row blocks
+/// (M <= kGradRowBlock: the fully-connected forward and input-gradient
+/// GEMMs at small batch, where M is the batch) is split over its columns
+/// instead, in forward and in backward:
+///
+///   for cb in 0:+N/W parallel
+///     sgemm columns [cb*W, cb*W + W)   only C's and op(B)'s offsets and N
+///   sgemm columns [N - N%W, N)         static tail when W does not divide N
+///
+/// Every C element keeps its ascending-k chain, so each block computes
+/// exactly its part of the single call (the sub-block invariant in
+/// kernels/gemm.h). W is the constant kGemmColBlock. A unit is split only
+/// when it has at least two whole blocks of at least 2^20 multiply-adds
+/// each; a call inside a loop is never split. The forward split depends on the
+/// forward unit alone, so the training and inference compiles keep the
+/// same forward IR.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LATTE_COMPILER_GRADPART_H
@@ -54,9 +71,21 @@ struct Program;
 /// and fully-connected output-channel count in AlexNet and VGG.
 constexpr int64_t kGradRowBlock = 32;
 
+/// Output columns per block of a column-split GEMM. Chosen from a per-unit
+/// timing of AlexNet(0.5)'s fully-connected GEMMs at batch 8
+/// (EXPERIMENTS.md, "Fully-connected GEMMs, clears and solver on every
+/// thread").
+constexpr int64_t kGemmColBlock = 512;
+
 /// Runs the partition over Prog.Backward (after recomputeGathers, before
 /// planMemory; only meaningful when CompileOptions::Parallelize is on).
 void partitionParamGrads(Program &Prog);
+
+/// Splits the qualifying top-level Sgemm units of Prog.Forward and
+/// Prog.Backward into column blocks (after partitionParamGrads in training,
+/// after the inference strip in inference; before planMemory; only when
+/// CompileOptions::Parallelize is on).
+void splitGemmColumns(Program &Prog);
 
 } // namespace compiler
 } // namespace latte

@@ -30,19 +30,6 @@ struct EnvImpl {
   std::vector<std::pair<std::string, float>> FloatVars;
 };
 
-/// Whether parallel loops fork. With one OpenMP thread a fork only adds a
-/// team setup per loop and runs the body as an outlined function (2-5%
-/// slower on the one-thread LSTM step, measured on a 4-vCPU Xeon VM); the
-/// serial path computes the same bytes, since parallel loops are race-free
-/// in both passes.
-bool forkParallelLoops(const ExecOptions &Opts) {
-#ifdef LATTE_HAVE_OPENMP
-  return Opts.Parallel && omp_get_max_threads() > 1;
-#else
-  return Opts.Parallel;
-#endif
-}
-
 /// Adds \p Trips calls of kernel \p Kind with int args \p IA to the
 /// library-kernel counters in \p Out.
 void addKernelCost(KernelKind Kind, const int64_t *IA, uint64_t Trips,
@@ -134,6 +121,35 @@ std::vector<prof::CounterSet> unitCounters(const Stmt *Root) {
 }
 
 } // namespace
+
+void engine::forEachChunk(
+    bool Fork, const std::vector<int64_t> &Sizes,
+    const std::function<void(size_t, int64_t, int64_t)> &Fn) {
+#ifdef LATTE_HAVE_OPENMP
+  int64_t Total = 0;
+  for (int64_t Size : Sizes)
+    Total += Size;
+  if (Fork && Total >= kMinForkedElements) {
+#pragma omp parallel
+    {
+      const int64_t T = omp_get_thread_num(), Team = omp_get_num_threads();
+      for (size_t I = 0; I < Sizes.size(); ++I) {
+        // Boundaries rounded down to 16 floats, so no two threads write
+        // one cache line; the last thread takes the ragged end.
+        const int64_t Begin = Sizes[I] * T / Team / 16 * 16;
+        const int64_t End =
+            T + 1 == Team ? Sizes[I] : Sizes[I] * (T + 1) / Team / 16 * 16;
+        if (Begin < End)
+          Fn(I, Begin, End);
+      }
+    }
+    return;
+  }
+#endif
+  for (size_t I = 0; I < Sizes.size(); ++I)
+    if (Sizes[I] > 0)
+      Fn(I, 0, Sizes[I]);
+}
 
 struct Executor::Env : EnvImpl {
   bool AllowParallel = false;
@@ -426,23 +442,48 @@ void Executor::shareParamsFrom(const Executor &Src) {
       CtxBufs[I] = Buffers.at(Prog.Buffers[I].Name).Data;
 }
 
+// With one OpenMP thread a fork only adds a team setup per loop and runs
+// the body as an outlined function (2-5% slower on the one-thread LSTM
+// step, measured on a 4-vCPU Xeon VM); the serial path computes the same
+// bytes, since parallel loops are race-free in both passes.
+bool Executor::forksParallelLoops() const {
+#ifdef LATTE_HAVE_OPENMP
+  return Opts.Parallel && omp_get_max_threads() > 1;
+#else
+  return Opts.Parallel;
+#endif
+}
+
+void Executor::zeroAtPassTop(const std::vector<std::string> &Pinned,
+                             bool BufferInfo::*ZeroFlag) {
+  // Arena mode: only pinned/retained clears happen at pass top; interval
+  // buffers are cleared lazily by execProgram (the plan's ZeroBefore
+  // schedule) so the clear does not extend their live range.
+  std::vector<const BufferRT *> Clears;
+  if (PlanActive) {
+    for (const std::string &Root : Pinned)
+      Clears.push_back(&buffer(Root));
+  } else {
+    for (const BufferInfo &B : Prog.Buffers)
+      if (B.*ZeroFlag)
+        Clears.push_back(&buffer(B.Name));
+  }
+  std::vector<int64_t> Sizes;
+  for (const BufferRT *B : Clears)
+    Sizes.push_back(B->Count);
+  forEachChunk(forksParallelLoops(), Sizes,
+               [&](size_t I, int64_t Begin, int64_t End) {
+                 kernels::zero(Clears[I]->Data + Begin, End - Begin);
+               });
+}
+
 void Executor::forward() {
   // Deterministic mode: every forward pass draws the same dropout masks, so
   // repeated forwards over the same inputs are bitwise identical (finite
   // differencing and cross-variant comparisons rely on this).
   if (Opts.Deterministic)
     DropoutRng = Rng(Opts.Seed ^ kernels::kDropoutSeedSalt);
-  if (PlanActive) {
-    // Arena mode: only pinned/retained clears happen at pass top; interval
-    // buffers are cleared lazily by execProgram (the plan's ZeroBefore
-    // schedule) so the clear does not extend their live range.
-    for (const std::string &Root : Prog.Plan.ZeroOnForwardPinned)
-      kernels::zero(buffer(Root).Data, buffer(Root).Count);
-  } else {
-    for (const BufferInfo &B : Prog.Buffers)
-      if (B.ZeroOnForward)
-        kernels::zero(buffer(B.Name).Data, buffer(B.Name).Count);
-  }
+  zeroAtPassTop(Prog.Plan.ZeroOnForwardPinned, &BufferInfo::ZeroOnForward);
   execProgram("forward", Prog.Forward.get(), Prog.ForwardTasks,
               /*GlobalBase=*/0, JitFwd, FwdCounters);
 }
@@ -454,14 +495,7 @@ void Executor::backward() {
         "backward tasks, gradient buffers, or solver bindings (compiled "
         "via CompileOptions::Inference / compileForward). Recompile in "
         "training mode to run backward.");
-  if (PlanActive) {
-    for (const std::string &Root : Prog.Plan.ZeroOnBackwardPinned)
-      kernels::zero(buffer(Root).Data, buffer(Root).Count);
-  } else {
-    for (const BufferInfo &B : Prog.Buffers)
-      if (B.ZeroOnBackward)
-        kernels::zero(buffer(B.Name).Data, buffer(B.Name).Count);
-  }
+  zeroAtPassTop(Prog.Plan.ZeroOnBackwardPinned, &BufferInfo::ZeroOnBackward);
   // Seed the loss gradient path: SoftmaxLossBwd reads probabilities
   // directly, so nothing to do here beyond zeroing. Parallel backward loops
   // are race-free: the compiler partitions parameter-gradient accumulation
@@ -766,7 +800,7 @@ void Executor::execProgram(const char *Pass, const Stmt *Root,
                            const std::vector<LatteJitTask> &Tasks,
                            const std::vector<prof::CounterSet> &Counters) {
   Env E;
-  E.AllowParallel = forkParallelLoops(Opts);
+  E.AllowParallel = forksParallelLoops();
   // Repointed per pass so moved executors stay valid; par is 0 exactly
   // when the interpreter would not fork.
   if (JitActive)

@@ -20,6 +20,7 @@
 #include "support/tensor.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -31,7 +32,9 @@ namespace engine {
 /// Runtime options (the engine-side halves of the compile-time switches).
 struct ExecOptions {
   /// Honor parallel loop annotations with OpenMP (when it can run more
-  /// than one thread; results are the same either way).
+  /// than one thread; results are the same either way). The same decision
+  /// splits the pass-top buffer clears and Solver::step across the team
+  /// (forEachChunk).
   bool Parallel = true;
   /// Re-seed the dropout RNG at the top of every forward pass, so repeated
   /// forwards over identical inputs produce bitwise-identical outputs (a
@@ -61,6 +64,20 @@ struct ExecOptions {
   uint64_t Seed = 0x5eed;
 };
 
+/// Element count below which forEachChunk never forks, so small programs
+/// clear and update on one thread.
+constexpr int64_t kMinForkedElements = int64_t(1) << 16;
+
+/// Calls \p Fn(I, Begin, End) over contiguous chunks that together cover
+/// [0, Sizes[I]) for every I, each element once. With \p Fork set and at
+/// least kMinForkedElements elements in all, one OpenMP team shares the
+/// work: each thread takes one chunk of every span, the chunk boundaries
+/// on 16-float (64-byte) multiples. Otherwise each span is one chunk, in
+/// order. \p Fn must treat its elements independently; the result is then
+/// the same at every thread count.
+void forEachChunk(bool Fork, const std::vector<int64_t> &Sizes,
+                  const std::function<void(size_t, int64_t, int64_t)> &Fn);
+
 class Executor {
 public:
   /// Takes ownership of the compiled program (so `Executor(compile(Net))`
@@ -69,6 +86,9 @@ public:
 
   const compiler::Program &program() const { return Prog; }
   const ExecOptions &options() const { return Opts; }
+  /// Whether this executor's parallel loops fork an OpenMP team
+  /// (ExecOptions::Parallel and more than one thread available).
+  bool forksParallelLoops() const;
 
   // --- buffer access ------------------------------------------------------
 
@@ -147,6 +167,11 @@ private:
 
   struct Env; // loop variables + scalar locals
 
+  /// Clears a pass's buffers before its first unit: \p Pinned in arena
+  /// mode, else every buffer whose \p ZeroFlag is set; across the OpenMP
+  /// team when the executor forks (forEachChunk).
+  void zeroAtPassTop(const std::vector<std::string> &Pinned,
+                     bool compiler::BufferInfo::*ZeroFlag);
   void execStmt(const ir::Stmt *S, Env &E);
   void execKernel(const ir::KernelCallStmt *K, Env &E);
   /// Runs pass \p Pass ("forward" / "backward") one top-level unit at a

@@ -5,6 +5,7 @@
 #include "support/error.h"
 
 #include <cmath>
+#include <string>
 
 using namespace latte;
 using namespace latte::solvers;
@@ -49,6 +50,9 @@ double LRPolicy::at(int64_t Iter) const {
   case Kind::Inv:
     return Base * std::pow(1.0 + Gamma * static_cast<double>(Iter), -Power);
   case Kind::Step:
+    if (StepSize <= 0)
+      reportFatalError("LRPolicy::step needs a positive StepSize (got " +
+                       std::to_string(StepSize) + ")");
     return Base * std::pow(Gamma, static_cast<double>(Iter / StepSize));
   case Kind::Exp:
     return Base * std::pow(Gamma, static_cast<double>(Iter));
@@ -58,35 +62,63 @@ double LRPolicy::at(int64_t Iter) const {
 
 Solver::~Solver() = default;
 
+namespace {
+
+/// \p Table's state tensor for parameter \p Name, allocated at \p Count
+/// floats on first use; fatal when a stored one has another size (one
+/// solver stepping two nets whose parameters share a name).
+float *historyFor(std::unordered_map<std::string, Tensor> &Table,
+                  const std::string &Name, int64_t Count) {
+  auto It = Table.find(Name);
+  if (It == Table.end())
+    It = Table.emplace(Name, Tensor(Shape{Count})).first;
+  else if (It->second.numElements() != Count)
+    reportFatalError("Solver::step: parameter '" + Name + "' has " +
+                     std::to_string(Count) +
+                     " elements, but its stored history has " +
+                     std::to_string(It->second.numElements()));
+  return It->second.data();
+}
+
+} // namespace
+
+const Tensor *Solver::history(const std::string &Param, int Index) const {
+  const auto &Table = Index == 0 ? History : History2;
+  auto It = Table.find(Param);
+  return It == Table.end() ? nullptr : &It->second;
+}
+
 void Solver::step(engine::Executor &Ex, int64_t Iter) {
-  double Lr = Params.Lr.at(Iter);
+  const double Lr = Params.Lr.at(Iter);
+  struct Slot {
+    float *Param, *Grad, *H1, *H2;
+    double Lr;
+  };
+  std::vector<Slot> Slots;
+  std::vector<int64_t> Sizes;
   for (const compiler::ParamBinding &B : Ex.program().Params) {
-    float *Param = Ex.data(B.Param);
-    float *Grad = Ex.data(B.Grad);
-    int64_t Count = Ex.size(B.Param);
-
-    // L2 regularization folds into the gradient before the rule runs.
-    if (Params.ReguCoef != 0.0) {
-      float Coef = static_cast<float>(Params.ReguCoef);
-      for (int64_t I = 0; I < Count; ++I)
-        Grad[I] += Coef * Param[I];
-    }
-
-    float *H1 = nullptr, *H2 = nullptr;
-    if (historyCount() >= 1) {
-      auto It = History.find(B.Param);
-      if (It == History.end())
-        It = History.emplace(B.Param, Tensor(Shape{Count})).first;
-      H1 = It->second.data();
-    }
-    if (historyCount() >= 2) {
-      auto It = History2.find(B.Param);
-      if (It == History2.end())
-        It = History2.emplace(B.Param, Tensor(Shape{Count})).first;
-      H2 = It->second.data();
-    }
-    update(Param, Grad, H1, H2, Count, Lr * B.LrMult);
+    const int64_t Count = Ex.size(B.Param);
+    Slots.push_back(
+        {Ex.data(B.Param), Ex.data(B.Grad),
+         historyCount() >= 1 ? historyFor(History, B.Param, Count) : nullptr,
+         historyCount() >= 2 ? historyFor(History2, B.Param, Count) : nullptr,
+         Lr * B.LrMult});
+    Sizes.push_back(Count);
   }
+  // Each element's update reads only its own entries, so contiguous chunks
+  // across the team give the serial loop's bytes.
+  const float Coef = static_cast<float>(Params.ReguCoef);
+  engine::forEachChunk(
+      Ex.forksParallelLoops(), Sizes,
+      [&](size_t I, int64_t Begin, int64_t End) {
+        const Slot &S = Slots[I];
+        // L2 regularization folds into the gradient before the rule runs.
+        if (Params.ReguCoef != 0.0)
+          for (int64_t J = Begin; J < End; ++J)
+            S.Grad[J] += Coef * S.Param[J];
+        update(S.Param + Begin, S.Grad + Begin, S.H1 ? S.H1 + Begin : nullptr,
+               S.H2 ? S.H2 + Begin : nullptr, End - Begin, S.Lr);
+      });
 }
 
 void SgdSolver::update(float *Param, const float *Grad, float *History,

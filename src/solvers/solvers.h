@@ -36,7 +36,7 @@ struct LRPolicy {
   static LRPolicy fixed(double Base);
   /// base * (1 + gamma * iter)^-power (the Figure 7 policy).
   static LRPolicy inv(double Base, double Gamma, double Power);
-  /// base * gamma^(iter / stepSize).
+  /// base * gamma^(iter / stepSize); at() is fatal for StepSize <= 0.
   static LRPolicy step(double Base, double Gamma, int64_t StepSize);
   /// base * gamma^iter.
   static LRPolicy exp(double Base, double Gamma);
@@ -67,13 +67,23 @@ public:
   const SolverParameters &params() const { return Params; }
 
   /// Applies one update step to every parameter of \p Ex using the
-  /// gradients accumulated by the last backward() call.
+  /// gradients accumulated by the last backward() call. When \p Ex forks
+  /// its parallel loops, each parameter is split into contiguous chunks
+  /// across the OpenMP team (engine::forEachChunk; the weight-decay fold
+  /// too), with the serial loop's bytes at every thread count. Fatal when
+  /// a parameter's stored history has another size than the parameter.
   void step(engine::Executor &Ex, int64_t Iter);
 
+  /// History tensor \p Index (0 or 1) of parameter \p Param; null before
+  /// the first step or when the rule keeps fewer tensors.
+  const Tensor *history(const std::string &Param, int Index = 0) const;
+
 protected:
-  /// Per-parameter update rule. \p History is a lazily allocated state
-  /// tensor of the same size (momentum/accumulator); \p History2 a second
-  /// one (AdaDelta).
+  /// Per-parameter update rule over \p Count elements (a whole parameter
+  /// or one contiguous chunk of it; threads may run chunks of one
+  /// parameter at once). \p History is a lazily allocated state tensor of
+  /// the same size (momentum/accumulator); \p History2 a second one
+  /// (AdaDelta).
   virtual void update(float *Param, const float *Grad, float *History,
                       float *History2, int64_t Count, double Lr) = 0;
 

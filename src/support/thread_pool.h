@@ -4,7 +4,8 @@
 /// A small fork-join pool used by the data-parallel runtime (worker replicas,
 /// gradient reduction). Tasks are submitted as a parallel-for over an index
 /// range. The engine does not use it: without OpenMP it runs every
-/// parallel-annotated loop serially (forkParallelLoops, engine/executor.cpp).
+/// parallel-annotated loop serially (Executor::forksParallelLoops,
+/// engine/executor.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

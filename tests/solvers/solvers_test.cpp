@@ -39,6 +39,13 @@ TEST(LrPolicyTest, StepAndExp) {
   EXPECT_NEAR(Ex.at(2), 0.81, 1e-12);
 }
 
+TEST(LrPolicyDeathTest, NonPositiveStepSizeIsFatal) {
+  EXPECT_DEATH(LRPolicy::step(1.0, 0.5, 0).at(3), "positive StepSize");
+  LRPolicy P = LRPolicy::step(1.0, 0.5, 10);
+  P.StepSize = -4;
+  EXPECT_DEATH(P.at(3), "positive StepSize \\(got -4\\)");
+}
+
 namespace {
 
 /// A tiny learnable problem: logistic regression on two separable blobs.
@@ -150,6 +157,25 @@ TEST(SolverTest, MomentumAcceleratesAlongConstantGradient) {
   S.step(Ex, 1);
   Tensor W2 = Ex.readBuffer("fc_weights");
   EXPECT_NEAR(W2.at(0), W1.at(0) - 1.5f, 1e-5f);
+}
+
+TEST(SolverDeathTest, HistoryOfAnotherSizeIsFatal) {
+  // One solver stepping two nets whose parameters share a name: the second
+  // net's fc_weights has 4,000 floats, the stored history 4.
+  auto FcNet = [](int64_t In, int64_t Out) {
+    core::Net Net(1);
+    auto *Data = layers::DataLayer(Net, "data", Shape{In});
+    layers::FullyConnectedLayer(Net, "fc", Data, Out);
+    return engine::Executor(compiler::compile(Net));
+  };
+  engine::Executor Small = FcNet(2, 2), Large = FcNet(40, 100);
+  ASSERT_EQ(Small.size("fc_weights"), 4);
+  ASSERT_EQ(Large.size("fc_weights"), 4000);
+  SolverParameters P;
+  SgdSolver S(P);
+  S.step(Small, 0);
+  EXPECT_DEATH(S.step(Large, 1), "parameter 'fc_weights' has 4000 elements, "
+                                 "but its stored history has 4");
 }
 
 TEST(DatasetTest, SyntheticMnistDeterministicAndLabeled) {

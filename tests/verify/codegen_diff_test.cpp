@@ -13,6 +13,7 @@
 
 #include "compiler/compiler.h"
 #include "engine/executor.h"
+#include "models/models.h"
 #include "verify/random_net.h"
 
 #include <gtest/gtest.h>
@@ -101,4 +102,16 @@ TEST(CodegenDiffTest, ConvNetBatch3TrainAndForward) {
       ParallelLoop |= F->annotations().Parallel;
   EXPECT_TRUE(ParallelLoop);
   diffProgram(Fwd, 32, 5, "latte_vdiff_conv3_fwd", "fwd");
+}
+
+TEST(CodegenDiffTest, ColumnBlockedFcTrainAndForward) {
+  // mlp(1024, {1024, 1024}) at batch 2: both hidden layers' forward and
+  // input-gradient GEMMs run as parallel loops over two 512-column blocks
+  // (compiler/gradpart.h), in the training program and in its
+  // compileForward program.
+  core::Net N(2);
+  models::buildLatte(N, models::mlp(1024, {1024, 1024}, 4),
+                     /*WithLoss=*/true);
+  diffProgram(compile(N), 41, 4, "latte_vdiff_fc_cols", "fwdbwd");
+  diffProgram(compileForward(N), 42, 4, "latte_vdiff_fc_cols_fwd", "fwd");
 }

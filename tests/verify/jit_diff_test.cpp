@@ -27,6 +27,7 @@
 #include "engine/executor.h"
 #include "jit/jit_backend.h"
 #include "models/models.h"
+#include "support/casting.h"
 #include "verify/lattice.h"
 
 #include <gtest/gtest.h>
@@ -134,6 +135,26 @@ TEST(JitDiffTest, MlpBitIdenticalAcrossLattice) {
   // the trampoline, unmatched points run generated loop nests — both paths
   // must be bit-exact against the interpreter at every base point.
   diffAllBaseMasks(models::mlp(12, {16, 8}, 4), /*Batch=*/2);
+}
+
+TEST(JitDiffTest, ColumnBlockedFcBitIdentical) {
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable in this build/environment";
+  // Both hidden layers' forward and input-gradient GEMMs (2 x 1024 x 1024)
+  // take the column split (compiler/gradpart.h); the JIT's parallel column
+  // loops must match the interpreter's.
+  const models::ModelSpec Spec = models::mlp(1024, {1024, 1024}, 4);
+  const unsigned Base =
+      verify::kGemmMask | verify::kKernelsMask | verify::kParallelizeMask;
+  const Program P = compileSpec(Spec, 2, verify::optionsForMask(Base));
+  // N = 1024 is two whole blocks and no tail: each unit is the loop alone.
+  int ColumnLoops = 0;
+  for (const ir::Stmt *Pass : {P.Forward.get(), P.Backward.get()})
+    for (const ir::StmtPtr &U : cast<ir::BlockStmt>(Pass)->stmts())
+      if (const auto *F = dyn_cast<ir::ForStmt>(U.get()))
+        ColumnLoops += F->var() == "cb";
+  EXPECT_EQ(ColumnLoops, 4);
+  diffOneBaseMask(Spec, /*Batch=*/2, Base);
 }
 
 TEST(JitDiffTest, PaddedConvPoolBitIdenticalAcrossLattice) {

@@ -6,6 +6,8 @@
 /// ExecOptions::Parallel off (the serial synchronized order). LeNet covers
 /// ragged row blocks (50 conv and 500 fc rows); AlexNet covers the
 /// partitioned conv units and the row-blocked fully-connected dW GEMMs.
+/// ParallelizeBitwiseTest holds the same AlexNet, its column-split
+/// fully-connected GEMMs included, to a compile with Parallelize off.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +37,7 @@ using Snapshot = std::vector<std::pair<std::string, Tensor>>;
 /// Trains \p Steps SGD-with-momentum steps on seeded synthetic batches and
 /// returns every Param and ParamGrad root.
 Snapshot train(const models::ModelSpec &Spec, int64_t Batch, int Steps,
-               int Threads, bool Parallel) {
+               int Threads, bool Parallel, bool Parallelize = true) {
 #ifdef LATTE_HAVE_OPENMP
   const int SavedThreads = omp_get_max_threads();
   omp_set_num_threads(Threads);
@@ -44,7 +46,9 @@ Snapshot train(const models::ModelSpec &Spec, int64_t Batch, int Steps,
   models::buildLatte(Net, Spec, /*WithLoss=*/true);
   engine::ExecOptions EO;
   EO.Parallel = Parallel;
-  engine::Executor Ex(compiler::compile(Net, compiler::CompileOptions()), EO);
+  compiler::CompileOptions CO;
+  CO.Parallelize = Parallelize;
+  engine::Executor Ex(compiler::compile(Net, CO), EO);
   Ex.initParams(3);
   const compiler::Program &P = Ex.program();
   const Shape DataShape = P.findBuffer(P.DataBuffer)->Dims;
@@ -77,9 +81,15 @@ Snapshot train(const models::ModelSpec &Spec, int64_t Batch, int Steps,
   return Out;
 }
 
+/// Every thread count against a serial reference: an executor with
+/// ExecOptions::Parallel off, or with \p SerialCompile a program compiled
+/// with CompileOptions::Parallelize off (no partitioned or column-split
+/// units at all).
 void expectBitwiseAcrossThreadCounts(const models::ModelSpec &Spec,
-                                     int64_t Batch) {
-  const Snapshot Serial = train(Spec, Batch, 3, 1, /*Parallel=*/false);
+                                     int64_t Batch,
+                                     bool SerialCompile = false) {
+  const Snapshot Serial = train(Spec, Batch, 3, 1, /*Parallel=*/false,
+                                /*Parallelize=*/!SerialCompile);
   ASSERT_FALSE(Serial.empty());
   for (int Threads : {1, 2, 4}) {
     const Snapshot Got = train(Spec, Batch, 3, Threads, /*Parallel=*/true);
@@ -105,4 +115,13 @@ TEST(ParallelBackwardTest, LeNetBitwiseAcrossThreadCounts) {
 
 TEST(ParallelBackwardTest, AlexNetBitwiseAcrossThreadCounts) {
   expectBitwiseAcrossThreadCounts(models::alexNet(0.25), 4);
+}
+
+// The column-split fully-connected GEMMs (compiler/gradpart.h), the
+// row-blocked dW GEMMs, the pass-top gradient clears and Solver::step all
+// run across the team here; every byte must equal the program compiled
+// without Parallelize.
+TEST(ParallelizeBitwiseTest, AlexNetMatchesUnparallelizedCompile) {
+  expectBitwiseAcrossThreadCounts(models::alexNet(0.25), 4,
+                                  /*SerialCompile=*/true);
 }
