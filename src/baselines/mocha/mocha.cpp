@@ -25,6 +25,7 @@ void NaiveConvolutionLayer::reshape(const std::vector<Blob *> &Bottom,
                                     const std::vector<Blob *> &Top) {
   const Shape &In = Bottom[0]->shape();
   assert(In.rank() == 4 && "conv bottom must be (batch, C, H, W)");
+  kernels::checkWindow("conv layer '" + Name + "'", Kernel, Stride);
   Geom = kernels::ConvGeometry{In[1], In[2], In[3], Kernel, Kernel,
                                Stride,  Stride, Pad,   Pad};
   if (Geom.outH() <= 0 || Geom.outW() <= 0)
@@ -186,8 +187,11 @@ LATTE_NOVEC void NaiveReluLayer::backward(const std::vector<Blob *> &Bottom,
 void NaiveMaxPoolingLayer::reshape(const std::vector<Blob *> &Bottom,
                                    const std::vector<Blob *> &Top) {
   const Shape &In = Bottom[0]->shape();
+  kernels::checkWindow("pooling layer '" + Name + "'", Kernel, Stride);
   Geom = kernels::ConvGeometry{In[1], In[2], In[3], Kernel, Kernel,
                                Stride,  Stride, Pad,   Pad};
+  if (Geom.outH() <= 0 || Geom.outW() <= 0)
+    reportFatalError("pooling layer '" + Name + "' has empty output");
   *Top[0] = Blob(Shape{In[0], In[1], Geom.outH(), Geom.outW()});
 }
 

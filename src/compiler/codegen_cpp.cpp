@@ -66,23 +66,10 @@ namespace {
 // class bodies; the slot-array line lists the buffers and the table entry
 // the unit's TaskLabel.
 //
-// Kernel calls normally go through the ctx trampoline, which in the JIT
-// and in the standalone program alike is kernels::dispatch: the exact
-// functions the interpreter runs. A whitelisted subset instead gets a
-// SPECIALIZED CLONE emitted into the module: the library loop structure
-// reproduced statement-for-statement with every shape argument a
-// compile-time constant, so the system compiler can unroll the (tiny, now
-// constant-bound) window loops and split away the padding checks that
-// runtime-geometry library kernels re-test on every element. The
-// whitelist is exactly the kernels whose float work is data movement,
-// comparison, or plain addition in a fixed order — im2col/col2im, max
-// pool, ReLU, bias adds, gather/scatter — for which any conforming
-// compilation is bitwise identical to the library kernel: without
-// fast-math the compiler may not reassociate, and no clone contains a
-// multiply feeding an add, so -ffp-contract=off vs the host library's
-// contraction setting cannot matter either. Kernels where instruction
-// selection can change results — Sgemm, softmax (libm + reductions),
-// Row/ColSumAdd, average pooling, sigmoid/tanh — keep the trampoline.
+// Every kernel call goes through the ctx trampoline, which in the JIT and
+// in the standalone program alike is kernels::dispatch: the exact
+// functions the interpreter runs, so one kernel implementation serves all
+// three and a kernel change lands in each.
 
 class JitEmitter {
 public:
@@ -106,8 +93,6 @@ private:
   void emitStmt(const Stmt *S, int Indent);
   void emitFor(const ForStmt *F, int Indent);
   void emitKernel(const KernelCallStmt *K, int Indent);
-  std::string specializedKernel(const KernelCallStmt *K);
-  void emitSpecBody(KernelKind Kind, const std::vector<int64_t> &IA);
   std::string floatExpr(const Expr *E);
   std::string intExpr(const Expr *E) const;
   std::string elemRef(const std::string &Buffer,
@@ -121,12 +106,6 @@ private:
 
   const Program &Prog;
   std::ostringstream OS;
-  /// Specialized kernel clones: (kind, int args) signature -> emitted
-  /// function name. SpecOS accumulates their definitions in first-use
-  /// order (deterministic); run() splices them ahead of the task bodies.
-  std::map<std::string, std::string> SpecCache;
-  std::ostringstream SpecOS;
-  int SpecCounter = 0;
   std::unordered_map<std::string, size_t> BufIndex;
   std::unordered_map<std::string, size_t> IntBufIndex;
   /// The unit being rendered: its slots in first-use order, each an
@@ -295,358 +274,6 @@ std::string JitEmitter::floatExpr(const Expr *E) {
   latteUnreachable("unknown expression kind");
 }
 
-/// Returns the name of the specialized clone for \p K, emitting its
-/// definition into SpecOS on first use — or "" when the kernel must keep
-/// the engine trampoline (see the whitelist rationale in the file header
-/// comment above JitEmitter).
-std::string JitEmitter::specializedKernel(const KernelCallStmt *K) {
-  KernelKind Kind = K->kernel();
-  switch (Kind) {
-  case KernelKind::Zero:
-  case KernelKind::Copy:
-  case KernelKind::AddTo:
-  case KernelKind::Gather2D:
-  case KernelKind::ScatterAdd2D:
-  case KernelKind::BiasAddCols:
-  case KernelKind::BiasAddPerRow:
-  case KernelKind::Im2ColRows:
-  case KernelKind::Col2ImRows:
-  case KernelKind::MaxPoolFwdRows:
-  case KernelKind::MaxPoolBwdRows:
-    break;
-  case KernelKind::ActFwdCols:
-    // ReLU forward is a max pattern; sigmoid/tanh go through libm and the
-    // trampoline. ReLU *backward* stays on the trampoline too: its gated
-    // accumulate is exactly the shape -fno-tree-loop-if-convert (see
-    // jit::compileFlags) leaves scalar, so the library's
-    // vectorized build wins.
-    if (K->intArgs().empty() ||
-        static_cast<ActOpKind>(K->intArgs()[0]) != ActOpKind::Relu)
-      return "";
-    break;
-  default:
-    return "";
-  }
-  std::string Key = std::to_string(static_cast<int64_t>(Kind));
-  for (int64_t V : K->intArgs())
-    Key += ":" + std::to_string(V);
-  auto It = SpecCache.find(Key);
-  if (It != SpecCache.end())
-    return It->second;
-  std::string Name = "latte_jit_spec_" + std::to_string(SpecCounter++);
-  SpecCache.emplace(Key, Name);
-  SpecOS << "static void " << Name
-         << "(float *const *FB, int32_t *const *IB, const int64_t *EA) {\n"
-            "  (void)IB; (void)EA;\n";
-  emitSpecBody(Kind, K->intArgs());
-  SpecOS << "}\n\n";
-  return Name;
-}
-
-/// The clone bodies. Each reproduces the corresponding library kernel
-/// (src/kernels/) statement-for-statement — same loop order, same
-/// comparison and accumulation sequence — with the IA shape arguments
-/// substituted as integer literals. Buffer pointers arrive pre-offset in
-/// FB/IB exactly as kernels::dispatch would see them; EA carries the
-/// runtime row/column window origin.
-void JitEmitter::emitSpecBody(KernelKind Kind,
-                              const std::vector<int64_t> &IA) {
-  std::ostringstream &O = SpecOS;
-  auto N = [](int64_t V) { return std::to_string(V); };
-  switch (Kind) {
-  case KernelKind::Zero:
-    O << "  std::memset(FB[0], 0, " << N(IA[0]) << " * sizeof(float));\n";
-    return;
-  case KernelKind::Copy:
-    O << "  std::memcpy(FB[0], FB[1], " << N(IA[0])
-      << " * sizeof(float));\n";
-    return;
-  case KernelKind::AddTo:
-    O << "  float *Dst = FB[0];\n"
-         "  const float *Src = FB[1];\n"
-         "  for (int64_t I = 0; I < "
-      << N(IA[0]) << "; ++I)\n    Dst[I] += Src[I];\n";
-    return;
-  case KernelKind::Gather2D:
-    O << "  float *Dst = FB[0];\n"
-         "  const float *Src = FB[1];\n"
-         "  const int32_t *Table = IB[2];\n"
-         "  const int64_t Cb = EA[0];\n"
-         "  for (int64_t R = 0; R < "
-      << N(IA[0]) << "; ++R) {\n    float *D = Dst + R * " << N(IA[1])
-      << " + Cb;\n    const int32_t *T = Table + R * " << N(IA[1])
-      << " + Cb;\n    for (int64_t I = 0; I < " << N(IA[2])
-      << "; ++I) {\n      const int32_t Idx = T[I];\n"
-         "      D[I] = Idx >= 0 ? Src[Idx] : 0.0f;\n    }\n  }\n";
-    return;
-  case KernelKind::ScatterAdd2D:
-    O << "  float *Dst = FB[0];\n"
-         "  const float *Src = FB[1];\n"
-         "  const int32_t *Table = IB[2];\n"
-         "  const int64_t Cb = EA[0];\n"
-         "  for (int64_t R = 0; R < "
-      << N(IA[0]) << "; ++R) {\n    const float *S = Src + R * " << N(IA[1])
-      << " + Cb;\n    const int32_t *T = Table + R * " << N(IA[1])
-      << " + Cb;\n    for (int64_t I = 0; I < " << N(IA[2])
-      << "; ++I) {\n      const int32_t Idx = T[I];\n"
-         "      if (Idx >= 0)\n        Dst[Idx] += S[I];\n    }\n  }\n";
-    return;
-  case KernelKind::ActFwdCols:
-    // IA: {Op(=Relu), Rows, Cols, ColCount}; EA: {ColBegin}
-    O << "  float *Dst = FB[0];\n"
-         "  const float *Src = FB[1];\n"
-         "  const int64_t Cb = EA[0];\n"
-         "  for (int64_t R = 0; R < "
-      << N(IA[1]) << "; ++R) {\n    float *D = Dst + R * " << N(IA[2])
-      << " + Cb;\n    const float *S = Src + R * " << N(IA[2])
-      << " + Cb;\n    for (int64_t I = 0; I < " << N(IA[3])
-      << "; ++I)\n      D[I] = S[I] > 0.0f ? S[I] : 0.0f;\n  }\n";
-    return;
-  case KernelKind::BiasAddCols:
-    // IA: {Rows, Cols, ColCount}; EA: {ColBegin}
-    O << "  float *Dst = FB[0];\n"
-         "  const float *Bias = FB[1];\n"
-         "  const int64_t Cb = EA[0];\n"
-         "  for (int64_t R = 0; R < "
-      << N(IA[0]) << "; ++R) {\n    float *D = Dst + R * " << N(IA[1])
-      << " + Cb;\n    const float B = Bias[R];\n"
-         "    for (int64_t I = 0; I < "
-      << N(IA[2]) << "; ++I)\n      D[I] += B;\n  }\n";
-    return;
-  case KernelKind::BiasAddPerRow:
-    O << "  float *Dst = FB[0];\n"
-         "  const float *Bias = FB[1];\n"
-         "  for (int64_t R = 0; R < "
-      << N(IA[0]) << "; ++R) {\n    float *D = Dst + R * " << N(IA[1])
-      << ";\n    for (int64_t I = 0; I < " << N(IA[1])
-      << "; ++I)\n      D[I] += Bias[I];\n  }\n";
-    return;
-  case KernelKind::Im2ColRows:
-  case KernelKind::Col2ImRows: {
-    // IA: {C, H, W, K, S, Pad, RowCount}; EA: {RowBegin}.
-    //
-    // The library loops guard every element against the padding border.
-    // With every shape constant, each (KY, KX) slice instead computes its
-    // valid Y/X window up front — the output positions Y whose input row
-    // Y*S - P + KY lies in [0, H), and likewise for X — and runs a
-    // check-free interior loop (a plain strided copy / accumulate the host
-    // compiler vectorizes without if-conversion) with explicit zero-fill
-    // (im2col) or skip (col2im) borders. KY and KX stay loops with
-    // constant bounds; the system compiler unrolls small kernels itself.
-    // Values, visit order (C, KY, KX, Y, X) and accumulation order all
-    // match the library kernel — the split only removes comparisons whose
-    // outcome the window already decides.
-    int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
-            P = IA[5], RC = IA[6];
-    int64_t OutH = (H + 2 * P - K) / S + 1;
-    int64_t OutW = (W + 2 * P - K) / S + 1;
-    bool Fwd = Kind == KernelKind::Im2ColRows;
-    // Declares `<V>Lo` and `<V>Hi`: the outputs O in [0, Out) whose input
-    // O*S - P + KVar lies in [0, Size) are [<V>Lo, <V>Hi).
-    auto Window = [&](const std::string &V, const char *KVar, int64_t Size,
-                      int64_t Out, const char *Indent) {
-      O << Indent << "const int64_t " << V << "A = (int64_t)" << N(P) << " - "
-        << KVar << ", " << V << "B = (int64_t)" << N(Size - 1 + P) << " - "
-        << KVar << ";\n"
-        << Indent << "const int64_t " << V << "Lo = latte_jit_min((int64_t)"
-        << N(Out) << ", " << V << "A <= 0 ? (int64_t)0 : (" << V << "A + "
-        << N(S - 1) << ") / " << N(S) << ");\n"
-        << Indent << "const int64_t " << V << "Hi = latte_jit_max(" << V
-        << "Lo, " << V << "B >= 0 ? latte_jit_min((int64_t)" << N(Out) << ", "
-        << V << "B / " << N(S) << " + 1) : " << V << "Lo);\n";
-    };
-    O << "  const int64_t Rb = EA[0];\n"
-      << (Fwd ? "  float *Col = FB[0];\n  const float *Image = FB[1];\n"
-              : "  float *Image = FB[0];\n  const float *Col = FB[1];\n")
-      << "  const int64_t Re = Rb + " << N(RC)
-      << ";\n"
-         "  for (int64_t C = 0; C < "
-      << N(C) << "; ++C) {\n"
-      << (Fwd ? "    const float *Chan = Image + C * "
-              : "    float *Chan = Image + C * ")
-      << N(H * W) << ";\n    for (int64_t KY = 0; KY < " << N(K)
-      << "; ++KY) {\n";
-    Window("Y", "KY", H, OutH, "      ");
-    O << "      const int64_t Y0 = Rb > YLo ? Rb : YLo;\n"
-         "      const int64_t Y1 = Re < YHi ? Re : YHi;\n"
-         "      for (int64_t KX = 0; KX < "
-      << N(K) << "; ++KX) {\n";
-    Window("X", "KX", W, OutW, "        ");
-    O << (Fwd ? "        float *ColRow = Col + (C * "
-              : "        const float *ColRow = Col + (C * ")
-      << N(K * K) << " + KY * " << N(K) << " + KX) * " << N(OutH * OutW)
-      << ";\n";
-    if (Fwd)
-      O << "        const int64_t He = Y0 < Re ? Y0 : Re;\n"
-           "        for (int64_t Y = Rb; Y < He; ++Y)\n"
-           "          for (int64_t X = 0; X < "
-        << N(OutW) << "; ++X)\n            ColRow[Y * " << N(OutW)
-        << " + X] = 0.0f;\n";
-    O << "        for (int64_t Y = Y0; Y < Y1; ++Y) {\n";
-    if (Fwd) {
-      O << "          const float *Src = Chan + (Y * " << N(S) << " + (KY - "
-        << N(P) << ")) * " << N(W)
-        << ";\n"
-           "          for (int64_t X = 0; X < XLo; ++X)\n"
-           "            ColRow[Y * "
-        << N(OutW)
-        << " + X] = 0.0f;\n"
-           "          for (int64_t X = XLo; X < XHi; ++X)\n"
-           "            ColRow[Y * "
-        << N(OutW) << " + X] = Src[X * " << N(S) << " + (KX - " << N(P)
-        << ")];\n"
-           "          for (int64_t X = XHi; X < "
-        << N(OutW) << "; ++X)\n            ColRow[Y * " << N(OutW)
-        << " + X] = 0.0f;\n";
-    } else {
-      O << "          float *Dst = Chan + (Y * " << N(S) << " + (KY - " << N(P)
-        << ")) * " << N(W)
-        << ";\n"
-           "          for (int64_t X = XLo; X < XHi; ++X)\n"
-           "            Dst[X * "
-        << N(S) << " + (KX - " << N(P) << ")] += ColRow[Y * " << N(OutW)
-        << " + X];\n";
-    }
-    O << "        }\n";
-    if (Fwd)
-      O << "        const int64_t Te = Y1 > He ? Y1 : He;\n"
-           "        for (int64_t Y = Te; Y < Re; ++Y)\n"
-           "          for (int64_t X = 0; X < "
-        << N(OutW) << "; ++X)\n            ColRow[Y * " << N(OutW)
-        << " + X] = 0.0f;\n";
-    O << "      }\n    }\n  }\n";
-    return;
-  }
-  case KernelKind::MaxPoolFwdRows: {
-    // IA: {C, H, W, K, S, Pad, RowCount}; EA: {RowBegin}. Same split idea
-    // as im2col: outputs whose pooling window lies fully inside the image
-    // get an unrolled check-free compare chain (window offsets are
-    // compile-time constants here); border outputs run the
-    // library-identical guarded loops. Each output is written
-    // independently and window elements are visited in the library's
-    // KY-then-KX order, so results are bitwise identical.
-    int64_t C = IA[0], H = IA[1], W = IA[2], K = IA[3], S = IA[4],
-            P = IA[5], RC = IA[6];
-    int64_t OutH = (H + 2 * P - K) / S + 1;
-    int64_t OutW = (W + 2 * P - K) / S + 1;
-    auto CeilDiv = [](int64_t A, int64_t B) {
-      return A <= 0 ? int64_t(0) : (A + B - 1) / B;
-    };
-    // Full-window outputs: 0 <= Y*S - P and Y*S - P + K - 1 < H.
-    int64_t YF0 = std::min(OutH, CeilDiv(P, S));
-    int64_t YF1 =
-        H + P - K >= 0 ? std::min(OutH, (H + P - K) / S + 1) : YF0;
-    YF1 = std::max(YF1, YF0);
-    int64_t XF0 = std::min(OutW, CeilDiv(P, S));
-    int64_t XF1 =
-        W + P - K >= 0 ? std::min(OutW, (W + P - K) / S + 1) : XF0;
-    XF1 = std::max(XF1, XF0);
-    // Emits the guarded per-output loop over X in [XA, XB), inside an
-    // enclosing Y loop. Identical to the library body.
-    auto CheckedX = [&](const std::string &XA, const std::string &XB) {
-      O << "        for (int64_t X = " << XA << "; X < " << XB
-        << "; ++X) {\n"
-           "          float Max = -INFINITY;\n"
-           "          int64_t ArgMax = -1;\n"
-           "          for (int64_t KY = 0; KY < "
-        << N(K) << "; ++KY) {\n            const int64_t InY = Y * " << N(S)
-        << " - " << N(P) << " + KY;\n            if (InY < 0 || InY >= "
-        << N(H) << ")\n              continue;\n"
-           "            for (int64_t KX = 0; KX < "
-        << N(K) << "; ++KX) {\n              const int64_t InX = X * "
-        << N(S) << " - " << N(P) << " + KX;\n              if (InX < 0 || "
-        << "InX >= " << N(W) << ")\n                continue;\n"
-           "              const float V = Chan[InY * "
-        << N(W) << " + InX];\n              if (V > Max) {\n"
-           "                Max = V;\n                ArgMax = C * "
-        << N(H * W) << " + InY * " << N(W) << " + InX;\n              }\n"
-           "            }\n          }\n          const int64_t Out = (C * "
-        << N(OutH) << " + Y) * " << N(OutW) << " + X;\n"
-           "          Output[Out] = Max;\n"
-           "          if (Mask)\n"
-           "            Mask[Out] = static_cast<int32_t>(ArgMax);\n"
-           "        }\n";
-    };
-    O << "  const int64_t Rb = EA[0];\n"
-         "  float *Output = FB[0];\n"
-         "  const float *Input = FB[1];\n"
-         "  int32_t *Mask = IB[2];\n"
-         "  const int64_t Re = Rb + "
-      << N(RC)
-      << ";\n"
-         "  for (int64_t C = 0; C < "
-      << N(C) << "; ++C) {\n    const float *Chan = Input + C * " << N(H * W)
-      << ";\n"
-         "    const int64_t Y0 = Rb > "
-      << N(YF0) << " ? Rb : " << N(YF0)
-      << ";\n"
-         "    const int64_t Y1 = Re < "
-      << N(YF1) << " ? Re : " << N(YF1)
-      << ";\n"
-         "    const int64_t He = Y0 < Re ? Y0 : Re;\n"
-         "    for (int64_t Y = Rb; Y < He; ++Y) {\n";
-    CheckedX("0", N(OutW));
-    O << "    }\n"
-         "    for (int64_t Y = Y0; Y < Y1; ++Y) {\n";
-    CheckedX("0", N(XF0));
-    O << "        const int64_t InY0 = Y * " << N(S) << " + " << N(-P)
-      << ";\n"
-         "        for (int64_t X = "
-      << N(XF0) << "; X < " << N(XF1)
-      << "; ++X) {\n"
-         "          const float *Win = Chan + InY0 * "
-      << N(W) << " + X * " << N(S) << " + " << N(-P)
-      << ";\n"
-         "          float Max = -INFINITY;\n"
-         "          int64_t ArgMax = -1;\n";
-    for (int64_t KY = 0; KY < K; ++KY)
-      for (int64_t KX = 0; KX < K; ++KX)
-        O << "          { const float V = Win[" << N(KY * W + KX)
-          << "];\n            if (V > Max) {\n              Max = V;\n"
-             "              ArgMax = C * "
-          << N(H * W) << " + (InY0 + " << N(KY) << ") * " << N(W)
-          << " + X * " << N(S) << " + " << N(KX - P)
-          << ";\n            } }\n";
-    O << "          const int64_t Out = (C * " << N(OutH) << " + Y) * "
-      << N(OutW)
-      << " + X;\n"
-         "          Output[Out] = Max;\n"
-         "          if (Mask)\n"
-         "            Mask[Out] = static_cast<int32_t>(ArgMax);\n"
-         "        }\n";
-    CheckedX(N(XF1), N(OutW));
-    O << "    }\n"
-         "    const int64_t Te = Y1 > He ? Y1 : He;\n"
-         "    for (int64_t Y = Te; Y < Re; ++Y) {\n";
-    CheckedX("0", N(OutW));
-    O << "    }\n  }\n";
-    return;
-  }
-  case KernelKind::MaxPoolBwdRows: {
-    // IA: {C, H, W, K, S, Pad, RowCount}; EA: {RowBegin}. Mask-driven
-    // scatter accumulate; data-dependent, so no split — the clone only
-    // bakes the trip counts.
-    int64_t H = IA[1], W = IA[2], K = IA[3], S = IA[4], P = IA[5];
-    int64_t OutH = (H + 2 * P - K) / S + 1;
-    int64_t OutW = (W + 2 * P - K) / S + 1;
-    O << "  const int64_t Rb = EA[0];\n"
-         "  float *InputGrad = FB[0];\n"
-         "  const float *OutputGrad = FB[1];\n"
-         "  const int32_t *Mask = IB[2];\n"
-         "  for (int64_t C = 0; C < "
-      << N(IA[0]) << "; ++C) {\n    for (int64_t Y = Rb; Y < Rb + "
-      << N(IA[6]) << "; ++Y) {\n      const int64_t Row = (C * " << N(OutH)
-      << " + Y) * " << N(OutW) << ";\n      for (int64_t X = 0; X < "
-      << N(OutW) << "; ++X)\n        if (Mask[Row + X] >= 0)\n"
-         "          InputGrad[Mask[Row + X]] += OutputGrad[Row + X];\n"
-         "    }\n  }\n";
-    return;
-  }
-  default:
-    latteUnreachable("kernel kind has no specialized clone");
-  }
-}
-
 void JitEmitter::emitKernel(const KernelCallStmt *K, int Indent) {
   if (K->bufs().size() > static_cast<size_t>(jit::kMaxKernelBufs) ||
       K->exprArgs().size() > static_cast<size_t>(jit::kMaxKernelExprArgs))
@@ -669,39 +296,28 @@ void JitEmitter::emitKernel(const KernelCallStmt *K, int Indent) {
     line(Indent + 1, std::string(Int ? "IB[" : "FB[") + std::to_string(I) +
                          "] = " + slot(A.Buffer, Int) + Off + ";");
   }
+  // Empty C arrays are illegal; pad with one zero entry.
   std::vector<std::string> Parts;
-  std::string Spec = specializedKernel(K);
-  if (Spec.empty()) {
-    // Empty C arrays are illegal; pad with one zero entry.
-    for (int64_t V : K->intArgs())
-      Parts.push_back(std::to_string(V));
-    if (Parts.empty())
-      Parts.push_back("0");
-    line(Indent + 1, "static const int64_t IA_[] = {" + join(Parts, ", ") +
-                         "};");
-    Parts.clear();
-    for (double V : K->floatArgs())
-      Parts.push_back(jitDoubleLit(V));
-    if (Parts.empty())
-      Parts.push_back("0");
-    line(Indent + 1, "static const double FA_[] = {" + join(Parts, ", ") +
-                         "};");
-    Parts.clear();
-  }
+  for (int64_t V : K->intArgs())
+    Parts.push_back(std::to_string(V));
+  if (Parts.empty())
+    Parts.push_back("0");
+  line(Indent + 1, "static const int64_t IA_[] = {" + join(Parts, ", ") + "};");
+  Parts.clear();
+  for (double V : K->floatArgs())
+    Parts.push_back(jitDoubleLit(V));
+  if (Parts.empty())
+    Parts.push_back("0");
+  line(Indent + 1, "static const double FA_[] = {" + join(Parts, ", ") + "};");
+  Parts.clear();
   for (const ExprPtr &E : K->exprArgs())
     Parts.push_back(intExpr(E.get()));
   if (Parts.empty())
     Parts.push_back("0");
   line(Indent + 1, "const int64_t EA_[] = {" + join(Parts, ", ") + "};");
-  if (!Spec.empty())
-    // Shape constants are baked into the clone; only pointers and the
-    // runtime window origin cross the call.
-    line(Indent + 1, Spec + "(FB, IB, EA_);");
-  else
-    line(Indent + 1,
-         "LJ->kernel(LJ->self, " +
-             std::to_string(static_cast<int64_t>(K->kernel())) +
-             ", FB, IB, IA_, FA_, EA_);");
+  line(Indent + 1, "LJ->kernel(LJ->self, " +
+                       std::to_string(static_cast<int64_t>(K->kernel())) +
+                       ", FB, IB, IA_, FA_, EA_);");
   line(Indent, "}");
 }
 
@@ -865,12 +481,11 @@ int JitEmitter::emitUnit(const Stmt *Unit) {
 }
 
 void JitEmitter::prologue() {
-  OS << "// Latte JIT module: loop nests and kernel dispatch for one\n"
-        "// compiled program. Reassociation-sensitive kernels execute in\n"
-        "// the engine via the ctx trampoline; whitelisted data-movement\n"
-        "// kernels run as shape-specialized clones below. Deterministic\n"
-        "// emission (content-hashed for the on-disk module cache).\n"
-        "#include <cmath>\n#include <cstdint>\n#include <cstring>\n\n";
+  OS << "// Latte JIT module: the loop nests of one compiled program; every\n"
+        "// kernel runs in the library through the ctx trampoline.\n"
+        "// Deterministic emission (content-hashed for the on-disk module\n"
+        "// cache).\n"
+        "#include <cmath>\n#include <cstdint>\n\n";
   OS << jit::abiStructSource();
   // std::min/std::max tie semantics (the interpreter's evalFloat and
   // applyAccum use std::min/std::max, which return the FIRST argument on
@@ -928,9 +543,7 @@ JitSource JitEmitter::run() {
   emitPass(Prog.Backward.get(), 'b', Prog.BackwardTasks,
            jit::kBackwardTasksSymbol, JS.Backward);
   JS.Classes = static_cast<int>(ClassOf.size());
-  // Specialized kernel clones are discovered while the units are rendered
-  // but must precede the class functions that call them.
-  JS.Source = Prologue + SpecOS.str() + ClassOS.str() + TableOS.str();
+  JS.Source = Prologue + ClassOS.str() + TableOS.str();
   return JS;
 }
 
@@ -1047,7 +660,8 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
   std::ostringstream OS;
   OS << "// --- standalone driver ---\n"
         "#include \"kernels/dispatch.h\"\n#include \"support/rng.h\"\n\n"
-        "#include <cstdio>\n#include <cstdlib>\n#include <string>\n\n";
+        "#include <cstdio>\n#include <cstdlib>\n#include <cstring>\n"
+        "#include <string>\n\n";
 
   // One arena carved up by the liveness-driven memory plan; buffers whose
   // live ranges are disjoint share bytes.

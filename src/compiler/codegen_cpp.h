@@ -77,9 +77,8 @@ struct JitSource {
 
 /// Renders \p Prog as a JIT translation unit: a class function per
 /// distinct unit body and a task table per pass, reading buffer storage
-/// through the LatteJitCtx and calling kernels through its trampoline
-/// (jit/jit_abi.h), except for the shape-specialized clones of
-/// data-movement kernels. The engine owns the
+/// through the LatteJitCtx and calling every kernel through its trampoline
+/// (jit/jit_abi.h). The engine owns the
 /// storage and plants the interpreter's kernels::dispatch as the
 /// trampoline — dropout's masks included, which draw from the calling
 /// executor's RNG in program order — which is what makes JIT-on vs

@@ -2,6 +2,7 @@
 
 #include "core/layers/layers.h"
 
+#include "kernels/im2col.h"
 #include "support/error.h"
 
 using namespace latte;
@@ -91,6 +92,7 @@ Ensemble *layers::ConvolutionLayer(Net &Net, const std::string &Name,
   if (In.rank() != 3)
     reportFatalError("convolution input '" + Input->name() +
                      "' must be (channels, height, width)");
+  kernels::checkWindow("convolution '" + Name + "'", Kernel, Stride);
   int64_t C = In[0], H = In[1], W = In[2];
   int64_t OutH = (H + 2 * Pad - Kernel) / Stride + 1;
   int64_t OutW = (W + 2 * Pad - Kernel) / Stride + 1;
@@ -135,6 +137,7 @@ Ensemble *poolingLayer(Net &Net, const std::string &Name, Ensemble *Input,
   if (In.rank() != 3)
     reportFatalError("pooling input '" + Input->name() +
                      "' must be (channels, height, width)");
+  kernels::checkWindow("pooling '" + Name + "'", Kernel, Stride);
   int64_t C = In[0], H = In[1], W = In[2];
   int64_t OutH = (H + 2 * Pad - Kernel) / Stride + 1;
   int64_t OutW = (W + 2 * Pad - Kernel) / Stride + 1;

@@ -221,8 +221,6 @@ Executor::Executor(Program TheProg, ExecOptions Opts)
     RT.Dims = B.Dims;
     RT.Strides = B.Dims.strides();
     RT.Count = B.Dims.numElements();
-    RT.ZeroOnForward = B.ZeroOnForward;
-    RT.ZeroOnBackward = B.ZeroOnBackward;
     const BufferInfo *Root = Prog.resolveAlias(B.Name);
     if (!Root)
       reportFatalError("buffer '" + B.Name + "' has no resolvable storage");

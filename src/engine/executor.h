@@ -161,8 +161,6 @@ private:
     Shape Dims;
     std::vector<int64_t> Strides;
     int64_t Count = 0;
-    bool ZeroOnForward = false;
-    bool ZeroOnBackward = false;
   };
 
   struct Env; // loop variables + scalar locals

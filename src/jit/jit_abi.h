@@ -14,15 +14,14 @@
 /// the kernel trampoline, kernels::dispatch — through which generated code
 /// runs the library kernels, with the dropout stream as its self.
 ///
-/// Routing kernel calls through the interpreter's own dispatch is what
-/// makes JIT-on vs interpreter comparisons BITWISE identical: the exact
-/// same kernel functions run in the exact same order, and only the
+/// Routing every kernel call through the interpreter's own dispatch is
+/// what makes JIT-on vs interpreter comparisons BITWISE identical: the
+/// exact same kernel functions run in the exact same order, and only the
 /// loop-nest / dispatch scaffolding around them is compiled instead of
-/// interpreted (plus the shape-specialized clones of data-movement
-/// kernels, which reproduce the library loops). The standalone program
-/// (compiler::generateCpp) is the same generated code with its own
-/// context: static storage and a dropout stream of its own, and the same
-/// kernels::dispatch, linked from liblatte.a.
+/// interpreted. The standalone program (compiler::generateCpp) is the same
+/// generated code with its own context: static storage and a dropout
+/// stream of its own, and the same kernels::dispatch, linked from
+/// liblatte.a.
 ///
 /// Each struct definition exists once: the macros below expand into the
 /// host-side types AND are stringified into the generated translation

@@ -144,12 +144,10 @@ bool jit::available(std::string *WhyNot) {
 
 /// -ffp-contract=off keeps the host compiler from fusing a*b+c into FMA —
 /// the interpreter performs each float operation separately, and bitwise
-/// identity requires the compiled loop nests to do the same. (The
-/// specialized kernel clones the emitter inlines are contraction-free by
-/// construction — data movement, comparisons, and plain adds only — so the
-/// flag costs them nothing.) -O3 plus the host build's arch flags (baked in
-/// by CMake) let those clones unroll their constant-bound window loops and
-/// vectorize on the same ISA as the library kernels they shadow.
+/// identity requires the compiled loop nests to do the same. Kernels are
+/// not compiled here: they run in the library through the trampoline.
+/// -O3 plus the host build's arch flags (baked in by CMake) compile the
+/// loop nests for the ISA the library was built for.
 /// -fno-tree-loop-if-convert works around a GCC 12 wrong-code bug: at -O3
 /// -march=native, loop if-conversion miscompiles the emitter's gated
 /// accumulates (gi[i] += v[i] > 0 ? g[i] : 0 keeps stale values in some

@@ -3,8 +3,8 @@
 /// \file
 /// Max and average pooling over CHW tensors, with the argmax mask needed by
 /// back-propagation. The Caffe baseline calls these directly; Latte's
-/// compiled programs reach the same arithmetic through synthesized gather +
-/// reduction loops.
+/// compiled programs call the row-ranged variants through
+/// kernels::dispatch (interpreter, JIT and standalone program alike).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -77,6 +77,40 @@ TEST(CaffeBaselineTest, ConvShapesAndParams) {
   EXPECT_EQ(Conv->params()[1].shape(), Shape({4}));
 }
 
+TEST(BaselineDeathTest, BadWindowIsFatal) {
+  // reshape divides by the stride; a pooling window larger than the
+  // padded input leaves no output. Caffe's layers, then Mocha's.
+  auto Setup = [](std::unique_ptr<caffe::Layer> L) {
+    caffe::CaffeNet Net(1);
+    Net.setInputShape(Shape{3, 8, 8});
+    Net.addLayer(std::move(L));
+    Net.setup(7);
+  };
+  using Pool = caffe::PoolingLayer;
+  EXPECT_DEATH(Setup(std::make_unique<caffe::ConvolutionLayer>("conv", 4, 3,
+                                                               0, 1)),
+               "conv layer 'conv' has kernel 3 and stride 0");
+  EXPECT_DEATH(Setup(std::make_unique<caffe::ConvolutionLayer>("conv", 4, 0,
+                                                               1, 0)),
+               "conv layer 'conv' has kernel 0 and stride 1");
+  EXPECT_DEATH(Setup(std::make_unique<Pool>("pool", Pool::Mode::Max, 2, 0)),
+               "pooling layer 'pool' has kernel 2 and stride 0");
+  EXPECT_DEATH(Setup(std::make_unique<Pool>("pool", Pool::Mode::Avg, 0, 2)),
+               "pooling layer 'pool' has kernel 0 and stride 2");
+  EXPECT_DEATH(Setup(std::make_unique<Pool>("pool", Pool::Mode::Max, 9, 1)),
+               "pooling layer 'pool' has empty output");
+
+  EXPECT_DEATH(Setup(std::make_unique<mocha::NaiveConvolutionLayer>(
+                   "conv", 4, 3, 0, 1)),
+               "conv layer 'conv' has kernel 3 and stride 0");
+  EXPECT_DEATH(Setup(std::make_unique<mocha::NaiveMaxPoolingLayer>("pool",
+                                                                   2, 0)),
+               "pooling layer 'pool' has kernel 2 and stride 0");
+  EXPECT_DEATH(Setup(std::make_unique<mocha::NaiveMaxPoolingLayer>("pool",
+                                                                   9, 1)),
+               "pooling layer 'pool' has empty output");
+}
+
 TEST(CaffeBaselineTest, InnerProductForwardByHand) {
   caffe::CaffeNet Net(1);
   Net.setInputShape(Shape{2});

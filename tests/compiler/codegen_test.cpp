@@ -17,6 +17,7 @@
 #include "engine/executor.h"
 #include "ir/builder.h"
 #include "jit/jit_backend.h"
+#include "models/models.h"
 #include "support/ltd_format.h"
 
 #include <gtest/gtest.h>
@@ -265,6 +266,44 @@ TEST(CodegenTest, JitSourceEmitsEveryUnit) {
             std::string::npos);
   std::string Src = generateCpp(P);
   EXPECT_EQ(Src.compare(0, JS.Source.size(), JS.Source), 0);
+}
+
+TEST(CodegenTest, EveryKernelCallIsTheTrampoline) {
+  // One kernel implementation: every kernel call of the benchmark
+  // programs' JIT sources goes through the ctx trampoline into
+  // kernels::dispatch, and the only functions a source defines are its
+  // class functions.
+  struct Case {
+    models::ModelSpec Spec;
+    int64_t Batch;
+    bool Train;
+  };
+  const Case Cases[] = {
+      {models::alexNet(0.5), 8, true},
+      {models::vggFirstThreeLayers(0.25), 16, false},
+      {models::lstmClassifier(16, 64, 64, 10), 32, true},
+      {models::attentionClassifier(16, 64, 64, 10), 32, true},
+  };
+  auto Count = [](const std::string &Src, const std::string &Needle) {
+    size_t N = 0;
+    for (size_t P = Src.find(Needle); P != std::string::npos;
+         P = Src.find(Needle, P + 1))
+      ++N;
+    return N;
+  };
+  for (const Case &C : Cases) {
+    Net N(C.Batch);
+    models::buildLatte(N, C.Spec, C.Train);
+    std::string Src =
+        generateJitSource(C.Train ? compile(N) : compileForward(N)).Source;
+    SCOPED_TRACE(C.Spec.Name);
+    EXPECT_EQ(Src.find("latte_jit_spec_"), std::string::npos);
+    const size_t Calls = Count(Src, "LJ->kernel(LJ->self, ");
+    EXPECT_GT(Calls, 0u);
+    EXPECT_EQ(Count(Src, "float *FB["), Calls);
+    EXPECT_EQ(Count(Src, "static void "),
+              Count(Src, "static void latte_class_"));
+  }
 }
 
 TEST(CodegenTest, GeneratedProgramMatchesEngine) {

@@ -185,3 +185,18 @@ TEST(MappingTest, PoolWindowTracksChannel) {
   EXPECT_EQ(Box[1], (Range{2, 4}));
   EXPECT_EQ(Box[2], (Range{4, 6}));
 }
+
+TEST(LayerDeathTest, WindowBelowOneTapOrStrideIsFatal) {
+  // The output extents divide by the stride, so a window layer rejects a
+  // kernel or stride below 1 before computing them.
+  Net Net(1);
+  Ensemble *Data = DataLayer(Net, "data", Shape{3, 8, 8});
+  EXPECT_DEATH(ConvolutionLayer(Net, "conv", Data, 4, 3, 0, 1),
+               "convolution 'conv' has kernel 3 and stride 0");
+  EXPECT_DEATH(ConvolutionLayer(Net, "conv", Data, 4, 0, 1, 1),
+               "convolution 'conv' has kernel 0 and stride 1");
+  EXPECT_DEATH(MaxPoolingLayer(Net, "pool", Data, 2, 0),
+               "pooling 'pool' has kernel 2 and stride 0");
+  EXPECT_DEATH(AvgPoolingLayer(Net, "pool", Data, 0, 2),
+               "pooling 'pool' has kernel 0 and stride 2");
+}

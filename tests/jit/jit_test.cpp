@@ -411,10 +411,10 @@ TEST(JitExecutorTest, KernelCountersMatchInterpreter) {
   if (!jit::available())
     GTEST_SKIP() << "JIT backend unavailable";
 
-  // Kernel clones and jitted loops never reach the engine's kernel
-  // dispatch, so the counters are each unit's static cost: a profiled
-  // fwd+bwd reports the interpreter's kernel calls, bytes, FLOPs and GEMM
-  // calls with the JIT on or off.
+  // A jitted unit runs without the interpreter, and kernels::dispatch
+  // counts nothing, so the counters are each unit's static cost: a
+  // profiled fwd+bwd reports the interpreter's kernel calls, bytes, FLOPs
+  // and GEMM calls with the JIT on or off.
   struct Expected {
     models::ModelSpec Spec;
     uint64_t KernelCalls, BytesMoved, Flops, GemmCalls;

@@ -7,11 +7,125 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 using namespace latte;
 using namespace latte::kernels;
+
+namespace {
+
+// The per-element guarded loops the window-split kernels replaced: every
+// output tests its input position against the image. The split kernels
+// must write the same bytes.
+
+void guardedIm2colRows(const float *Image, const ConvGeometry &G, float *Col,
+                       int64_t RowBegin, int64_t RowCount) {
+  const int64_t OutH = G.outH(), OutW = G.outW();
+  int64_t Row = 0;
+  for (int64_t C = 0; C < G.Channels; ++C) {
+    for (int64_t KY = 0; KY < G.KernelH; ++KY) {
+      for (int64_t KX = 0; KX < G.KernelW; ++KX, ++Row) {
+        float *ColRow = Col + Row * (OutH * OutW);
+        const float *Chan = Image + C * G.Height * G.Width;
+        for (int64_t Y = RowBegin; Y < RowBegin + RowCount; ++Y) {
+          int64_t InY = Y * G.StrideH - G.PadH + KY;
+          if (InY < 0 || InY >= G.Height) {
+            for (int64_t X = 0; X < OutW; ++X)
+              ColRow[Y * OutW + X] = 0.0f;
+            continue;
+          }
+          for (int64_t X = 0; X < OutW; ++X) {
+            int64_t InX = X * G.StrideW - G.PadW + KX;
+            ColRow[Y * OutW + X] = (InX >= 0 && InX < G.Width)
+                                       ? Chan[InY * G.Width + InX]
+                                       : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void guardedCol2imRows(const float *Col, const ConvGeometry &G, float *Image,
+                       int64_t RowBegin, int64_t RowCount) {
+  const int64_t OutH = G.outH(), OutW = G.outW();
+  int64_t Row = 0;
+  for (int64_t C = 0; C < G.Channels; ++C) {
+    for (int64_t KY = 0; KY < G.KernelH; ++KY) {
+      for (int64_t KX = 0; KX < G.KernelW; ++KX, ++Row) {
+        const float *ColRow = Col + Row * (OutH * OutW);
+        float *Chan = Image + C * G.Height * G.Width;
+        for (int64_t Y = RowBegin; Y < RowBegin + RowCount; ++Y) {
+          int64_t InY = Y * G.StrideH - G.PadH + KY;
+          if (InY < 0 || InY >= G.Height)
+            continue;
+          for (int64_t X = 0; X < OutW; ++X) {
+            int64_t InX = X * G.StrideW - G.PadW + KX;
+            if (InX >= 0 && InX < G.Width)
+              Chan[InY * G.Width + InX] += ColRow[Y * OutW + X];
+          }
+        }
+      }
+    }
+  }
+}
+
+void guardedMaxPoolFwdRows(const float *Input, const ConvGeometry &G,
+                           float *Output, int32_t *Mask, int64_t RowBegin,
+                           int64_t RowCount) {
+  const int64_t OutH = G.outH(), OutW = G.outW();
+  for (int64_t C = 0; C < G.Channels; ++C) {
+    const float *Chan = Input + C * G.Height * G.Width;
+    for (int64_t Y = RowBegin; Y < RowBegin + RowCount; ++Y) {
+      for (int64_t X = 0; X < OutW; ++X) {
+        float Max = -std::numeric_limits<float>::infinity();
+        int64_t ArgMax = -1;
+        for (int64_t KY = 0; KY < G.KernelH; ++KY) {
+          int64_t InY = Y * G.StrideH - G.PadH + KY;
+          if (InY < 0 || InY >= G.Height)
+            continue;
+          for (int64_t KX = 0; KX < G.KernelW; ++KX) {
+            int64_t InX = X * G.StrideW - G.PadW + KX;
+            if (InX < 0 || InX >= G.Width)
+              continue;
+            float V = Chan[InY * G.Width + InX];
+            if (V > Max) {
+              Max = V;
+              ArgMax = C * G.Height * G.Width + InY * G.Width + InX;
+            }
+          }
+        }
+        int64_t Out = (C * OutH + Y) * OutW + X;
+        Output[Out] = Max;
+        if (Mask)
+          Mask[Out] = static_cast<int32_t>(ArgMax);
+      }
+    }
+  }
+}
+
+/// Values whose comparisons and sums the kernels must not reorder: NaN,
+/// both zeros, -inf, ties, and magnitudes whose sums round. +inf only with
+/// \p PosInf: a sum of +inf and -inf is a second NaN, and which NaN a sum
+/// of two returns depends on the add's operand order, which C++ leaves to
+/// the compiler.
+std::vector<float> awkwardValues(int64_t Count, Rng &R, bool PosInf) {
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Special[] = {std::nanf(""), 0.0f, -0.0f, -Inf,
+                           PosInf ? Inf : 2.5f, 1.0f, 1.0f, 3e7f, -3e7f};
+  std::vector<float> V(static_cast<size_t>(Count));
+  for (float &X : V) {
+    const int64_t Pick = R.uniformInt(16);
+    X = Pick < 9 ? Special[Pick] : static_cast<float>(R.uniform(-2, 2));
+  }
+  return V;
+}
+
+} // namespace
 
 TEST(ConvGeometryTest, OutputSizes) {
   ConvGeometry G{3, 224, 224, 11, 11, 4, 4, 0, 0};
@@ -171,4 +285,65 @@ TEST(MaxPoolTest, MultiChannelIndependence) {
   EXPECT_FLOAT_EQ(Out[0], 4);
   EXPECT_FLOAT_EQ(Out[1], 40);
   EXPECT_EQ(Mask[1], 4); // linear offset within the whole CHW tensor
+}
+
+TEST(WindowSplitTest, BitwiseEqualToGuardedLoops) {
+  // Every geometry here, at every (RowBegin, RowCount) window: non-square
+  // kernel, stride and pad; stride above the kernel; pad at or above the
+  // kernel (all-padding windows pool to -inf with mask -1). Each buffer
+  // ends at its last element, so an over-read leaves the allocation.
+  Rng R(2024);
+  int64_t Cases = 0;
+  for (int64_t C : {1, 3})
+    for (auto [H, W] : {std::pair<int64_t, int64_t>{1, 1}, {4, 6}, {7, 5}})
+      for (auto [KH, KW] : {std::pair<int64_t, int64_t>{1, 1}, {2, 3}, {3, 2}})
+        for (auto [SH, SW] :
+             {std::pair<int64_t, int64_t>{1, 1}, {2, 1}, {1, 3}, {4, 4}})
+          for (auto [PH, PW] :
+               {std::pair<int64_t, int64_t>{0, 0}, {1, 2}, {2, 0}, {3, 3}}) {
+            ConvGeometry G{C, H, W, KH, KW, SH, SW, PH, PW};
+            const int64_t OutH = G.outH(), OutW = G.outW();
+            if (OutH <= 0 || OutW <= 0)
+              continue;
+            const int64_t ImageN = C * H * W, ColN = G.colRows() * G.colCols(),
+                          OutN = C * OutH * OutW;
+            const std::vector<float> Image = awkwardValues(ImageN, R, true);
+            const std::vector<float> ColIn = awkwardValues(ColN, R, false);
+            const std::vector<float> Acc = awkwardValues(ImageN, R, false);
+            for (int64_t Begin = 0; Begin < OutH; ++Begin)
+              for (int64_t Count = 1; Begin + Count <= OutH; ++Count) {
+                SCOPED_TRACE(testing::Message()
+                             << "C" << C << " H" << H << " W" << W << " K"
+                             << KH << "x" << KW << " S" << SH << "x" << SW
+                             << " P" << PH << "x" << PW << " rows [" << Begin
+                             << ", " << Begin + Count << ")");
+                std::vector<float> Want(ColN, 7.0f), Got(ColN, 7.0f);
+                guardedIm2colRows(Image.data(), G, Want.data(), Begin, Count);
+                im2colRows(Image.data(), G, Got.data(), Begin, Count);
+                ASSERT_EQ(std::memcmp(Want.data(), Got.data(), ColN * 4), 0);
+
+                Want = Acc;
+                Got = Acc;
+                guardedCol2imRows(ColIn.data(), G, Want.data(), Begin, Count);
+                col2imRows(ColIn.data(), G, Got.data(), Begin, Count);
+                ASSERT_EQ(std::memcmp(Want.data(), Got.data(), ImageN * 4), 0);
+
+                std::vector<float> WantOut(OutN, 7.0f), GotOut(OutN, 7.0f);
+                std::vector<int32_t> WantMask(OutN, 5), GotMask(OutN, 5);
+                guardedMaxPoolFwdRows(Image.data(), G, WantOut.data(),
+                                      WantMask.data(), Begin, Count);
+                maxPoolFwdRows(Image.data(), G, GotOut.data(), GotMask.data(),
+                               Begin, Count);
+                ASSERT_EQ(
+                    std::memcmp(WantOut.data(), GotOut.data(), OutN * 4), 0);
+                ASSERT_EQ(WantMask, GotMask);
+                std::fill(GotOut.begin(), GotOut.end(), 7.0f);
+                maxPoolFwdRows(Image.data(), G, GotOut.data(), nullptr, Begin,
+                               Count);
+                ASSERT_EQ(
+                    std::memcmp(WantOut.data(), GotOut.data(), OutN * 4), 0);
+                ++Cases;
+              }
+          }
+  EXPECT_GT(Cases, 1000);
 }
