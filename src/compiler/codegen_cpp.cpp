@@ -561,77 +561,10 @@ JitSource JitEmitter::run() {
 
 /// The .ltd entry point: `./prog <in.ltd> <out.ltd> [fwd|fwdbwd]` loads
 /// the named buffers it is given, runs the passes and writes every buffer
-/// back. Malformed input exits 1, as support/ltd_format.cpp rejects it.
+/// back, through liblatte's .ltd reader and writer. Malformed input, or a
+/// named buffer of another size, aborts through reportFatalError.
 const char *const kLtdMain = R"cpp(
-[[noreturn]] static void latte_bad_input(const char *Path,
-                                         const std::string &Why) {
-  std::fprintf(stderr, "latte: %s: %s\n", Path, Why.c_str());
-  std::exit(1);
-}
 static const size_t kNumNamed = sizeof(latte_named) / sizeof(latte_named[0]);
-static void readLtd(const char *Path) {
-  FILE *F = std::fopen(Path, "rb");
-  if (!F)
-    latte_bad_input(Path, "cannot open for reading");
-  char Magic[4];
-  uint32_t Count = 0;
-  if (std::fread(Magic, 1, 4, F) != 4 || std::memcmp(Magic, "LTD1", 4) ||
-      std::fread(&Count, 4, 1, F) != 1)
-    latte_bad_input(Path, "not a valid .ltd file (bad header)");
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t NameLen = 0, Rank = 0;
-    if (std::fread(&NameLen, 4, 1, F) != 1 || NameLen > (1u << 20))
-      latte_bad_input(Path, "corrupt tensor name length");
-    std::string Name(NameLen, '\0');
-    if (std::fread(&Name[0], 1, NameLen, F) != NameLen ||
-        std::fread(&Rank, 4, 1, F) != 1 || Rank > 16)
-      latte_bad_input(Path, "corrupt tensor record " + std::to_string(I));
-    int64_t N = 1;
-    for (uint32_t D = 0; D < Rank; ++D) {
-      int64_t Dim = 0;
-      if (std::fread(&Dim, 8, 1, F) != 1 || Dim < 0 ||
-          (Dim > 0 && N > INT64_MAX / 4 / Dim))
-        latte_bad_input(Path, "corrupt dimension in " + Name);
-      N *= Dim;
-    }
-    float *Dst = nullptr;
-    for (size_t B = 0; B < kNumNamed; ++B) {
-      if (Name != latte_named[B].Name)
-        continue;
-      if (latte_named[B].N != N)
-        latte_bad_input(Path, Name + ": " + std::to_string(N) +
-                                  " elements, expected " +
-                                  std::to_string(latte_named[B].N));
-      Dst = latte_bufs[B];
-    }
-    // An entry this program does not name is read past, a chunk at a time.
-    float Chunk[1024];
-    for (int64_t Left = N; Left > 0;) {
-      const int64_t Part = Dst ? Left : Left < 1024 ? Left : 1024;
-      if (std::fread(Dst ? Dst : Chunk, 4, Part, F) != (size_t)Part)
-        latte_bad_input(Path, "truncated data for " + Name);
-      Left -= Part;
-    }
-  }
-  std::fclose(F);
-}
-static bool writeLtd(const char *Path) {
-  FILE *F = std::fopen(Path, "wb");
-  if (!F)
-    return false;
-  const uint32_t Count = kNumNamed, Rank = 1;
-  bool Ok = std::fwrite("LTD1", 1, 4, F) == 4 &&
-            std::fwrite(&Count, 4, 1, F) == 1;
-  for (size_t B = 0; B < kNumNamed && Ok; ++B) {
-    const uint32_t NameLen = (uint32_t)std::strlen(latte_named[B].Name);
-    const int64_t N = latte_named[B].N;
-    Ok = std::fwrite(&NameLen, 4, 1, F) == 1 &&
-         std::fwrite(latte_named[B].Name, 1, NameLen, F) == NameLen &&
-         std::fwrite(&Rank, 4, 1, F) == 1 && std::fwrite(&N, 8, 1, F) == 1 &&
-         std::fwrite(latte_bufs[B], 4, N, F) == (size_t)N;
-  }
-  return std::fclose(F) == 0 && Ok;
-}
 
 int main(int Argc, char **Argv) {
   if (Argc < 3) {
@@ -639,15 +572,26 @@ int main(int Argc, char **Argv) {
                  Argv[0]);
     return 2;
   }
-  readLtd(Argv[1]);
+  // An entry this program does not name is ignored.
+  for (const auto &[Name, T] : latte::readLtdFile(Argv[1]))
+    for (size_t B = 0; B < kNumNamed; ++B) {
+      if (Name != latte_named[B].Name)
+        continue;
+      if (T.numElements() != latte_named[B].N)
+        latte::reportFatalError(std::string(Argv[1]) + ": " + Name + ": " +
+                                std::to_string(T.numElements()) +
+                                " elements, expected " +
+                                std::to_string(latte_named[B].N));
+      std::copy_n(T.data(), T.numElements(), latte_bufs[B]);
+    }
   latte_forward();
   if (Argc < 4 || std::string(Argv[3]) == "fwdbwd")
     latte_backward();
-  if (!writeLtd(Argv[2])) {
-    std::fprintf(stderr, "latte: cannot write %s\n", Argv[2]);
-    return 1;
-  }
-  return 0;
+  std::vector<latte::LtdView> Out;
+  for (size_t B = 0; B < kNumNamed; ++B)
+    Out.emplace_back(latte_named[B].Name, latte::Shape{latte_named[B].N},
+                     latte_bufs[B]);
+  return latte::writeLtdFile(Argv[2], Out) ? 0 : 1;
 }
 )cpp";
 
@@ -659,9 +603,10 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
                      "it with compile(), which always plans its arena)");
   std::ostringstream OS;
   OS << "// --- standalone driver ---\n"
-        "#include \"kernels/dispatch.h\"\n#include \"support/rng.h\"\n\n"
-        "#include <cstdio>\n#include <cstdlib>\n#include <cstring>\n"
-        "#include <string>\n\n";
+        "#include \"kernels/dispatch.h\"\n#include \"support/error.h\"\n"
+        "#include \"support/ltd_format.h\"\n#include \"support/rng.h\"\n\n"
+        "#include <algorithm>\n#include <cstdio>\n#include <cstring>\n"
+        "#include <string>\n#include <vector>\n\n";
 
   // One arena carved up by the liveness-driven memory plan; buffers whose
   // live ranges are disjoint share bytes.

@@ -4,11 +4,17 @@
 
 #include "support/error.h"
 #include "support/ltd_format.h"
+#include "support/string_utils.h"
 
 #include <cmath>
 
 using namespace latte;
 using namespace latte::data;
+
+namespace {
+/// 2^24: every label below it is exact in float32.
+constexpr float kMaxLabel = 16777216.0f;
+} // namespace
 
 Dataset::~Dataset() = default;
 
@@ -61,22 +67,6 @@ int64_t SyntheticMnist::fillItem(int64_t Index, float *Out) const {
           Proto.at((Y + Dy) * Canvas + (X + Dx)) +
           static_cast<float>(R.gaussian(0.0, NoiseStddev));
   return Label;
-}
-
-//===----------------------------------------------------------------------===//
-// RandomImages
-//===----------------------------------------------------------------------===//
-
-RandomImages::RandomImages(int64_t NumItems, Shape ItemDims,
-                           int64_t NumClasses, uint64_t Seed)
-    : NumItems(NumItems), Dims(std::move(ItemDims)), NumClasses(NumClasses),
-      Seed(Seed) {}
-
-int64_t RandomImages::fillItem(int64_t Index, float *Out) const {
-  Rng R(Seed ^ (0x2545f4914f6cdd1dULL * static_cast<uint64_t>(Index + 1)));
-  for (int64_t I = 0, E = Dims.numElements(); I < E; ++I)
-    Out[I] = static_cast<float>(R.gaussian());
-  return Index % NumClasses;
 }
 
 //===----------------------------------------------------------------------===//
@@ -133,6 +123,13 @@ MemoryDataset data::readDatasetLtd(const std::string &Path) {
     reportFatalError(Path + ": " + std::to_string(Items.shape().dim(0)) +
                      " items but " + std::to_string(Labels.numElements()) +
                      " labels");
+  // fillItem casts each label to a class index, so it must be one exactly.
+  for (int64_t I = 0; I < Labels.numElements(); ++I) {
+    const float L = Labels.at(I);
+    if (!(L >= 0.0f && L < kMaxLabel && L == std::floor(L)))
+      reportFatalError(Path + ": item " + std::to_string(I) + " has label " +
+                       formatString("%g", L) + ", not a class index");
+  }
   return MemoryDataset(std::move(Items), std::move(Labels));
 }
 

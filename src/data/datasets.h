@@ -5,10 +5,10 @@
 /// not available offline, so the repository substitutes synthetic
 /// generators with the same shapes (see DESIGN.md): a procedurally
 /// generated MNIST-like classification task that small networks learn to
-/// >99% (for the Figure 20 accuracy experiment), and random image tensors
-/// for throughput benchmarks. Datasets can also be serialized to the .ltd
-/// format and read back through LtdDataSource — the stand-in for the
-/// paper's HDF5DataLayer.
+/// >99% (for the Figure 20 accuracy experiment); the throughput benchmarks
+/// fill their ImageNet-shaped inputs with random values themselves.
+/// Datasets can also be serialized to the .ltd format and read back with
+/// readDatasetLtd — the stand-in for the paper's HDF5DataLayer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,25 +64,7 @@ private:
   std::vector<Tensor> Prototypes; ///< one (Side+2*MaxShift)^2 image/class
 };
 
-/// Random Gaussian "images" with arbitrary labels — compute-shape stand-in
-/// for ImageNet in throughput benchmarks.
-class RandomImages : public Dataset {
-public:
-  RandomImages(int64_t NumItems, Shape ItemDims, int64_t NumClasses,
-               uint64_t Seed = 0x1471e5);
-
-  int64_t size() const override { return NumItems; }
-  const Shape &itemDims() const override { return Dims; }
-  int64_t fillItem(int64_t Index, float *Out) const override;
-
-private:
-  int64_t NumItems;
-  Shape Dims;
-  int64_t NumClasses;
-  uint64_t Seed;
-};
-
-/// An in-memory dataset backed by explicit tensors (used by LtdDataSource
+/// An in-memory dataset backed by explicit tensors (used by readDatasetLtd
 /// and tests).
 class MemoryDataset : public Dataset {
 public:
@@ -102,7 +84,10 @@ private:
 bool writeDatasetLtd(const Dataset &Ds, const std::string &Path);
 
 /// Reads a dataset previously written by writeDatasetLtd (the
-/// HDF5DataLayer substitute of Figure 7).
+/// HDF5DataLayer substitute of Figure 7). Fatal, naming the file, when
+/// 'data' or 'label' is missing or misshapen, or when a label is not a
+/// class index: NaN, negative, fractional, or 2^24 or more (where floats
+/// stop holding every integer).
 MemoryDataset readDatasetLtd(const std::string &Path);
 
 /// Builds a BatchProvider that cycles deterministically through \p Ds.

@@ -33,7 +33,7 @@ namespace engine {
 struct ExecOptions {
   /// Honor parallel loop annotations with OpenMP (when it can run more
   /// than one thread; results are the same either way). The same decision
-  /// splits the pass-top buffer clears and Solver::step across the team
+  /// splits the pass-top buffer clears and SgdSolver::step across the team
   /// (forEachChunk).
   bool Parallel = true;
   /// Re-seed the dropout RNG at the top of every forward pass, so repeated

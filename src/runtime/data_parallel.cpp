@@ -43,7 +43,7 @@ DataParallelTrainer::DataParallelTrainer(const NetBuilder &Builder,
 
 double DataParallelTrainer::trainStep(const Tensor &Data,
                                       const Tensor &Labels,
-                                      solvers::Solver &S, int64_t Iter) {
+                                      solvers::SgdSolver &S, int64_t Iter) {
   const int W = numWorkers();
   const int64_t PerWorker = GlobalBatch / W;
   const int64_t ItemSize = Data.numElements() / GlobalBatch;

@@ -55,7 +55,7 @@ public:
   /// every worker in parallel, gradient summation, solver update on the
   /// master replica, parameter broadcast. Returns the mean loss.
   double trainStep(const Tensor &Data, const Tensor &Labels,
-                   solvers::Solver &S, int64_t Iter);
+                   solvers::SgdSolver &S, int64_t Iter);
 
   /// Mean accuracy over the last step's forward passes.
   double lastAccuracy() const { return LastAccuracy; }

@@ -1,11 +1,12 @@
-//===- solvers/solvers.h - Training solvers --------------------*- C++ -*-===//
+//===- solvers/solvers.h - The training solver -----------------*- C++ -*-===//
 ///
 /// \file
-/// Solvers coordinate the forward, backward, and weight-update phases of
-/// training (paper §2.5, §3.4): SGD with momentum, RMSProp, AdaGrad, and
-/// AdaDelta, with the learning-rate and momentum policies of the Figure 7
-/// example (LRPolicy.Inv, MomPolicy.Fixed) plus Fixed/Step/Exp schedules.
-/// `solve()` runs the training loop over an executor and a data source.
+/// The solver coordinates the forward, backward, and weight-update phases
+/// of training (paper §2.5, §3.4): SGD with momentum, the rule every
+/// workload here trains with, under the learning-rate and momentum
+/// policies of the Figure 7 example (LRPolicy.Inv, MomPolicy.Fixed) or a
+/// fixed rate. `solve()` runs the training loop over an executor and a
+/// data source.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,20 +26,15 @@ namespace solvers {
 
 /// Learning-rate schedule. `at(Iter)` returns the rate for an iteration.
 struct LRPolicy {
-  enum class Kind { Fixed, Inv, Step, Exp };
+  enum class Kind { Fixed, Inv };
   Kind K = Kind::Fixed;
   double Base = 0.01;
-  double Gamma = 0.0001; ///< Inv/Step/Exp decay
+  double Gamma = 0.0001; ///< Inv decay
   double Power = 0.75;   ///< Inv exponent
-  int64_t StepSize = 1000;
 
   static LRPolicy fixed(double Base);
   /// base * (1 + gamma * iter)^-power (the Figure 7 policy).
   static LRPolicy inv(double Base, double Gamma, double Power);
-  /// base * gamma^(iter / stepSize); at() is fatal for StepSize <= 0.
-  static LRPolicy step(double Base, double Gamma, int64_t StepSize);
-  /// base * gamma^iter.
-  static LRPolicy exp(double Base, double Gamma);
 
   double at(int64_t Iter) const;
 };
@@ -50,7 +45,7 @@ struct MomPolicy {
   static MomPolicy fixed(double Value) { return MomPolicy{Value}; }
 };
 
-/// Hyper-parameters shared by all solvers (Figure 7's SolverParameters).
+/// Hyper-parameters of the solver (Figure 7's SolverParameters).
 struct SolverParameters {
   LRPolicy Lr = LRPolicy::fixed(0.01);
   MomPolicy Momentum = MomPolicy::fixed(0.9);
@@ -58,96 +53,30 @@ struct SolverParameters {
   int64_t MaxIters = 100;
 };
 
-/// Base solver: owns per-parameter history state and applies updates.
-class Solver {
+/// Stochastic gradient descent with momentum, the paper's `SGD`:
+/// v = mom * v - lr * (g + regu * w); w += v. Owns each parameter's
+/// momentum history.
+class SgdSolver {
 public:
-  explicit Solver(SolverParameters Params) : Params(Params) {}
-  virtual ~Solver();
+  explicit SgdSolver(SolverParameters Params) : Params(Params) {}
 
   const SolverParameters &params() const { return Params; }
 
   /// Applies one update step to every parameter of \p Ex using the
-  /// gradients accumulated by the last backward() call. When \p Ex forks
-  /// its parallel loops, each parameter is split into contiguous chunks
+  /// gradients accumulated by the last backward() call, at the binding's
+  /// learning rate (the policy's times its LrMult). When \p Ex forks its
+  /// parallel loops, each parameter is split into contiguous chunks
   /// across the OpenMP team (engine::forEachChunk; the weight-decay fold
   /// too), with the serial loop's bytes at every thread count. Fatal when
   /// a parameter's stored history has another size than the parameter.
   void step(engine::Executor &Ex, int64_t Iter);
 
-  /// History tensor \p Index (0 or 1) of parameter \p Param; null before
-  /// the first step or when the rule keeps fewer tensors.
-  const Tensor *history(const std::string &Param, int Index = 0) const;
+  /// Momentum history of parameter \p Param; null before the first step.
+  const Tensor *history(const std::string &Param) const;
 
-protected:
-  /// Per-parameter update rule over \p Count elements (a whole parameter
-  /// or one contiguous chunk of it; threads may run chunks of one
-  /// parameter at once). \p History is a lazily allocated state tensor of
-  /// the same size (momentum/accumulator); \p History2 a second one
-  /// (AdaDelta).
-  virtual void update(float *Param, const float *Grad, float *History,
-                      float *History2, int64_t Count, double Lr) = 0;
-
-  /// How many history tensors this solver needs (0-2).
-  virtual int historyCount() const { return 1; }
-
+private:
   SolverParameters Params;
-
-private:
-  std::unordered_map<std::string, Tensor> History, History2;
-};
-
-/// Stochastic gradient descent with momentum:
-/// v = mom * v - lr * (g + regu * w); w += v.
-class SgdSolver : public Solver {
-public:
-  explicit SgdSolver(SolverParameters P) : Solver(P) {}
-
-protected:
-  void update(float *Param, const float *Grad, float *History, float *,
-              int64_t Count, double Lr) override;
-};
-
-/// RMSProp (Tieleman & Hinton): r = d*r + (1-d)*g^2; w -= lr*g/sqrt(r+eps).
-class RmsPropSolver : public Solver {
-public:
-  RmsPropSolver(SolverParameters P, double Decay = 0.9, double Eps = 1e-8)
-      : Solver(P), Decay(Decay), Eps(Eps) {}
-
-protected:
-  void update(float *Param, const float *Grad, float *History, float *,
-              int64_t Count, double Lr) override;
-
-private:
-  double Decay, Eps;
-};
-
-/// AdaGrad (Duchi et al.): r += g^2; w -= lr*g/sqrt(r+eps).
-class AdaGradSolver : public Solver {
-public:
-  AdaGradSolver(SolverParameters P, double Eps = 1e-8)
-      : Solver(P), Eps(Eps) {}
-
-protected:
-  void update(float *Param, const float *Grad, float *History, float *,
-              int64_t Count, double Lr) override;
-
-private:
-  double Eps;
-};
-
-/// AdaDelta (Zeiler): accumulates squared gradients and squared updates.
-class AdaDeltaSolver : public Solver {
-public:
-  AdaDeltaSolver(SolverParameters P, double Decay = 0.95, double Eps = 1e-6)
-      : Solver(P), Decay(Decay), Eps(Eps) {}
-
-protected:
-  void update(float *Param, const float *Grad, float *History,
-              float *History2, int64_t Count, double Lr) override;
-  int historyCount() const override { return 2; }
-
-private:
-  double Decay, Eps;
+  std::unordered_map<std::string, Tensor> History;
 };
 
 /// Supplies training batches: fills a data tensor (batch-major) and a label
@@ -168,7 +97,7 @@ using ProgressFn = std::function<void(const TrainStats &)>;
 /// The training loop (paper's `solve(sgd, net)`): for MaxIters iterations,
 /// fetch a batch, run forward/backward, and apply the solver. Returns the
 /// final iteration's stats.
-TrainStats solve(Solver &S, engine::Executor &Ex,
+TrainStats solve(SgdSolver &S, engine::Executor &Ex,
                  const BatchProvider &Batches,
                  const ProgressFn &Progress = nullptr);
 

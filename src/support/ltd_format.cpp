@@ -33,38 +33,34 @@ bool readBytes(std::FILE *F, void *Data, size_t Size) {
 
 } // namespace
 
-bool latte::writeLtdFile(
-    const std::string &Path,
-    const std::vector<std::pair<std::string, Tensor>> &Tensors) {
+bool latte::writeLtdFile(const std::string &Path,
+                         const std::vector<LtdView> &Tensors) {
   FilePtr F(std::fopen(Path.c_str(), "wb"));
   if (!F) {
     std::fprintf(stderr, "latte: cannot open %s for writing\n", Path.c_str());
     return false;
   }
-  uint32_t Count = static_cast<uint32_t>(Tensors.size());
-  if (!writeBytes(F.get(), Magic, 4) || !writeBytes(F.get(), &Count, 4))
-    return false;
-  for (const auto &[Name, T] : Tensors) {
-    uint32_t NameLen = static_cast<uint32_t>(Name.size());
-    uint32_t Rank = static_cast<uint32_t>(T.shape().rank());
-    if (!writeBytes(F.get(), &NameLen, 4) ||
-        !writeBytes(F.get(), Name.data(), NameLen) ||
-        !writeBytes(F.get(), &Rank, 4))
-      return false;
-    for (int64_t D : T.shape().dims())
-      if (!writeBytes(F.get(), &D, 8))
-        return false;
-    if (!writeBytes(F.get(), T.data(),
-                    static_cast<size_t>(T.numElements()) * sizeof(float)))
-      return false;
+  const uint32_t Count = static_cast<uint32_t>(Tensors.size());
+  bool Ok = writeBytes(F.get(), Magic, 4) && writeBytes(F.get(), &Count, 4);
+  for (size_t I = 0; I < Tensors.size() && Ok; ++I) {
+    const LtdView &T = Tensors[I];
+    const uint32_t NameLen = static_cast<uint32_t>(T.Name.size());
+    const uint32_t Rank = static_cast<uint32_t>(T.Dims.rank());
+    Ok = writeBytes(F.get(), &NameLen, 4) &&
+         writeBytes(F.get(), T.Name.data(), NameLen) &&
+         writeBytes(F.get(), &Rank, 4);
+    for (int64_t D : T.Dims.dims())
+      Ok = Ok && writeBytes(F.get(), &D, 8);
+    Ok = Ok && writeBytes(F.get(), T.Data,
+                          static_cast<size_t>(T.Dims.numElements()) *
+                              sizeof(float));
   }
   // fclose flushes the last buffered bytes, so a full disk can first show
   // there.
-  if (std::fclose(F.release()) != 0) {
+  Ok = std::fclose(F.release()) == 0 && Ok;
+  if (!Ok)
     std::fprintf(stderr, "latte: cannot write %s\n", Path.c_str());
-    return false;
-  }
-  return true;
+  return Ok;
 }
 
 std::vector<std::pair<std::string, Tensor>>

@@ -23,10 +23,25 @@
 
 namespace latte {
 
-/// Writes \p Tensors (name/tensor pairs) to \p Path. Returns false (after
-/// printing a diagnostic) on I/O failure.
-bool writeLtdFile(const std::string &Path,
-                  const std::vector<std::pair<std::string, Tensor>> &Tensors);
+/// One named tensor to write: \p Dims.numElements() floats at \p Data,
+/// which must stay valid through the write. Made from a Tensor, or over a
+/// buffer the caller owns (the standalone program writes its arena).
+struct LtdView {
+  std::string Name;
+  Shape Dims;
+  const float *Data;
+
+  LtdView(std::string Name, Shape Dims, const float *Data)
+      : Name(std::move(Name)), Dims(std::move(Dims)), Data(Data) {}
+  LtdView(std::string Name, const Tensor &T)
+      : LtdView(std::move(Name), T.shape(), T.data()) {}
+  explicit LtdView(const std::pair<std::string, Tensor> &Named)
+      : LtdView(Named.first, Named.second) {}
+};
+
+/// Writes \p Tensors to \p Path. Returns false (after printing a
+/// diagnostic) on I/O failure.
+bool writeLtdFile(const std::string &Path, const std::vector<LtdView> &Tensors);
 
 /// Reads all tensors from \p Path. Calls reportFatalError on malformed input
 /// (the paper's data layer likewise treats unreadable input as fatal).

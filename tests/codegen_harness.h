@@ -127,7 +127,8 @@ public:
                    const std::string &Mode = "fwdbwd") const {
     EXPECT_TRUE(Built) << "generated source failed to compile; see "
                        << path("_err.txt");
-    if (!Built || !writeLtdFile(path("_in.ltd"), Inputs))
+    if (!Built ||
+        !writeLtdFile(path("_in.ltd"), {Inputs.begin(), Inputs.end()}))
       return {};
     int Status = runOn(path("_in.ltd"), Mode);
     EXPECT_EQ(Status, 0) << "generated program failed";

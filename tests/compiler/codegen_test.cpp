@@ -366,7 +366,7 @@ TEST(CodegenTest, RejectsMalformedInput) {
   ASSERT_TRUE(Gen.built());
   NamedTensors Inputs = engineInputs(Ex);
   const std::string InPath = Gen.path("_in.ltd");
-  ASSERT_TRUE(writeLtdFile(InPath, Inputs));
+  ASSERT_TRUE(writeLtdFile(InPath, {Inputs.begin(), Inputs.end()}));
   EXPECT_EQ(Gen.runOn(InPath), 0);
 
   std::string Bytes;
@@ -387,14 +387,14 @@ TEST(CodegenTest, RejectsMalformedInput) {
     for (auto &[Name, T] : Labelled)
       if (Name == Ex.program().LabelBuffer)
         T.at(0) = Bad;
-    ASSERT_TRUE(writeLtdFile(InPath, Labelled));
+    ASSERT_TRUE(writeLtdFile(InPath, {Labelled.begin(), Labelled.end()}));
     EXPECT_NE(Gen.runOn(InPath), 0) << "label " << Bad << " accepted";
   }
 
   for (auto &[Name, T] : Inputs)
     if (Name == "fc1_weights")
       T = Tensor(Shape{T.numElements() - 1});
-  ASSERT_TRUE(writeLtdFile(InPath, Inputs));
+  ASSERT_TRUE(writeLtdFile(InPath, {Inputs.begin(), Inputs.end()}));
   EXPECT_NE(Gen.runOn(InPath), 0) << "wrong-size fc1_weights accepted";
 }
 

@@ -1,7 +1,7 @@
 //===- tests/solvers/solver_bitwise_test.cpp ------------------*- C++ -*-===//
 ///
-/// Solver::step splits each parameter into contiguous chunks across the
-/// OpenMP team when the executor forks (engine::forEachChunk). Every rule,
+/// SgdSolver::step splits each parameter into contiguous chunks across the
+/// OpenMP team when the executor forks (engine::forEachChunk). The update,
 /// with and without weight decay, must leave parameters and history
 /// byte-identical to an executor with ExecOptions::Parallel off, at 1, 2
 /// and 4 threads, for nets below the fork floor, just above it, and with
@@ -22,7 +22,6 @@
 #endif
 
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,32 +31,12 @@ using namespace latte::solvers;
 
 namespace {
 
-enum class Rule { Sgd, RmsProp, AdaGrad, AdaDelta };
-
-std::unique_ptr<Solver> makeSolver(Rule R, double ReguCoef) {
-  SolverParameters P;
-  P.Lr = LRPolicy::fixed(0.05);
-  P.Momentum = MomPolicy::fixed(0.9);
-  P.ReguCoef = ReguCoef;
-  switch (R) {
-  case Rule::Sgd:
-    return std::make_unique<SgdSolver>(P);
-  case Rule::RmsProp:
-    return std::make_unique<RmsPropSolver>(P);
-  case Rule::AdaGrad:
-    return std::make_unique<AdaGradSolver>(P);
-  case Rule::AdaDelta:
-    return std::make_unique<AdaDeltaSolver>(P);
-  }
-  return nullptr;
-}
-
 using Snapshot = std::vector<std::pair<std::string, Tensor>>;
 
 /// Three solver steps over seeded gradients on an mlp(In, {Hidden}, 3);
-/// returns every parameter and both history tensors of each.
-Snapshot stepNet(int64_t In, int64_t Hidden, Rule R, double ReguCoef,
-                 int Threads, bool Parallel) {
+/// returns every parameter and its history.
+Snapshot stepNet(int64_t In, int64_t Hidden, double ReguCoef, int Threads,
+                 bool Parallel) {
 #ifdef LATTE_HAVE_OPENMP
   const int SavedThreads = omp_get_max_threads();
   omp_set_num_threads(Threads);
@@ -68,7 +47,11 @@ Snapshot stepNet(int64_t In, int64_t Hidden, Rule R, double ReguCoef,
   EO.Parallel = Parallel;
   engine::Executor Ex(compiler::compile(Net), EO);
   Ex.initParams(7);
-  std::unique_ptr<Solver> S = makeSolver(R, ReguCoef);
+  SolverParameters P;
+  P.Lr = LRPolicy::fixed(0.05);
+  P.Momentum = MomPolicy::fixed(0.9);
+  P.ReguCoef = ReguCoef;
+  SgdSolver S(P);
   for (int Step = 0; Step < 3; ++Step) {
     uint64_t Seed = 90 + Step;
     for (const compiler::ParamBinding &B : Ex.program().Params) {
@@ -76,14 +59,13 @@ Snapshot stepNet(int64_t In, int64_t Hidden, Rule R, double ReguCoef,
       Rng(Seed++).fillGaussian(G, 0.0f, 1.0f);
       Ex.writeBuffer(B.Grad, G);
     }
-    S->step(Ex, Step);
+    S.step(Ex, Step);
   }
   Snapshot Out;
   for (const compiler::ParamBinding &B : Ex.program().Params) {
     Out.emplace_back(B.Param, Ex.readBuffer(B.Param));
-    for (int H = 0; H < 2; ++H)
-      if (const Tensor *T = S->history(B.Param, H))
-        Out.emplace_back(B.Param + "/history" + std::to_string(H), *T);
+    if (const Tensor *T = S.history(B.Param))
+      Out.emplace_back(B.Param + "/history", *T);
   }
 #ifdef LATTE_HAVE_OPENMP
   omp_set_num_threads(SavedThreads);
@@ -159,19 +141,16 @@ TEST(SolverBitwiseTest, EveryRuleMatchesSerialAcrossThreadCounts) {
   ASSERT_EQ(paramFloats(255, 257), 66566);
   ASSERT_GT(paramFloats(255, 257), engine::kMinForkedElements);
   for (const Net &N : Nets)
-    for (Rule R : {Rule::Sgd, Rule::RmsProp, Rule::AdaGrad, Rule::AdaDelta})
-      for (double Regu : {0.0, 0.01}) {
-        const std::string Where =
-            "mlp(" + std::to_string(N.In) + ", " + std::to_string(N.Hidden) +
-            "), rule " + std::to_string(static_cast<int>(R)) + ", regu " +
-            std::to_string(Regu);
-        const Snapshot Serial =
-            stepNet(N.In, N.Hidden, R, Regu, 1, /*Parallel=*/false);
-        ASSERT_FALSE(Serial.empty());
-        for (int Threads : {1, 2, 4})
-          expectSameBytes(
-              Serial,
-              stepNet(N.In, N.Hidden, R, Regu, Threads, /*Parallel=*/true),
-              Where + ", " + std::to_string(Threads) + " threads");
-      }
+    for (double Regu : {0.0, 0.01}) {
+      const std::string Where = "mlp(" + std::to_string(N.In) + ", " +
+                                std::to_string(N.Hidden) + "), regu " +
+                                std::to_string(Regu);
+      const Snapshot Serial =
+          stepNet(N.In, N.Hidden, Regu, 1, /*Parallel=*/false);
+      ASSERT_FALSE(Serial.empty());
+      for (int Threads : {1, 2, 4})
+        expectSameBytes(
+            Serial, stepNet(N.In, N.Hidden, Regu, Threads, /*Parallel=*/true),
+            Where + ", " + std::to_string(Threads) + " threads");
+    }
 }

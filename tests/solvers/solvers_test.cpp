@@ -7,11 +7,14 @@
 #include "models/models.h"
 #include "solvers/solvers.h"
 #include "support/ltd_format.h"
+#include "support/rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <string>
 
 using namespace latte;
 using namespace latte::solvers;
@@ -28,22 +31,6 @@ TEST(LrPolicyTest, InvMatchesFormula) {
   EXPECT_DOUBLE_EQ(P.at(0), 0.01);
   EXPECT_NEAR(P.at(10000), 0.01 * std::pow(2.0, -0.75), 1e-12);
   EXPECT_GT(P.at(100), P.at(1000));
-}
-
-TEST(LrPolicyTest, StepAndExp) {
-  LRPolicy St = LRPolicy::step(1.0, 0.5, 10);
-  EXPECT_DOUBLE_EQ(St.at(9), 1.0);
-  EXPECT_DOUBLE_EQ(St.at(10), 0.5);
-  EXPECT_DOUBLE_EQ(St.at(25), 0.25);
-  LRPolicy Ex = LRPolicy::exp(1.0, 0.9);
-  EXPECT_NEAR(Ex.at(2), 0.81, 1e-12);
-}
-
-TEST(LrPolicyDeathTest, NonPositiveStepSizeIsFatal) {
-  EXPECT_DEATH(LRPolicy::step(1.0, 0.5, 0).at(3), "positive StepSize");
-  LRPolicy P = LRPolicy::step(1.0, 0.5, 10);
-  P.StepSize = -4;
-  EXPECT_DEATH(P.at(3), "positive StepSize \\(got -4\\)");
 }
 
 namespace {
@@ -72,7 +59,7 @@ BatchProvider blobBatches() {
   };
 }
 
-double trainAndMeasure(Solver &S, int64_t Batch = 32) {
+double trainAndMeasure(SgdSolver &S, int64_t Batch = 32) {
   engine::Executor Ex = makeBlobNet(Batch);
   Ex.initParams(5);
   TrainStats Last = solve(S, Ex, blobBatches());
@@ -87,29 +74,6 @@ TEST(SolverTest, SgdLearnsSeparableBlobs) {
   P.Momentum = MomPolicy::fixed(0.9);
   P.MaxIters = 120;
   SgdSolver S(P);
-  EXPECT_GE(trainAndMeasure(S), 0.85);
-}
-
-TEST(SolverTest, RmsPropLearns) {
-  SolverParameters P;
-  P.Lr = LRPolicy::fixed(0.01);
-  P.MaxIters = 120;
-  RmsPropSolver S(P);
-  EXPECT_GE(trainAndMeasure(S), 0.85);
-}
-
-TEST(SolverTest, AdaGradLearns) {
-  SolverParameters P;
-  P.Lr = LRPolicy::fixed(0.1);
-  P.MaxIters = 120;
-  AdaGradSolver S(P);
-  EXPECT_GE(trainAndMeasure(S), 0.85);
-}
-
-TEST(SolverTest, AdaDeltaLearns) {
-  SolverParameters P;
-  P.MaxIters = 200;
-  AdaDeltaSolver S(P);
   EXPECT_GE(trainAndMeasure(S), 0.85);
 }
 
@@ -159,6 +123,35 @@ TEST(SolverTest, MomentumAcceleratesAlongConstantGradient) {
   EXPECT_NEAR(W2.at(0), W1.at(0) - 1.5f, 1e-5f);
 }
 
+TEST(SolverTest, StepAppliesEachBindingsLrMult) {
+  // Bias fields carry LrMult = 2: from zero history one step moves the
+  // bias by twice the rate the weights move by.
+  SolverParameters P;
+  P.Lr = LRPolicy::fixed(0.01);
+  P.Momentum = MomPolicy::fixed(0.9);
+  SgdSolver S(P);
+  engine::Executor Ex = makeBlobNet(4);
+  Ex.initParams(7);
+  std::map<std::string, double> LrMult;
+  for (const compiler::ParamBinding &B : Ex.program().Params)
+    LrMult[B.Param] = B.LrMult;
+  ASSERT_EQ(LrMult, (std::map<std::string, double>{{"fc_bias", 2.0},
+                                                   {"fc_weights", 1.0}}));
+  Tensor W0 = Ex.readBuffer("fc_weights"), B0 = Ex.readBuffer("fc_bias");
+  Tensor Gw(Ex.shape("fc_grad_weights")), Gb(Ex.shape("fc_grad_bias"));
+  Rng(11).fillGaussian(Gw, 0.0f, 1.0f);
+  Rng(12).fillGaussian(Gb, 0.0f, 1.0f);
+  Ex.writeBuffer("fc_grad_weights", Gw);
+  Ex.writeBuffer("fc_grad_bias", Gb);
+  S.step(Ex, 0);
+  const float Lr = 0.01f;
+  Tensor W1 = Ex.readBuffer("fc_weights"), B1 = Ex.readBuffer("fc_bias");
+  for (int64_t I = 0; I < W0.numElements(); ++I)
+    EXPECT_FLOAT_EQ(W1.at(I), W0.at(I) - Lr * Gw.at(I)) << "weight " << I;
+  for (int64_t I = 0; I < B0.numElements(); ++I)
+    EXPECT_FLOAT_EQ(B1.at(I), B0.at(I) - (2 * Lr) * Gb.at(I)) << "bias " << I;
+}
+
 TEST(SolverDeathTest, HistoryOfAnotherSizeIsFatal) {
   // One solver stepping two nets whose parameters share a name: the second
   // net's fc_weights has 4,000 floats, the stored history 4.
@@ -192,16 +185,6 @@ TEST(DatasetTest, SyntheticMnistDeterministicAndLabeled) {
   EXPECT_NE(A.firstMismatch(B, 1e-3f), -1);
 }
 
-TEST(DatasetTest, RandomImagesShapes) {
-  data::RandomImages Ds(10, Shape{3, 8, 8}, 5);
-  Tensor T(Ds.itemDims());
-  EXPECT_EQ(Ds.fillItem(7, T.data()), 2);
-  float Sum = 0;
-  for (int64_t I = 0; I < T.numElements(); ++I)
-    Sum += std::fabs(T.at(I));
-  EXPECT_GT(Sum, 0.0f);
-}
-
 TEST(DatasetTest, LtdRoundTrip) {
   data::SyntheticMnist Ds(8, 42, 4, 12, 0.1f, 1);
   std::string Path = testing::TempDir() + "/mnist.ltd";
@@ -226,6 +209,32 @@ TEST(DatasetDeathTest, LtdShapeMismatchIsFatal) {
                                   {"label", Tensor(Shape{10})}}));
   EXPECT_DEATH(data::readDatasetLtd(Path),
                "mislabeled.ltd: 'data' must be \\(items, dims...\\)");
+  std::remove(Path.c_str());
+}
+
+TEST(DatasetDeathTest, LtdLabelThatIsNoClassIndexIsFatal) {
+  // fillItem casts each label to a class index: 2.7 would train as class
+  // 2 and NaN is undefined behaviour in the cast.
+  std::string Path = testing::TempDir() + "/badlabel.ltd";
+  const float Bad[] = {2.7f, -1.0f, std::nanf(""), 16777216.0f};
+  const char *Shown[] = {"2.7", "-1", "nan", "1.67772e\\+07"};
+  for (int K = 0; K < 4; ++K) {
+    Tensor Labels(Shape{3});
+    Labels.at(0) = 1.0f;
+    Labels.at(2) = Bad[K];
+    ASSERT_TRUE(writeLtdFile(Path, {{"data", Tensor(Shape{3, 2})},
+                                    {"label", Labels}}));
+    EXPECT_DEATH(data::readDatasetLtd(Path),
+                 std::string("badlabel.ltd: item 2 has label -?") + Shown[K] +
+                     ", not a class index");
+  }
+  // The largest label a float holds exactly still loads.
+  Tensor Labels(Shape{1});
+  Labels.at(0) = 16777215.0f;
+  ASSERT_TRUE(
+      writeLtdFile(Path, {{"data", Tensor(Shape{1, 2})}, {"label", Labels}}));
+  Tensor Item(Shape{2});
+  EXPECT_EQ(data::readDatasetLtd(Path).fillItem(0, Item.data()), 16777215);
   std::remove(Path.c_str());
 }
 

@@ -118,7 +118,7 @@ TEST(ParallelBackwardTest, AlexNetBitwiseAcrossThreadCounts) {
 }
 
 // The column-split fully-connected GEMMs (compiler/gradpart.h), the
-// row-blocked dW GEMMs, the pass-top gradient clears and Solver::step all
+// row-blocked dW GEMMs, the pass-top gradient clears and SgdSolver::step all
 // run across the team here; every byte must equal the program compiled
 // without Parallelize.
 TEST(ParallelizeBitwiseTest, AlexNetMatchesUnparallelizedCompile) {
