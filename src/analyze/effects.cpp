@@ -251,8 +251,6 @@ KernelSignature analyze::kernelSignature(KernelKind K) {
     return {3, 2, 0, 1};
   case KernelKind::SoftmaxBwd:
     return {3, 2, 0, 0};
-  case KernelKind::DropoutMask:
-    return {1, 1, 0, 1};
   }
   return {0, 0, 0, 0};
 }
@@ -814,9 +812,6 @@ void Collector::kernelEffects(const KernelCallStmt *K) {
     Acc(2, Zero, {}, RC, true, false, true, false);
     return;
   }
-  case KernelKind::DropoutMask:
-    Acc(0, Zero, {}, IA[0], true, true, false, false);
-    return;
   }
 }
 

@@ -253,8 +253,6 @@ private:
       }
       bool Shadowed = IntVars.count(F->var()) != 0;
       IntVars.insert(F->var());
-      bool SavedParallel = InParallel;
-      InParallel |= A.Parallel;
       // The loop forks where the engine and the emitted pragma do: the
       // outermost parallel loop with more than one iteration (or a
       // collapsed batch x tile loop). Locals declared before it are shared
@@ -270,7 +268,6 @@ private:
         OuterLocals.clear();
         InForkedLoop = false;
       }
-      InParallel = SavedParallel;
       if (!Shadowed)
         IntVars.erase(F->var());
       return;
@@ -366,11 +363,6 @@ private:
       }
       for (const ExprPtr &E : K->exprArgs())
         checkIntExpr(E.get(), S);
-      if (K->kernel() == KernelKind::DropoutMask && InParallel)
-        error("kernel.rng-in-parallel",
-              "stateful dropout RNG inside a parallel loop is "
-              "non-deterministic and racy",
-              S);
       return;
     }
     case Stmt::Kind::Barrier:
@@ -389,7 +381,6 @@ private:
   std::set<std::string> IntVars, FloatVars;
   /// Float locals declared before the enclosing forked loop.
   std::set<std::string> OuterLocals;
-  bool InParallel = false;
   bool InForkedLoop = false;
 };
 
@@ -683,8 +674,7 @@ void forEachKernelCall(const Stmt *S,
 /// its consumer and is the first backward reference to the recomputed
 /// buffer (plan.recompute.placement); the clone writes nothing but that
 /// buffer (plan.recompute.purity); and every kernel inside the clone is a
-/// whitelisted pure gather — never an RNG or other stateful kernel
-/// (plan.recompute.stateful).
+/// whitelisted pure gather (plan.recompute.stateful).
 void verifyRecompute(const Program &Prog, const BufferTable &Bufs,
                      DiagnosticReport &R) {
   if (Prog.Recomputes.empty())

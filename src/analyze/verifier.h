@@ -23,9 +23,7 @@
 ///     integer-evaluable index/bound expressions (ir.index-type)
 ///   - loads/stores/kernels reference known buffers of the right kind with
 ///     matching index rank (ir.unknown-buffer, ir.index-rank)
-///   - kernel calls match the runtime argument layout (kernel.arity), and
-///     the stateful dropout RNG never runs inside a parallel loop
-///     (kernel.rng-in-parallel)
+///   - kernel calls match the runtime argument layout (kernel.arity)
 ///   - barriers only appear between top-level units (ir.barrier-placement)
 ///   - every exact effect footprint stays inside its buffer (ir.bounds)
 ///   - parallel loops are race-free modulo the declared §6 lossy
@@ -41,7 +39,7 @@
 ///     consumer and is the first backward reference to the buffer it
 ///     redefines (plan.recompute.placement), writes nothing else
 ///     (plan.recompute.purity), and contains only whitelisted pure gather
-///     kernels, never RNG/stateful ones (plan.recompute.stateful)
+///     kernels (plan.recompute.stateful)
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,6 @@
 
 #include "compiler/codegen_cpp.h"
 
-#include "engine/executor.h"
 #include "jit/jit_abi.h"
 #include "support/error.h"
 #include "support/string_utils.h"
@@ -315,7 +314,7 @@ void JitEmitter::emitKernel(const KernelCallStmt *K, int Indent) {
   if (Parts.empty())
     Parts.push_back("0");
   line(Indent + 1, "const int64_t EA_[] = {" + join(Parts, ", ") + "};");
-  line(Indent + 1, "LJ->kernel(LJ->self, " +
+  line(Indent + 1, "LJ->kernel(" +
                        std::to_string(static_cast<int64_t>(K->kernel())) +
                        ", FB, IB, IA_, FA_, EA_);");
   line(Indent, "}");
@@ -554,10 +553,9 @@ JitSource JitEmitter::run() {
 // generateCpp appends a driver to the task translation unit: static
 // storage laid out by the memory plan, the LatteJitCtx the tasks read, the
 // pass functions, and a .ltd file main. The context's trampoline is
-// liblatte's kernels::dispatch — the interpreter's and the JIT's — over a
-// dropout stream seeded as a default-options engine::Executor's first
-// forward. Built with jit::compileFlags and linked against liblatte.a,
-// the program runs the engine's kernels and equals it bitwise.
+// liblatte's kernels::dispatch — the interpreter's and the JIT's. Built
+// with jit::compileFlags and linked against liblatte.a, the program runs
+// the engine's kernels and equals it bitwise.
 
 /// The .ltd entry point: `./prog <in.ltd> <out.ltd> [fwd|fwdbwd]` loads
 /// the named buffers it is given, runs the passes and writes every buffer
@@ -604,7 +602,7 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
   std::ostringstream OS;
   OS << "// --- standalone driver ---\n"
         "#include \"kernels/dispatch.h\"\n#include \"support/error.h\"\n"
-        "#include \"support/ltd_format.h\"\n#include \"support/rng.h\"\n\n"
+        "#include \"support/ltd_format.h\"\n\n"
         "#include <algorithm>\n#include <cstdio>\n#include <cstring>\n"
         "#include <string>\n#include <vector>\n\n";
 
@@ -636,16 +634,9 @@ std::string standaloneDriver(const Program &Prog, const JitSource &JS) {
     OS << "latte_ib" << I << ", ";
   OS << "nullptr};\n\n";
 
-  OS << "// kernels run in liblatte's kernels::dispatch, the engine's own; "
-        "dropout\n// draws what a default-options engine::Executor's first "
-        "forward draws\n"
-     << formatString("static latte::Rng latte_dropout_rng(0x%llxull ^ "
-                     "latte::kernels::kDropoutSeedSalt);\n",
-                     static_cast<unsigned long long>(
-                         engine::ExecOptions().Seed))
-     << "static LatteJitCtx latte_ctx = {&latte_dropout_rng, latte_bufs, "
-        "latte_ibufs, 1,\n                               "
-        "latte::kernels::dispatch};\n"
+  OS << "// kernels run in liblatte's kernels::dispatch, the engine's own\n"
+        "static LatteJitCtx latte_ctx = {latte_bufs, latte_ibufs, 1,\n"
+        "                               latte::kernels::dispatch};\n"
         "static void latte_run(const LatteJitTask &T) { "
         "T.fn(&latte_ctx, T.slots); }\n\n";
 

@@ -17,11 +17,10 @@
 ///     whose tasks run the library kernels through the LatteJitCtx
 ///     trampoline, kernels::dispatch;
 ///   * generateCpp: the same translation unit plus a driver — the memory
-///     plan's static arena, buffer tables, the same kernels::dispatch over
-///     a dropout stream of its own, and a `.ltd` file main that runs the
-///     task tables. Built with the JIT's flags and linked against
-///     liblatte.a, it equals the engine bitwise, which the codegen tests
-///     check.
+///     plan's static arena, buffer tables, the same kernels::dispatch, and
+///     a `.ltd` file main that runs the task tables. Built with the JIT's
+///     flags and linked against liblatte.a, it equals the engine bitwise,
+///     which the codegen tests check.
 ///
 /// Emission is a deterministic function of the Program: no timestamps, no
 /// pointer-keyed iteration, classes numbered in first-use order, symbol
@@ -46,12 +45,11 @@ namespace compiler {
 /// Renders \p Prog as a complete C++17 translation unit with a main()
 /// driver: `./prog <input.ltd> <output.ltd> [fwd|fwdbwd]`. The source
 /// begins with generateJitSource's translation unit. It includes
-/// kernels/dispatch.h and support/rng.h: build it with `-I src`,
-/// jit::compileFlags(false) and the library's sanitizer and OpenMP flags,
-/// and link liblatte.a. Its dropout masks are a default-options
-/// engine::Executor's first forward's. \p Prog must carry a memory plan
-/// (compile() always plans); malformed .ltd input makes the program exit
-/// 1, and a softmax-loss label outside [0, Classes) makes it abort.
+/// kernels/dispatch.h: build it with `-I src`, jit::compileFlags(false)
+/// and the library's sanitizer and OpenMP flags, and link liblatte.a.
+/// \p Prog must carry a memory plan (compile() always plans); malformed
+/// .ltd input makes the program exit 1, and a softmax-loss label outside
+/// [0, Classes) makes it abort.
 std::string generateCpp(const Program &Prog);
 
 /// Writes generateCpp(Prog) to \p Path. Returns false on I/O failure,
@@ -80,12 +78,11 @@ struct JitSource {
 /// through the LatteJitCtx and calling every kernel through its trampoline
 /// (jit/jit_abi.h). The engine owns the
 /// storage and plants the interpreter's kernels::dispatch as the
-/// trampoline — dropout's masks included, which draw from the calling
-/// executor's RNG in program order — which is what makes JIT-on vs
-/// interpreted execution bitwise identical: the same kernel functions run
-/// in the same order either way. A kernel call with
-/// more arguments than the ABI carries is a fatal error (the verifier's
-/// kernel.arity check keeps every verified program inside it).
+/// trampoline, which is what makes JIT-on vs interpreted execution bitwise
+/// identical: the same kernel functions run in the same order either way.
+/// A kernel call with more arguments than the ABI carries is a fatal error
+/// (the verifier's kernel.arity check keeps every verified program inside
+/// it).
 JitSource generateJitSource(const Program &Prog);
 
 } // namespace compiler

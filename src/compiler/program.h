@@ -31,7 +31,7 @@ enum class BufferRole {
   Param,     ///< learnable parameter
   ParamGrad, ///< gradient of a learnable parameter
   Data,      ///< externally supplied (images, labels)
-  Scratch,   ///< loss vector, dropout masks, etc.
+  Scratch,   ///< loss vector, non-parameter neuron fields, etc.
 };
 
 /// One float buffer of the compiled program. A buffer with a non-empty

@@ -15,8 +15,8 @@ using namespace latte::ir;
 bool compiler::isRecomputableKernel(KernelKind K) {
   // Pure gathers only: one destination write per element, value a function
   // of the source bytes and a static index table. Everything else is
-  // excluded by construction — notably DropoutMask (RNG state advances per
-  // call) and MaxPoolFwdRows (writes a value and an argmax mask).
+  // excluded by construction — notably MaxPoolFwdRows (writes a value and
+  // an argmax mask).
   return K == KernelKind::Im2ColRows || K == KernelKind::Gather2D;
 }
 

@@ -18,8 +18,8 @@
 ///     referenced by exactly one forward unit (the producer) and exactly
 ///     one backward unit (the consumer), read-only in backward;
 ///   * every write to the candidate inside the producer comes from a
-///     whitelisted pure-gather kernel (isRecomputableKernel) — RNG kernels
-///     (DropoutMask) and value+mask writers (MaxPoolFwdRows) never qualify;
+///     whitelisted pure-gather kernel (isRecomputableKernel) — value+mask
+///     writers (MaxPoolFwdRows) never qualify;
 ///   * every float buffer the pruned clone reads is a Value/Data root
 ///     (retained/pinned by the planner, so the re-gather sees bitwise the
 ///     bytes forward saw) and is not written by any unit between the

@@ -225,7 +225,6 @@ void Synthesizer::handleNorm(Ensemble *E) {
 
   declareValueGrad(E, /*InPlace=*/false);
   int64_t Elems = E->dims().numElements();
-  int64_t Count = Batch * Elems;
 
   EnsembleTask FwdTask, BwdTask;
   FwdTask.EnsembleName = BwdTask.EnsembleName = E->name();
@@ -281,27 +280,6 @@ void Synthesizer::handleNorm(Ensemble *E) {
       Prog.LabelBuffer = Labels->valueBuffer();
     break;
   }
-  case NormOpKind::Dropout: {
-    double Keep = E->normParams().empty() ? 0.5 : E->normParams()[0];
-    std::string MaskBuf = E->name() + "_mask";
-    declareBuffer(MaskBuf, E->dims().withPrefix(Batch), BufferRole::Scratch);
-    FwdTask.Pre.push_back(kernelCall(KernelKind::DropoutMask,
-                                       bufArgs(KernelBufArg(MaskBuf)),
-                                       {Count}, {Keep}));
-    FwdTask.Pre.push_back(kernelCall(
-        KernelKind::MulInto,
-        bufArgs(KernelBufArg(E->valueBuffer()),
-                KernelBufArg(Src->valueBuffer()), KernelBufArg(MaskBuf)),
-        {Count}));
-    BwdTask.Pre.push_back(kernelCall(
-        KernelKind::MulAddTo,
-        bufArgs(KernelBufArg(Src->gradBuffer()),
-                KernelBufArg(E->gradBuffer()), KernelBufArg(MaskBuf)),
-        {Count}));
-    break;
-  }
-  case NormOpKind::Lrn:
-    reportFatalError("LRN normalization is not implemented yet");
   case NormOpKind::None:
     reportFatalError("normalization ensemble '" + E->name() +
                      "' has no operation configured");

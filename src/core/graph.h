@@ -70,8 +70,6 @@ enum class NormOpKind {
   None,
   Softmax,     ///< softmax over the feature dimension
   SoftmaxLoss, ///< fused softmax + cross-entropy against a label ensemble
-  Lrn,         ///< local response normalization across channels
-  Dropout,     ///< multiplicative dropout mask (params: {keep probability})
 };
 
 /// Parameter-initialization policy for a field.
@@ -132,8 +130,6 @@ public:
   // Loss).
   NormOpKind normOp() const { return NormOp; }
   void setNormOp(NormOpKind Op) { NormOp = Op; }
-  const std::vector<double> &normParams() const { return NormParams; }
-  void setNormParams(std::vector<double> P) { NormParams = std::move(P); }
   /// Label source for SoftmaxLoss.
   Ensemble *labelSource() const { return LabelSource; }
   void setLabelSource(Ensemble *E) { LabelSource = E; }
@@ -159,7 +155,6 @@ private:
   std::vector<Connection> Inputs;
   std::unordered_map<std::string, FieldStorage> FieldStorages;
   NormOpKind NormOp = NormOpKind::None;
-  std::vector<double> NormParams;
   Ensemble *LabelSource = nullptr;
 };
 

@@ -208,16 +208,6 @@ Ensemble *layers::PReluLayer(Net &Net, const std::string &Name,
   return Act;
 }
 
-Ensemble *layers::DropoutLayer(Net &Net, const std::string &Name,
-                               Ensemble *Input, double KeepProb) {
-  Ensemble *Drop = Net.addEnsemble(Name, Input->dims(), nullptr,
-                                   EnsembleKind::Normalization);
-  Drop->setNormOp(NormOpKind::Dropout);
-  Drop->setNormParams({KeepProb});
-  Net.addConnections(Input, Drop, oneToOneMapping());
-  return Drop;
-}
-
 Ensemble *layers::SoftmaxLayer(Net &Net, const std::string &Name,
                                Ensemble *Input) {
   Ensemble *Sm = Net.addEnsemble(Name, Input->dims(), nullptr,

@@ -78,10 +78,6 @@ core::Ensemble *TanhLayer(core::Net &Net, const std::string &Name,
 core::Ensemble *PReluLayer(core::Net &Net, const std::string &Name,
                            core::Ensemble *Input);
 
-/// Dropout with the given keep probability.
-core::Ensemble *DropoutLayer(core::Net &Net, const std::string &Name,
-                             core::Ensemble *Input, double KeepProb);
-
 /// Softmax normalization over a rank-1 ensemble.
 core::Ensemble *SoftmaxLayer(core::Net &Net, const std::string &Name,
                              core::Ensemble *Input);

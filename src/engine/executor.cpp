@@ -172,8 +172,7 @@ struct Executor::Env : EnvImpl {
 };
 
 Executor::Executor(Program TheProg, ExecOptions Opts)
-    : Prog(std::move(TheProg)), Opts(Opts),
-      DropoutRng(Opts.Seed ^ kernels::kDropoutSeedSalt) {
+    : Prog(std::move(TheProg)), Opts(Opts) {
   // Storage: either one aligned arena carved up by the compiler's memory
   // plan, or (eager mode) one private region per alias root.
   PlanActive = !Opts.NoMemPlan && Prog.Plan.Valid;
@@ -476,11 +475,6 @@ void Executor::zeroAtPassTop(const std::vector<std::string> &Pinned,
 }
 
 void Executor::forward() {
-  // Deterministic mode: every forward pass draws the same dropout masks, so
-  // repeated forwards over the same inputs are bitwise identical (finite
-  // differencing and cross-variant comparisons rely on this).
-  if (Opts.Deterministic)
-    DropoutRng = Rng(Opts.Seed ^ kernels::kDropoutSeedSalt);
   zeroAtPassTop(Prog.Plan.ZeroOnForwardPinned, &BufferInfo::ZeroOnForward);
   execProgram("forward", Prog.Forward.get(), Prog.ForwardTasks,
               /*GlobalBase=*/0, JitFwd, FwdCounters);
@@ -802,8 +796,8 @@ void Executor::execProgram(const char *Pass, const Stmt *Root,
   // Repointed per pass so moved executors stay valid; par is 0 exactly
   // when the interpreter would not fork.
   if (JitActive)
-    JitCtx = {&DropoutRng, CtxBufs.data(), CtxIbufs.data(),
-              E.AllowParallel ? 1 : 0, &kernels::dispatch};
+    JitCtx = {CtxBufs.data(), CtxIbufs.data(), E.AllowParallel ? 1 : 0,
+              &kernels::dispatch};
   const bool Profiled = Opts.Profile && prof::enabled();
   std::optional<prof::ScopedPhase> Phase;
   std::optional<prof::ScopedTimer> Whole;
@@ -876,6 +870,6 @@ void Executor::execKernel(const KernelCallStmt *K, Env &E) {
   int64_t EA[jit::kMaxKernelExprArgs] = {0, 0};
   for (size_t I = 0; I < K->exprArgs().size(); ++I)
     EA[I] = evalInt(K->exprArgs()[I].get(), E);
-  kernels::dispatch(&DropoutRng, static_cast<int64_t>(K->kernel()), FB, IB,
+  kernels::dispatch(static_cast<int64_t>(K->kernel()), FB, IB,
                     K->intArgs().data(), K->floatArgs().data(), EA);
 }

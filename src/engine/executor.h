@@ -36,13 +36,6 @@ struct ExecOptions {
   /// splits the pass-top buffer clears and SgdSolver::step across the team
   /// (forEachChunk).
   bool Parallel = true;
-  /// Re-seed the dropout RNG at the top of every forward pass, so repeated
-  /// forwards over identical inputs produce bitwise-identical outputs (a
-  /// precondition for finite differencing); used by the verification
-  /// tooling (verify::runLattice / verify::gradCheck). Everything else is
-  /// deterministic regardless: parallel loops, backward included, are
-  /// race-free and independent of the thread count.
-  bool Deterministic = false;
   /// Record per-task execution spans and kernel counters into the global
   /// profiler (support/profile.h). Off by default; when off (or when the
   /// profiler is globally disabled) the engine takes the uninstrumented
@@ -208,8 +201,6 @@ private:
   std::vector<Tensor> Storage; ///< owning storage (eager mode)
   std::unordered_map<std::string, BufferRT> Buffers;
   std::unordered_map<std::string, std::vector<int32_t>> IntBuffers;
-  /// DropoutMask's stream: kernels::dispatch's self, here and in JitCtx.
-  Rng DropoutRng;
 
   // --- JIT state (all empty/false when the backend is off) ---------------
   bool JitActive = false;

@@ -154,8 +154,6 @@ const char *latte::ir::kernelKindName(KernelKind K) {
     return "softmax_loss_bwd";
   case KernelKind::SoftmaxBwd:
     return "softmax_bwd";
-  case KernelKind::DropoutMask:
-    return "dropout_mask";
   }
   latteUnreachable("unknown kernel kind");
 }

@@ -310,7 +310,6 @@ enum class KernelKind {
                   //                            floats: {Scale}
   SoftmaxBwd,     // bufs: {SrcGrad, OutGrad, Prob}; ints: {Rows, Classes}
                   //   SrcGrad[c] += Prob[c]*(OutGrad[c] - sum(OutGrad*Prob))
-  DropoutMask,    // bufs: {Mask};       ints: {Count}; floats: {KeepProb}
 };
 
 /// Bitmask of the buffer-argument positions of kernel \p K that name int32

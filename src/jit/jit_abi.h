@@ -12,16 +12,15 @@
 /// alias-resolved buffer pointers (the same arena or eager storage the
 /// interpreter reads), the per-pass parallelism switch, and one callback —
 /// the kernel trampoline, kernels::dispatch — through which generated code
-/// runs the library kernels, with the dropout stream as its self.
+/// runs the library kernels.
 ///
 /// Routing every kernel call through the interpreter's own dispatch is
 /// what makes JIT-on vs interpreter comparisons BITWISE identical: the
 /// exact same kernel functions run in the exact same order, and only the
 /// loop-nest / dispatch scaffolding around them is compiled instead of
 /// interpreted. The standalone program (compiler::generateCpp) is the same
-/// generated code with its own context: static storage and a dropout
-/// stream of its own, and the same kernels::dispatch, linked from
-/// liblatte.a.
+/// generated code with its own context: static storage and the same
+/// kernels::dispatch, linked from liblatte.a.
 ///
 /// Each struct definition exists once: the macros below expand into the
 /// host-side types AND are stringified into the generated translation
@@ -42,8 +41,6 @@
 /// One definition of the context members, usable both as C++ and as text.
 /// No top-level commas outside parentheses (stringification would split).
 #define LATTE_JIT_CTX_MEMBERS                                                 \
-  /* the latte::Rng DropoutMask draws from, passed to the trampoline */       \
-  void *self;                                                                 \
   /* per Program::Buffers index: alias-resolved storage pointers */           \
   float **bufs;                                                               \
   /* per Program::IntBuffers index: index tables and pooling masks */         \
@@ -51,8 +48,8 @@
   /* nonzero = honor parallel loop annotations (per-pass, engine-set) */      \
   int64_t par;                                                                 \
   /* kernel trampoline: latte::kernels::dispatch (kernels/dispatch.h) */      \
-  void (*kernel)(void *self, int64_t kind, float **fb, int32_t **ib,          \
-                 const int64_t *ia, const double *fa, const int64_t *ea);
+  void (*kernel)(int64_t kind, float **fb, int32_t **ib, const int64_t *ia,   \
+                 const double *fa, const int64_t *ea);
 
 struct LatteJitCtx {
   LATTE_JIT_CTX_MEMBERS
@@ -76,7 +73,7 @@ namespace jit {
 /// Bump on any change to LatteJitCtx, LatteJitTask, the trampoline or
 /// class-function signature, the table symbols, or the ir::KernelKind
 /// numbering (generated code embeds kind values as ints).
-constexpr int64_t kLatteJitAbiVersion = 2;
+constexpr int64_t kLatteJitAbiVersion = 3;
 
 /// The exported per-pass task tables.
 constexpr const char *kForwardTasksSymbol = "latte_forward_tasks";

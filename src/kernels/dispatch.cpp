@@ -8,7 +8,6 @@
 #include "kernels/pooling.h"
 #include "kernels/softmax.h"
 #include "support/error.h"
-#include "support/rng.h"
 
 #include <string>
 
@@ -44,8 +43,8 @@ kernels::ConvGeometry geometry(const int64_t *IA) {
 
 } // namespace
 
-void kernels::dispatch(void *DropoutRng, int64_t KindId, float **FB,
-                       int32_t **IB, const int64_t *IA, const double *FA,
+void kernels::dispatch(int64_t KindId, float **FB, int32_t **IB,
+                       const int64_t *IA, const double *FA,
                        const int64_t *EA) {
   switch (static_cast<KernelKind>(KindId)) {
   case KernelKind::Zero:
@@ -250,16 +249,6 @@ void kernels::dispatch(void *DropoutRng, int64_t KindId, float **FB,
       for (int64_t C = 0; C < Classes; ++C)
         G[C] += Pr[C] * (Ogr[C] - Dot);
     }
-    return;
-  }
-  case KernelKind::DropoutMask: {
-    int64_t Count = IA[0];
-    float Keep = static_cast<float>(FA[0]);
-    float *Mask = FB[0];
-    float Inv = Keep > 0.0f ? 1.0f / Keep : 0.0f;
-    Rng &R = *static_cast<Rng *>(DropoutRng);
-    for (int64_t I = 0; I < Count; ++I)
-      Mask[I] = R.uniform() < Keep ? Inv : 0.0f;
     return;
   }
   }

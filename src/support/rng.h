@@ -1,9 +1,9 @@
 //===- support/rng.h - Deterministic random number generation -*- C++ -*-===//
 ///
 /// \file
-/// All randomness in Latte (parameter initialization, synthetic data,
-/// dropout masks) flows through Rng so experiments are reproducible from a
-/// seed. Includes the Xavier/Glorot initializer used by the standard library
+/// All randomness in Latte (parameter initialization, synthetic data)
+/// flows through Rng so experiments are reproducible from a seed.
+/// Includes the Xavier/Glorot initializer used by the standard library
 /// layers (paper §4, Figure 4).
 ///
 //===----------------------------------------------------------------------===//

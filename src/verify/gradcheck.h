@@ -8,9 +8,7 @@
 /// against central differences of the loss, and reports each divergent
 /// element by buffer name and index.
 ///
-/// Preconditions: the program must have a loss ensemble, and the executor
-/// should run with ExecOptions::Deterministic so repeated forward passes
-/// are bitwise reproducible (dropout masks in particular).
+/// Precondition: the program must have a loss ensemble.
 ///
 //===----------------------------------------------------------------------===//
 

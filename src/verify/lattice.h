@@ -69,7 +69,7 @@ struct LatticeOptions {
   float AbsTol = 2e-4f;
   float RelTol = 2e-3f;
   uint64_t ParamSeed = 0xA11CE;
-  /// Seeds both the random input data and the engine (dropout masks).
+  /// Seeds the random input data and labels.
   uint64_t DataSeed = 0xDA7A;
   /// Also run backward and compare every parameter gradient and the data
   /// gradient.

@@ -98,8 +98,8 @@ std::string verify::randomNet(Net &Net, uint64_t Seed,
   }
   Desc << "data" << Cur->dims().str();
 
-  // Exact zeros (ReLU, dropout) survive injective elementwise maps and
-  // create argmax ties in max pooling, whose gradient routing legitimately
+  // Exact zeros (ReLU) survive injective elementwise maps and create
+  // argmax ties in max pooling, whose gradient routing legitimately
   // differs between the interpreted MaxNeuron (ties share the gradient)
   // and the matched kernel (first argmax wins). While ties are possible,
   // only average pooling is generated.
@@ -169,21 +169,12 @@ std::string verify::randomNet(Net &Net, uint64_t Seed,
         break;
       }
       case 3:
+      case 5:
         Activation();
         break;
       case 4:
         Cur = PReluLayer(Net, Name("prelu"), Cur);
         Desc << " -> prelu";
-        break;
-      case 5:
-        if (O.AllowDropout) {
-          double Keep = 0.5 + 0.4 * R.uniform();
-          Cur = DropoutLayer(Net, Name("drop"), Cur, Keep);
-          TieRisk = true;
-          Desc << " -> dropout(" << Keep << ")";
-        } else {
-          Activation();
-        }
         break;
       case 6:
         if (O.AllowCustom) {
@@ -213,21 +204,12 @@ std::string verify::randomNet(Net &Net, uint64_t Seed,
         break;
       }
       case 2:
+      case 4:
         Activation();
         break;
       case 3:
         Cur = PReluLayer(Net, Name("prelu"), Cur);
         Desc << " -> prelu";
-        break;
-      case 4:
-        if (O.AllowDropout) {
-          double Keep = 0.5 + 0.4 * R.uniform();
-          Cur = DropoutLayer(Net, Name("drop"), Cur, Keep);
-          TieRisk = true;
-          Desc << " -> dropout(" << Keep << ")";
-        } else {
-          Activation();
-        }
         break;
       case 5:
         if (O.AllowCustom) {

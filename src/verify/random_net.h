@@ -2,10 +2,10 @@
 ///
 /// \file
 /// A seeded generator of randomized ensemble graphs for fuzzing the
-/// compiler: conv / pooling / FC / activation / dropout / elementwise /
-/// recurrent (unrolled LSTM/GRU) / attention blocks with randomized
-/// shapes, strides and pads, shared (convolution filters, tied FC and
-/// recurrent gate weights, per-ensemble scalars) and unshared fields,
+/// compiler: conv / pooling / FC / activation / elementwise / recurrent
+/// (unrolled LSTM/GRU) / attention blocks with randomized shapes, strides
+/// and pads, shared (convolution filters, tied FC and recurrent gate
+/// weights, per-ensemble scalars) and unshared fields,
 /// plus a custom neuron type no pattern matcher recognizes — so the
 /// optimization-lattice oracle exercises compiler paths (interpreted SoA
 /// loops, partial matches, odd geometries) that hand-written tests never
@@ -31,7 +31,6 @@ namespace verify {
 struct RandomNetOptions {
   int MinBlocks = 2;
   int MaxBlocks = 5;
-  bool AllowDropout = true;
   /// Custom (pattern-matcher-opaque, interpreted) neuron ensembles.
   bool AllowCustom = true;
   /// Two-branch elementwise Add/Mul/Sub blocks.

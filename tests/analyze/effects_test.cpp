@@ -177,7 +177,7 @@ TEST(EffectsTest, KernelSignaturesMatchRuntimeLayouts) {
   EXPECT_EQ(kernelIntBufMask(KernelKind::Sgemm), 0u);
   // Every call kernel.arity accepts fits the resolved-argument arrays the
   // engine and the emitter carry (a wider call is a fatal emitter error).
-  for (int K = 0; K <= static_cast<int>(KernelKind::DropoutMask); ++K) {
+  for (int K = 0; K <= static_cast<int>(KernelKind::SoftmaxBwd); ++K) {
     const KernelSignature Sig = kernelSignature(static_cast<KernelKind>(K));
     EXPECT_LE(Sig.NumBufs, jit::kMaxKernelBufs) << K;
     EXPECT_LE(Sig.NumExprs, jit::kMaxKernelExprArgs) << K;

@@ -161,17 +161,6 @@ TEST(VerifierTest, KernelArityMismatchIsReported) {
   EXPECT_TRUE(R.hasCode("kernel.arity")) << R.render();
 }
 
-TEST(VerifierTest, DropoutRngInParallelLoopIsReported) {
-  StmtPtr Loop = forLoop(
-      "n", 4,
-      kernelCall(KernelKind::DropoutMask, bufArgs(KernelBufArg("x")), {1},
-                 {0.5}));
-  cast<ForStmt>(Loop.get())->annotations().Parallel = true;
-  Program P = makeProg(std::move(Loop));
-  DiagnosticReport R = verifyProgram(P);
-  EXPECT_TRUE(R.hasCode("kernel.rng-in-parallel")) << R.render();
-}
-
 TEST(VerifierTest, ParallelLoopAssigningOuterLocalIsReported) {
   // `acc` is declared before the parallel loop: the interpreter's parallel
   // path gives each iteration a private copy, its serial path shares one,

@@ -9,9 +9,8 @@
 /// inputs taken from the engine, and reads its outputs back.
 ///
 /// The standalone's loop nests come from the same printer as the JIT's,
-/// and its kernels are the engine's own kernels::dispatch, dropout's
-/// stream included, so every buffer it writes must equal the engine's
-/// byte for byte.
+/// and its kernels are the engine's own kernels::dispatch, so every buffer
+/// it writes must equal the engine's byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,7 +3,7 @@
 /// Parameterized property sweeps: convolution configurations (kernel,
 /// stride, pad, channels) checked for baseline agreement and correct
 /// gradients; matched-vs-interpreted equivalence of the elementwise
-/// ensembles; dropout semantics; standalone softmax backward.
+/// ensembles; standalone softmax backward.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <tuple>
 
 using namespace latte;
@@ -152,49 +151,6 @@ TEST(InterpretedEquivalenceTest, ElementwiseEnsembles) {
   auto [V2, G2] = Run(false);
   EXPECT_EQ(V1.firstMismatch(V2, 1e-5f, 1e-4f), -1);
   EXPECT_EQ(G1.firstMismatch(G2, 1e-5f, 1e-4f), -1);
-}
-
-TEST(DropoutTest, MaskScalesSurvivors) {
-  Net Net(4);
-  Ensemble *Data = DataLayer(Net, "data", Shape{64});
-  DropoutLayer(Net, "drop", Data, /*KeepProb=*/0.5);
-  Executor Ex(compile(Net));
-  Tensor In(Shape{4, 64});
-  In.fill(1.0f);
-  Ex.setInput(In);
-  Ex.forward();
-  Tensor Out = Ex.readBuffer("drop_value");
-  int64_t Kept = 0;
-  for (int64_t I = 0; I < Out.numElements(); ++I) {
-    // Survivors are scaled by 1/keep; victims are exactly zero.
-    EXPECT_TRUE(Out.at(I) == 0.0f || std::fabs(Out.at(I) - 2.0f) < 1e-6f);
-    Kept += Out.at(I) != 0.0f;
-  }
-  double KeepRate = static_cast<double>(Kept) / Out.numElements();
-  EXPECT_NEAR(KeepRate, 0.5, 0.12);
-}
-
-TEST(DropoutTest, BackwardRoutesThroughMask) {
-  Net Net(2);
-  Ensemble *Data = DataLayer(Net, "data", Shape{8});
-  Ensemble *Drop = DropoutLayer(Net, "drop", Data, 0.5);
-  Ensemble *Fc = FullyConnectedLayer(Net, "fc", Drop, 2);
-  Ensemble *Labels = LabelLayer(Net, "labels");
-  SoftmaxLossLayer(Net, "loss", Fc, Labels);
-  Executor Ex(compile(Net));
-  Ex.initParams(3);
-  Ex.setInput(randomTensor(Shape{2, 8}, 9));
-  Tensor L(Shape{2, 1});
-  Ex.setLabels(L);
-  Ex.forward();
-  Tensor Mask = Ex.readBuffer("drop_mask");
-  Ex.backward();
-  Tensor DataGrad = Ex.readBuffer("data_grad");
-  for (int64_t I = 0; I < Mask.numElements(); ++I) {
-    if (Mask.at(I) == 0.0f) {
-      EXPECT_EQ(DataGrad.at(I), 0.0f) << "gradient leaked through mask";
-    }
-  }
 }
 
 TEST(SoftmaxLayerTest, StandaloneBackwardGradCheck) {

@@ -1,10 +1,10 @@
 //===- tests/jit/jit_test.cpp ---------------------------------*- C++ -*-===//
 ///
 /// Unit tests for the in-process JIT backend (src/jit): the content-hash
-/// shared-object cache (hit / recompile / corrupt-object recovery,
-/// single-flight builds that run distinct sources in parallel), clean
-/// interpreter fallback when the system compiler is broken, dropout run
-/// jitted, module sharing across executors, byte identity with the
+/// shared-object cache (hit / recompile / corrupt-object recovery, stale
+/// ABI versions, single-flight builds that run distinct sources in
+/// parallel), clean interpreter fallback when the system compiler is
+/// broken, module sharing across executors, byte identity with the
 /// interpreter for training and forward-only programs (the unrolled LSTM's
 /// 1,305 units through its shared class functions included), the
 /// interpreter's kernel counters, source determinism, and
@@ -42,10 +42,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#ifdef LATTE_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 using namespace latte;
 using namespace latte::compiler;
 using namespace latte::core;
@@ -81,13 +77,14 @@ private:
 };
 
 /// Minimal valid JIT translation unit with the mandatory ABI-version
-/// symbol and a one-task forward table; \p Marker uniquifies the content
-/// hash per call site.
-std::string minimalSource(const std::string &Marker) {
+/// symbol (returning \p Version) and a one-task forward table; \p Marker
+/// uniquifies the content hash per call site.
+std::string minimalSource(const std::string &Marker,
+                          int64_t Version = jit::kLatteJitAbiVersion) {
   return "// marker: " + Marker + "\n#include <cstdint>\n" +
          jit::abiStructSource() +
          "extern \"C\" int64_t latte_jit_abi_version() { return " +
-         std::to_string(jit::kLatteJitAbiVersion) +
+         std::to_string(Version) +
          "; }\n"
          "static void latte_class_0(LatteJitCtx *, const int32_t *) {}\n"
          "extern \"C\" const LatteJitTask " +
@@ -185,6 +182,29 @@ TEST(JitCacheTest, HitRecompileAndHashing) {
   ASSERT_NE(MB, nullptr) << Diag;
   EXPECT_NE(MB->hash(), M3->hash());
   EXPECT_EQ(jit::stats().Compiles, 2);
+}
+
+TEST(JitCacheTest, StaleAbiVersionIsRejected) {
+  if (!jit::available())
+    GTEST_SKIP() << "JIT backend unavailable";
+  ScopedCacheDir Cache;
+  jit::resetStats();
+
+  // An object that reports another ABI version compiles and loads, but
+  // the engine must not run it: its tasks would call the trampoline with
+  // another argument list.
+  const int64_t Stale = jit::kLatteJitAbiVersion - 1;
+  std::string Diag;
+  std::shared_ptr<jit::JitModule> M =
+      jit::JitModule::getOrCreate(minimalSource("stale-abi", Stale), &Diag);
+  EXPECT_EQ(M, nullptr);
+  EXPECT_NE(Diag.find("object " + std::to_string(Stale)), std::string::npos)
+      << Diag;
+  EXPECT_NE(Diag.find("engine " + std::to_string(jit::kLatteJitAbiVersion)),
+            std::string::npos)
+      << Diag;
+  EXPECT_EQ(jit::stats().LoadFailures, 1);
+  EXPECT_EQ(jit::stats().Compiles, 0);
 }
 
 TEST(JitCacheTest, CorruptCachedObjectRecovers) {
@@ -320,14 +340,12 @@ TEST(JitCacheTest, BrokenCompilerFallsBackCleanly) {
   // falls back to the interpreter and results match the NoJit baseline.
   CompileOptions Jit;
   Jit.Jit = true;
-  ExecOptions EO;
-  EO.Deterministic = true;
   const models::ModelSpec Spec = models::mlp(9, {7}, 3);
-  Executor A(compileSpec(Spec, Jit), EO);
+  Executor A(compileSpec(Spec, Jit));
   EXPECT_FALSE(A.jitActive());
   EXPECT_FALSE(A.jitDiagnostic().empty());
 
-  ExecOptions NoJit = EO;
+  ExecOptions NoJit;
   NoJit.NoJit = true;
   Executor B(compileSpec(Spec, Jit), NoJit);
   seedExecutor(A, 3);
@@ -339,72 +357,6 @@ TEST(JitCacheTest, BrokenCompilerFallsBackCleanly) {
   EXPECT_EQ(A.lossValue(), B.lossValue());
 
   ::unsetenv("LATTE_JIT_CC");
-}
-
-TEST(JitExecutorTest, DropoutRunsJittedBitwise) {
-  if (!jit::available())
-    GTEST_SKIP() << "JIT backend unavailable";
-
-  // The dropout unit runs jitted like every other: its mask kernel goes
-  // through the trampoline and draws from the calling executor's RNG in
-  // program order, so masks, loss, parameters and gradients stay bitwise
-  // the interpreter's, whether the parallel loops fork or not.
-  core::Net Net(4);
-  Ensemble *Data = DataLayer(Net, "data", Shape{8});
-  Ensemble *Fc = FullyConnectedLayer(Net, "fc", Data, 6);
-  Ensemble *Drop = DropoutLayer(Net, "drop", Fc, 0.5);
-  Ensemble *Out = FullyConnectedLayer(Net, "out", Drop, 3);
-  Ensemble *Labels = LabelLayer(Net, "labels");
-  SoftmaxLossLayer(Net, "loss", Out, Labels);
-
-  CompileOptions CO;
-  CO.Jit = true;
-  ExecOptions EO;
-  EO.NoMemPlan = true; // keep every buffer readable for the comparison
-  ExecOptions NoJit = EO;
-  NoJit.NoJit = true;
-  for (int Threads : {1, 4}) {
-#ifdef LATTE_HAVE_OPENMP
-    const int SavedThreads = omp_get_max_threads();
-    omp_set_num_threads(Threads);
-#endif
-    Executor A(compile(Net, CO), EO);
-    ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
-    EXPECT_EQ(A.jitFallbackCount(), 0);
-    Executor B(compile(Net, CO), NoJit);
-    EXPECT_FALSE(B.jitActive());
-
-    seedExecutor(A, 3);
-    seedExecutor(B, 3);
-    solvers::SolverParameters SP;
-    SP.Lr = solvers::LRPolicy::fixed(0.1);
-    solvers::SgdSolver SolverA(SP), SolverB(SP);
-    for (int Step = 0; Step < 3; ++Step) {
-      A.forward();
-      A.backward();
-      SolverA.step(A, Step);
-      B.forward();
-      B.backward();
-      SolverB.step(B, Step);
-      EXPECT_EQ(A.lossValue(), B.lossValue()) << Threads << " threads";
-    }
-    std::vector<std::string> Names = {"drop_mask"};
-    for (const ParamBinding &P : A.program().Params) {
-      Names.push_back(P.Param);
-      Names.push_back(P.Grad);
-    }
-    for (const std::string &Name : Names) {
-      Tensor TA = A.readBuffer(Name);
-      Tensor TB = B.readBuffer(Name);
-      EXPECT_EQ(std::memcmp(TA.data(), TB.data(),
-                            sizeof(float) * TA.numElements()),
-                0)
-          << "buffer '" << Name << "' diverged at " << Threads << " threads";
-    }
-#ifdef LATTE_HAVE_OPENMP
-    omp_set_num_threads(SavedThreads);
-#endif
-  }
 }
 
 TEST(JitExecutorTest, KernelCountersMatchInterpreter) {
@@ -463,9 +415,7 @@ TEST(JitExecutorTest, ConvNetTrainAndForwardOnlyMatchInterpreter) {
   std::unique_ptr<core::Net> Net = codegen_harness::makeConvNet(3);
   CompileOptions CO;
   CO.Jit = true;
-  ExecOptions EO;
-  EO.Deterministic = true;
-  ExecOptions NoJit = EO;
+  ExecOptions NoJit;
   NoJit.NoJit = true;
   auto ExpectSameBytes = [](const Executor &A, const Executor &B,
                             const std::string &Name) {
@@ -478,7 +428,7 @@ TEST(JitExecutorTest, ConvNetTrainAndForwardOnlyMatchInterpreter) {
         << "buffer '" << Name << "' diverged between JIT and interpreter";
   };
 
-  Executor A(compile(*Net, CO), EO);
+  Executor A(compile(*Net, CO));
   Executor B(compile(*Net, CO), NoJit);
   ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
   EXPECT_EQ(A.jitFallbackCount(), 0);
@@ -498,7 +448,7 @@ TEST(JitExecutorTest, ConvNetTrainAndForwardOnlyMatchInterpreter) {
     ExpectSameBytes(A, B, P.Grad);
   }
 
-  Executor C(compileForward(*Net, CO), EO);
+  Executor C(compileForward(*Net, CO));
   Executor D(compileForward(*Net, CO), NoJit);
   ASSERT_TRUE(C.jitActive()) << C.jitDiagnostic();
   EXPECT_EQ(C.jitFallbackCount(), 0);
@@ -574,11 +524,9 @@ TEST(JitExecutorTest, ExecutorsShareOneModule) {
   CompileOptions CO;
   CO.Jit = true;
   const models::ModelSpec Spec = models::mlp(10, {6, 5}, 4);
-  ExecOptions EO;
-  EO.Deterministic = true;
-  Executor A(compileSpec(Spec, CO), EO);
+  Executor A(compileSpec(Spec, CO));
   ASSERT_TRUE(A.jitActive()) << A.jitDiagnostic();
-  Executor B(compileSpec(Spec, CO), EO);
+  Executor B(compileSpec(Spec, CO));
   ASSERT_TRUE(B.jitActive()) << B.jitDiagnostic();
   EXPECT_EQ(A.jitModuleHash(), B.jitModuleHash());
   EXPECT_GE(jit::stats().MemCacheHits, 1);
@@ -615,9 +563,7 @@ TEST(JitExecutorTest, GradCheckThroughJitDispatch) {
 
   CompileOptions CO;
   CO.Jit = true;
-  ExecOptions EO;
-  EO.Deterministic = true;
-  Executor Ex(compile(Net, CO), EO);
+  Executor Ex(compile(Net, CO));
   ASSERT_TRUE(Ex.jitActive()) << Ex.jitDiagnostic();
   seedExecutor(Ex, 4);
   verify::GradCheckReport R = verify::gradCheck(Ex);

@@ -307,7 +307,6 @@ TEST(Server, TailBatchPaddingIsBitwiseCorrect) {
   SO.Replicas = 1;
   SO.BatchSizes = {4};
   SO.FlushDeadlineMicros = 1000;
-  SO.Exec.Deterministic = true;
   models::ModelSpec Spec = testSpec();
   serve::Server Srv(Spec, {}, SO);
   Srv.start();
@@ -325,7 +324,6 @@ TEST(Server, TailBatchPaddingIsBitwiseCorrect) {
   models::buildLatte(Net, Spec, /*WithLoss=*/true);
   engine::ExecOptions EO;
   EO.Seed = SO.ParamSeed;
-  EO.Deterministic = true;
   engine::Executor Ref(compiler::compileForward(Net), EO);
 
   for (int I = 0; I < 3; ++I) {
@@ -587,7 +585,6 @@ TEST(Server, SequenceModelsServeBitwiseLikeTraining) {
     SO.Replicas = 1;
     SO.BatchSizes = {2};
     SO.FlushDeadlineMicros = 1000;
-    SO.Exec.Deterministic = true;
     serve::Server Srv(Spec, {}, SO);
     Srv.start();
     Tensor Item = randomItem(Spec.InputDims, 77);
@@ -601,7 +598,6 @@ TEST(Server, SequenceModelsServeBitwiseLikeTraining) {
     models::buildLatte(Net, Spec, /*WithLoss=*/true);
     engine::ExecOptions EO;
     EO.Seed = SO.ParamSeed;
-    EO.Deterministic = true;
     engine::Executor Ref(compiler::compileForward(Net), EO);
     Ref.setInput(Item);
     Ref.forward();
@@ -638,8 +634,7 @@ TEST(InferenceCompile, ForwardBitwiseIdenticalToTrainingAcrossLattice) {
   // The tentpole guarantee: for every lattice point of the per-PR tier,
   // the inference-compiled forward produces bit-identical buffers to the
   // training-compiled forward under the same switches. NoMemPlan keeps
-  // every buffer readable; Deterministic pins the dropout RNG (vacuous for
-  // LeNet, but keeps the recipe right).
+  // every buffer readable.
   models::ModelSpec Spec = testSpec();
   core::Net Net(2);
   models::buildLatte(Net, Spec, /*WithLoss=*/true);
@@ -650,7 +645,6 @@ TEST(InferenceCompile, ForwardBitwiseIdenticalToTrainingAcrossLattice) {
     compiler::CompileOptions CO = verify::optionsForMask(Mask, LO);
     engine::ExecOptions EO;
     EO.Parallel = CO.Parallelize;
-    EO.Deterministic = true;
     EO.NoMemPlan = true;
     EO.Seed = LO.ParamSeed;
     engine::Executor Train(compiler::compile(Net, CO), EO);
@@ -677,37 +671,6 @@ TEST(InferenceCompile, ForwardBitwiseIdenticalToTrainingAcrossLattice) {
   }
 }
 
-TEST(InferenceCompile, DropoutForwardMatchesTrainingBitwise) {
-  // A served dropout net keeps the training forward's semantics — the
-  // deterministic mask RNG included — so the bitwise train/serve contract
-  // holds, dropped units and all.
-  const double Keep = 0.8;
-  core::Net Net(2);
-  core::Ensemble *Data = layers::DataLayer(Net, "data", Shape{6});
-  core::Ensemble *Fc = layers::FullyConnectedLayer(Net, "fc", Data, 5);
-  core::Ensemble *Drop = layers::DropoutLayer(Net, "drop", Fc, Keep);
-  core::Ensemble *Out = layers::FullyConnectedLayer(Net, "out", Drop, 3);
-  core::Ensemble *Labels = layers::LabelLayer(Net, "labels");
-  layers::SoftmaxLossLayer(Net, "loss", Out, Labels);
-
-  engine::ExecOptions EO;
-  EO.Deterministic = true;
-  EO.NoMemPlan = true; // keep intermediates readable
-  EO.Seed = 17;
-  Tensor In = randomItem(Shape{2, 6}, 23);
-
-  engine::Executor Train(compiler::compile(Net), EO);
-  engine::Executor Infer(compiler::compileForward(Net), EO);
-  for (engine::Executor *Ex : {&Train, &Infer}) {
-    Ex->setInput(In);
-    Ex->forward();
-  }
-  EXPECT_TRUE(bitwiseEqual(Infer.readBuffer("drop_value"),
-                           Train.readBuffer("drop_value")));
-  EXPECT_TRUE(bitwiseEqual(Infer.readBuffer("out_value"),
-                           Train.readBuffer("out_value")));
-}
-
 // --- training-only APIs reject inference programs --------------------------
 
 TEST(InferenceCompile, BackwardIsFatalWithDiagnostic) {
@@ -721,9 +684,7 @@ TEST(InferenceCompile, BackwardIsFatalWithDiagnostic) {
 TEST(InferenceCompile, GradCheckRejectsWithDiagnosticInsteadOfCrashing) {
   core::Net Net(2);
   models::buildLatte(Net, testSpec(), /*WithLoss=*/true);
-  engine::ExecOptions EO;
-  EO.Deterministic = true;
-  engine::Executor Ex(compiler::compileForward(Net), EO);
+  engine::Executor Ex(compiler::compileForward(Net));
   verify::GradCheckReport R = verify::gradCheck(Ex);
   EXPECT_FALSE(R.Passed);
   EXPECT_EQ(R.NumChecked, 0);

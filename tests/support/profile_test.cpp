@@ -193,7 +193,6 @@ std::vector<unsigned char> runOnce(bool Profile) {
   core::Net Net(/*Batch=*/3);
   models::buildLatte(Net, Spec, /*WithLoss=*/true);
   engine::ExecOptions EO;
-  EO.Deterministic = true;
   EO.Profile = Profile;
   engine::Executor Ex(compiler::compile(Net, {}), EO);
   Ex.initParams(1);

@@ -4,8 +4,7 @@
 /// net is emitted with codegen_cpp, built against liblatte.a with the
 /// library's toolchain, run as a standalone binary on the same inputs and
 /// parameters, and every buffer it writes back must equal the engine's
-/// byte for byte — dropout's included, since the binary draws its masks
-/// from the stream a Deterministic executor re-seeds each forward with.
+/// byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +30,7 @@ namespace {
 /// compares every buffer the program writes back.
 void diffProgram(const Program &Prog, uint64_t Seed, int64_t Classes,
                  const std::string &Tag, const std::string &Mode) {
-  ExecOptions EO;
-  EO.Deterministic = true;
-  Executor Ex(Prog.clone(), EO);
+  Executor Ex(Prog.clone());
   Ex.initParams(Seed);
   Rng R(Seed ^ 0xc0de);
   Tensor In(Prog.findBuffer(Prog.DataBuffer)->Dims);
@@ -78,12 +75,6 @@ TEST(CodegenDiffTest, RandomNetFullyOptimized) {
 }
 
 TEST(CodegenDiffTest, RandomNetThird) { codegenDiff(23, CompileOptions{}); }
-
-TEST(CodegenDiffTest, RandomNetWithDropout) {
-  // Seed 38 draws two dropout layers ahead of two convolutions: both mask
-  // streams, and everything they feed, must be the engine's.
-  codegenDiff(38, CompileOptions{});
-}
 
 TEST(CodegenDiffTest, ConvNetBatch3TrainAndForward) {
   // The small fused conv net at batch 3 under the default options: the

@@ -1,7 +1,7 @@
 //===- tests/verify/fuzz_test.cpp -----------------------------*- C++ -*-===//
 ///
 /// Random-network fuzzing of the whole compiler: seeded generator graphs
-/// (conv/pool/FC/activation/dropout/branch/custom blocks with randomized
+/// (conv/pool/FC/activation/branch/custom blocks with randomized
 /// geometry) are swept through the tier's optimization-lattice masks
 /// (verify::sweepMasks — all 2^7 at the deep tier, JIT bit included). Every
 /// failure message carries the generator seed and the flag combination —

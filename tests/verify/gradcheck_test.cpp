@@ -31,7 +31,6 @@ std::unique_ptr<Executor> makeExecutor(const Net &Net, int64_t Classes,
                                        const CompileOptions &Copts = {},
                                        uint64_t Seed = 41) {
   ExecOptions E;
-  E.Deterministic = true;
   E.Seed = Seed;
   auto Ex = std::make_unique<Executor>(compile(Net, Copts), E);
   Ex->initParams(Seed);
@@ -224,8 +223,8 @@ TEST(GradCheckTest, AttentionBlock) {
 }
 
 TEST(GradCheckTest, RandomNetsGradCheck) {
-  // The generator's graphs — including dropout, branches, tied weights and
-  // custom neurons — must all be differentiable end to end.
+  // The generator's graphs — including branches, tied weights and custom
+  // neurons — must all be differentiable end to end.
   for (uint64_t Seed : {11u, 12u, 13u}) {
     Net Net(2);
     std::string Desc = verify::randomNet(Net, Seed);

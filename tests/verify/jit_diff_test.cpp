@@ -15,11 +15,11 @@
 /// roots retained by BOTH plans — params, param grads, values, data
 /// gradient — which is everything training observes.
 ///
-/// Both executors run with ExecOptions::Deterministic, making bitwise
-/// equality a sound expectation even on the Parallelize points. The per-PR
-/// tier sweeps the 32 recompute-free base masks; the nightly deep tier
-/// (LATTE_DEEP=1) sweeps all 64 base points of the non-JIT lattice and
-/// doubles the epoch count.
+/// Parallel loops, backward included, are race-free and independent of
+/// the thread count, so bitwise equality is a sound expectation even on
+/// the Parallelize points. The per-PR tier sweeps the 32 recompute-free
+/// base masks; the nightly deep tier (LATTE_DEEP=1) sweeps all 64 base
+/// points of the non-JIT lattice and doubles the epoch count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,11 +57,8 @@ void diffOneBaseMask(const models::ModelSpec &Spec, int64_t Batch,
   ASSERT_TRUE(On.Jit);
   ASSERT_FALSE(Off.Jit);
 
-  ExecOptions EO;
-  EO.Deterministic = true;
-
-  Executor A(compileSpec(Spec, Batch, On), EO);
-  Executor B(compileSpec(Spec, Batch, Off), EO);
+  Executor A(compileSpec(Spec, Batch, On));
+  Executor B(compileSpec(Spec, Batch, Off));
   ASSERT_TRUE(A.program().Plan.Valid);
   ASSERT_TRUE(B.program().Plan.Valid);
   // The module must actually be live on the JIT side — a silent fallback

@@ -30,15 +30,15 @@ using namespace latte::layers;
 
 namespace {
 
-/// data{12} -> FC -> ReLU(in place) -> dropout -> FC -> Tanh(copy) -> FC
-/// -> softmax loss: exercises GEMM matching, in-place aliasing, dropout
-/// determinism and activation kernels.
+/// data{12} -> FC -> ReLU(in place) -> PReLU -> FC -> Tanh(copy) -> FC
+/// -> softmax loss: exercises GEMM matching, in-place aliasing read by an
+/// interpreted ensemble, and activation kernels.
 void buildMlp(Net &Net) {
   Ensemble *Data = DataLayer(Net, "data", Shape{12});
   Ensemble *Fc1 = FullyConnectedLayer(Net, "fc1", Data, 10);
   Ensemble *Act1 = ReluLayer(Net, "relu1", Fc1, /*InPlace=*/true);
-  Ensemble *Drop = DropoutLayer(Net, "drop", Act1, 0.8);
-  Ensemble *Fc2 = FullyConnectedLayer(Net, "fc2", Drop, 8);
+  Ensemble *Pr = PReluLayer(Net, "prelu", Act1);
+  Ensemble *Fc2 = FullyConnectedLayer(Net, "fc2", Pr, 8);
   Ensemble *Act2 = TanhLayer(Net, "tanh2", Fc2, /*InPlace=*/false);
   Ensemble *Fc3 = FullyConnectedLayer(Net, "fc3", Act2, 4);
   Ensemble *Labels = LabelLayer(Net, "labels");

@@ -15,8 +15,7 @@
 /// Values, parameters, parameter gradients and the data gradient are all
 /// retained, so the comparison covers everything training observes.
 ///
-/// Both executors run with ExecOptions::Deterministic (reseeded dropout);
-/// parallel loops, backward included, are race-free and independent of
+/// Parallel loops, backward included, are race-free and independent of
 /// the thread count, so bitwise equality is a sound expectation even on
 /// the Parallelize lattice points.
 ///
@@ -51,12 +50,10 @@ void diffOneMask(const models::ModelSpec &Spec, int64_t Batch,
   verify::LatticeOptions LO; // tiny-net tile geometry so tiling triggers
   CompileOptions Opts = verify::optionsForMask(Mask, LO);
 
-  ExecOptions Planned;
-  Planned.Deterministic = true;
-  ExecOptions Eager = Planned;
+  ExecOptions Eager;
   Eager.NoMemPlan = true;
 
-  Executor A(compileSpec(Spec, Batch, Opts), Planned);
+  Executor A(compileSpec(Spec, Batch, Opts));
   Executor B(compileSpec(Spec, Batch, Opts), Eager);
   ASSERT_TRUE(A.program().Plan.Valid);
 

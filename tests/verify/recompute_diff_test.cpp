@@ -17,10 +17,10 @@
 /// retained by BOTH plans — params, param grads, values, data gradient —
 /// which is everything training observes.
 ///
-/// Both executors run with ExecOptions::Deterministic, making bitwise
-/// equality a sound expectation even on the Parallelize points. The
-/// nightly deep tier (LATTE_DEEP=1) doubles the epoch count to catch state
-/// leaking across longer runs.
+/// Parallel loops, backward included, are race-free and independent of
+/// the thread count, so bitwise equality is a sound expectation even on
+/// the Parallelize points. The nightly deep tier (LATTE_DEEP=1) doubles
+/// the epoch count to catch state leaking across longer runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,11 +57,8 @@ void diffOneBaseMask(const models::ModelSpec &Spec, int64_t Batch,
   ASSERT_TRUE(On.Recompute);
   ASSERT_FALSE(Off.Recompute);
 
-  ExecOptions EO;
-  EO.Deterministic = true;
-
-  Executor A(compileSpec(Spec, Batch, On), EO);
-  Executor B(compileSpec(Spec, Batch, Off), EO);
+  Executor A(compileSpec(Spec, Batch, On));
+  Executor B(compileSpec(Spec, Batch, Off));
   ASSERT_TRUE(A.program().Plan.Valid);
   ASSERT_TRUE(B.program().Plan.Valid);
   EXPECT_TRUE(B.program().Recomputes.empty());

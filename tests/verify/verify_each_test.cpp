@@ -26,8 +26,8 @@ void buildMlp(Net &Net) {
   Ensemble *Data = DataLayer(Net, "data", Shape{12});
   Ensemble *Fc1 = FullyConnectedLayer(Net, "fc1", Data, 10);
   Ensemble *Act1 = ReluLayer(Net, "relu1", Fc1, /*InPlace=*/true);
-  Ensemble *Drop = DropoutLayer(Net, "drop", Act1, 0.8);
-  Ensemble *Fc2 = FullyConnectedLayer(Net, "fc2", Drop, 8);
+  Ensemble *Pr = PReluLayer(Net, "prelu", Act1);
+  Ensemble *Fc2 = FullyConnectedLayer(Net, "fc2", Pr, 8);
   Ensemble *Labels = LabelLayer(Net, "labels");
   SoftmaxLossLayer(Net, "loss", Fc2, Labels);
 }
